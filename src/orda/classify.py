@@ -16,6 +16,7 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    path_word,
     reachable_states,
     step,
 )
@@ -100,7 +101,7 @@ def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str | None:
     """Lexicographically least shortest transition word src -> dst."""
     if src == dst:
         return ""
-    parents: dict[int, tuple[int, str]] = {src: (-1, "")}
+    parents: dict[int, tuple[int, str] | None] = {src: None}
     frontier = [src]
     while frontier:
         nxt = []
@@ -111,12 +112,7 @@ def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str | None:
                     parents[r] = (p, a)
                     nxt.append(r)
         if dst in parents:
-            letters = []
-            cur = dst
-            while cur != src:
-                cur, a = parents[cur]
-                letters.append(a)
-            return "".join(reversed(letters))
+            return path_word(parents, dst)
         frontier = nxt
     return None
 
@@ -244,14 +240,6 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
                     parents[succ] = (node, a)
                     order.append(succ)
 
-        def word_to(node) -> str:
-            letters = []
-            cur = node
-            while parents[cur] is not None:
-                cur, a = parents[cur]
-                letters.append(a)
-            return "".join(reversed(letters))
-
         for i in range(len(order)):
             p1, c1 = order[i]
             for j in range(i + 1, len(order)):
@@ -259,7 +247,8 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
                 if p1 == p2:
                     continue
                 if not joinable(p1, p2, c1 | c2):
-                    return Verdict(False, (q, word_to(order[i]), word_to(order[j])))
+                    words = path_word(parents, order[i]), path_word(parents, order[j])
+                    return Verdict(False, (q, *words))
     return Verdict(True)
 
 
@@ -269,30 +258,6 @@ def is_pt_semiautomaton(sa: Semiautomaton) -> Verdict:
     if not acyclic.holds:
         return acyclic
     return is_confluent(sa)
-
-
-def lemma8_check(sa: Semiautomaton, max_len: int = 3) -> Verdict:
-    """Exhaustive check of q.u.(uv)^|Q| = q.v.(uv)^|Q| for short u, v.
-
-    Only meaningful on acyclic inputs, where the equality for all pairs is
-    another face of confluence; used as a differential oracle against
-    is_confluent, so it steps through words literally.
-    """
-    if not is_acyclic(sa).holds:
-        raise OrdaError("lemma8_check requires an acyclic semiautomaton")
-    n = sa.state_count
-    words = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + a for w in frontier for a in sa.alphabet]
-        words.extend(frontier)
-    for u in words:
-        for v in words:
-            pump = (u + v) * n
-            for q in range(n):
-                if step(sa, step(sa, q, u), pump) != step(sa, step(sa, q, v), pump):
-                    return Verdict(False, (q, u, v))
-    return Verdict(True)
 
 
 def has_extensive_actions(osa: OrderedSemiautomaton) -> Verdict:
@@ -329,25 +294,8 @@ def is_cycle_union_dividing(sa: Semiautomaton, d: int) -> Verdict:
         return Verdict(False, ("not autonomous",) + tuple(autonomous.witness))
     t = [row[0] for row in sa.delta]
     n = sa.state_count
-    comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for q in range(n):
-        a, b = find(q), find(t[q])
-        if a != b:
-            comp[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for q in range(n):
-        groups.setdefault(find(q), []).append(q)
-
     lengths = []
-    for root in sorted(groups):
-        members = groups[root]
+    for members in _weak_components(n, enumerate(t)):
         cur = members[0]
         for _ in range(n):
             cur = t[cur]
@@ -378,12 +326,7 @@ def _merge_word(sa: Semiautomaton, p: int, q: int) -> str | None:
             for k, a in enumerate(sa.alphabet):
                 x, y = sa.delta[pair[0]][k], sa.delta[pair[1]][k]
                 if x == y:
-                    letters = [a]
-                    cur = pair
-                    while parents[cur] is not None:
-                        cur, b = parents[cur]
-                        letters.append(b)
-                    return "".join(reversed(letters))
+                    return path_word(parents, pair) + a
                 succ = (min(x, y), max(x, y))
                 if succ not in parents:
                     parents[succ] = (pair, a)
@@ -413,8 +356,11 @@ def is_synchronizing(sa: Semiautomaton) -> Verdict:
     return Verdict(True, word)
 
 
-def _weak_components(sa: Semiautomaton) -> list[list[int]]:
-    n = sa.state_count
+def _weak_components(n: int, edges) -> list[list[int]]:
+    """Components of the undirected graph on 0..n-1 with the given edges, by union-find.
+
+    Each component is sorted; components come in order of their smallest member.
+    """
     comp = list(range(n))
 
     def find(x):
@@ -423,15 +369,14 @@ def _weak_components(sa: Semiautomaton) -> list[list[int]]:
             x = comp[x]
         return x
 
-    for q in range(n):
-        for r in sa.delta[q]:
-            a, b = find(q), find(r)
-            if a != b:
-                comp[max(a, b)] = min(a, b)
+    for q, r in edges:
+        a, b = find(q), find(r)
+        if a != b:
+            comp[max(a, b)] = min(a, b)
     groups: dict[int, list[int]] = {}
     for q in range(n):
         groups.setdefault(find(q), []).append(q)
-    return [sorted(groups[root]) for root in sorted(groups)]
+    return [groups[root] for root in sorted(groups)]
 
 
 def _restrict(sa: Semiautomaton, states: list[int]) -> Semiautomaton:
@@ -449,7 +394,7 @@ def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
     On success the witness is the component decomposition; on failure it is
     (component, offending state pair) in original numbering.
     """
-    comps = _weak_components(sa)
+    comps = _weak_components(sa.state_count, ((q, r) for q, row in enumerate(sa.delta) for r in row))
     for members in comps:
         sub = _restrict(sa, members)
         v = is_synchronizing(sub)

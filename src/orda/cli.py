@@ -30,7 +30,7 @@ from .core import (
     format_automaton,
     parse_automaton,
 )
-from .errors import OrdaError
+from .errors import OrdaError, ParseError
 from .generate import random_automaton, random_minimal_automaton
 from .languages import (
     RESERVED,
@@ -71,8 +71,23 @@ def _load(args, canonical: bool = False) -> OrderedAutomaton:
         return derivative_automaton(r, alphabet)
     if args.input is None:
         raise OrdaError("no input: give a file path or --regex")
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    return parse_automaton(text)
+    return parse_automaton(_read_text(args.input))
+
+
+def _read_text(path: str) -> str:
+    """File or stdin ('-') contents, decoded as UTF-8; a bad byte is a ParseError."""
+    if path != "-":
+        with open(path, "rb") as f:
+            data = f.read()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:
+        return sys.stdin.read()  # a text stand-in such as io.StringIO
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"input is not UTF-8: byte 0x{data[exc.start]:02x}", line=line) from None
 
 
 def cmd_minimize(args) -> int:
@@ -219,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="automaton file, or - for stdin")
         p.add_argument("--regex", help="regex input instead of a file")
         p.add_argument("--alphabet", help="alphabet for --regex, e.g. 'ab' (default: inferred)")
-        p.add_argument("--cap-product", type=int, default=1_000_000,
-                       help="state cap for product constructions")
 
     p = sub.add_parser("minimize", help="compute the minimal ordered automaton")
     add_input(p)

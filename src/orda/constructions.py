@@ -19,11 +19,15 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    bits,
+    compatibility_failures,
     reachable_states,
+    reflexivity_failures,
     step,
+    transitivity_failures,
 )
 from .errors import AlphabetError, CompatibilityError, OrdaError, ParseError, ResourceError
-from .minimize import StatePreorder, isomorphic, minimize_with_map
+from .minimize import isomorphic, minimize_with_map
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,14 @@ def _same_alphabet(osas) -> Alphabet:
     return alphabet
 
 
+def _row_major(sizes):
+    """Index of a state tuple in the row-major numbering of a product of the given sizes."""
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return lambda t: sum(q * s for q, s in zip(t, strides))
+
+
 def product(osas: list[OrderedSemiautomaton], cap: int = 1_000_000) -> OrderedSemiautomaton:
     """Componentwise product with componentwise order; states in row-major order.
 
@@ -159,13 +171,7 @@ def product(osas: list[OrderedSemiautomaton], cap: int = 1_000_000) -> OrderedSe
         raise ResourceError(f"product would have {total} states (cap {cap})")
     width = len(alphabet)
     tuples = list(cartesian(*(range(s) for s in sizes)))
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-
-    def encode(t):
-        return sum(q * s for q, s in zip(t, strides))
-
+    encode = _row_major(sizes)
     deltas = [o.sa.delta for o in osas]
     rows = tuple(
         tuple(encode(tuple(d[q][k] for d, q in zip(deltas, t))) for k in range(width))
@@ -190,28 +196,15 @@ def disjoint_union(osas: list[OrderedSemiautomaton]) -> OrderedSemiautomaton:
     if not osas:
         raise OrdaError("union of an empty family")
     alphabet = _same_alphabet(osas)
-    width = len(alphabet)
-    offsets = [0]
-    for o in osas:
-        offsets.append(offsets[-1] + o.state_count)
-    total = offsets[-1]
-    rows = []
-    names = []
+    rows, names, ups = [], [], []
+    base = 0
     for j, o in enumerate(osas):
-        base = offsets[j]
         for q in range(o.state_count):
-            rows.append(tuple(base + o.sa.delta[q][k] for k in range(width)))
+            rows.append(tuple(base + r for r in o.sa.delta[q]))
             names.append(f"{j}:{o.sa.state_name(q)}")
-    component = [j for j, o in enumerate(osas) for _ in range(o.state_count)]
-
-    def leq(i, j):
-        if component[i] != component[j]:
-            return False
-        o = osas[component[i]]
-        base = offsets[component[i]]
-        return o.order.leq(i - base, j - base)
-
-    order = StateOrder.from_leq(total, leq)
+        ups.extend(row << base for row in o.order.up)  # order inside the block only
+        base += o.state_count
+    order = StateOrder(tuple(ups))
     return OrderedSemiautomaton(Semiautomaton(alphabet, tuple(rows), tuple(names)), order)
 
 
@@ -256,8 +249,7 @@ def subsemiautomaton(osa: OrderedSemiautomaton, states) -> OrderedSemiautomaton:
     index = {p: i for i, p in enumerate(keep)}
     rows = tuple(tuple(index[sa.delta[p][k]] for k in range(len(sa.alphabet))) for p in keep)
     names = tuple(sa.names[p] for p in keep) if sa.names is not None else None
-    order = StateOrder.from_leq(len(keep), lambda i, j: osa.order.leq(keep[i], keep[j]))
-    return OrderedSemiautomaton(Semiautomaton(sa.alphabet, rows, names), order)
+    return OrderedSemiautomaton(Semiautomaton(sa.alphabet, rows, names), osa.order.restrict(keep))
 
 
 def generated(osa: OrderedSemiautomaton, q: int) -> OrderedSemiautomaton:
@@ -266,7 +258,7 @@ def generated(osa: OrderedSemiautomaton, q: int) -> OrderedSemiautomaton:
 
 
 def quotient_by_precongruence(
-    osa: OrderedSemiautomaton, rel: StatePreorder
+    osa: OrderedSemiautomaton, rel: StateOrder
 ) -> tuple[OrderedSemiautomaton, SemiautomatonHom]:
     """Collapse mutually related states; order classes by the relation.
 
@@ -279,51 +271,33 @@ def quotient_by_precongruence(
     n = sa.state_count
     if rel.size != n:
         raise CompatibilityError("relation size differs from the state count")
-    holds = rel.holds
-    for p in range(n):
-        if not holds(p, p):
-            raise CompatibilityError(f"not reflexive at {p}", witness=(p, p))
-    for p in range(n):
-        for q in range(n):
-            if not holds(p, q):
-                continue
-            for r in range(n):
-                if holds(q, r) and not holds(p, r):
-                    raise CompatibilityError(
-                        f"not transitive at {p},{q},{r}", witness=(p, q, r)
-                    )
-    for p in range(n):
-        for q in range(n):
-            if osa.order.leq(p, q) and not holds(p, q):
-                raise CompatibilityError(
-                    f"state order not contained: {p} <= {q}", witness=(p, q)
-                )
-            if not holds(p, q):
-                continue
-            for k, a in enumerate(sa.alphabet):
-                if not holds(sa.delta[p][k], sa.delta[q][k]):
-                    raise CompatibilityError(
-                        f"not action-compatible: {p},{q} on {a!r}", witness=(p, q, a)
-                    )
+    for p in reflexivity_failures(rel):
+        raise CompatibilityError(f"not reflexive at {p}", witness=(p, p))
+    for p, q, r in transitivity_failures(rel):
+        raise CompatibilityError(f"not transitive at {p},{q},{r}", witness=(p, q, r))
+    # the first offending pair in (p, q) order decides; containment goes first on a tie
+    missing = next(((p, q) for p in range(n) for q in bits(osa.order.up[p] & ~rel.up[p])), None)
+    clash = next(compatibility_failures(sa, rel), None)
+    if missing is not None and (clash is None or missing <= clash[:2]):
+        p, q = missing
+        raise CompatibilityError(f"state order not contained: {p} <= {q}", witness=(p, q))
+    if clash is not None:
+        p, q, k = clash
+        a = sa.alphabet.symbols[k]
+        raise CompatibilityError(f"not action-compatible: {p},{q} on {a!r}", witness=(p, q, a))
 
-    rep = list(range(n))
-    for p in range(n):
-        for q in range(p):
-            if holds(p, q) and holds(q, p):
-                rep[p] = rep[q]
-                break
+    rep = rel.representatives()
     reps = sorted(set(rep))
     cls = {r: i for i, r in enumerate(reps)}
     mapping = tuple(cls[rep[q]] for q in range(n))
     width = len(sa.alphabet)
     rows = tuple(tuple(mapping[sa.delta[r][k]] for k in range(width)) for r in reps)
-    order = StateOrder.from_leq(len(reps), lambda i, j: holds(reps[i], reps[j]))
     if sa.names is not None:
         groups = [[sa.names[q] for q in range(n) if rep[q] == r] for r in reps]
         names = tuple("+".join(g) for g in groups)
     else:
         names = None
-    quotient = OrderedSemiautomaton(Semiautomaton(sa.alphabet, rows, names), order)
+    quotient = OrderedSemiautomaton(Semiautomaton(sa.alphabet, rows, names), rel.restrict(reps))
     return quotient, SemiautomatonHom(osa, quotient, mapping)
 
 
@@ -354,19 +328,17 @@ def union_via_product_embedding(
 
 def _upward_closed_sets(order: StateOrder) -> list[frozenset]:
     """All upward-closed subsets, one per antichain of minimal elements."""
-    n = order.size
-    up = [frozenset(q for q in range(n) if order.leq(p, q)) for p in range(n)]
+    up, down = order.up, order.reversed().up
     out: list[frozenset] = []
 
-    def rec(start: int, chosen: list[int], closure: frozenset):
-        out.append(closure)
-        for p in range(start, n):
-            if all(not order.leq(p, c) and not order.leq(c, p) for c in chosen):
-                chosen.append(p)
-                rec(p + 1, chosen, closure | up[p])
-                chosen.pop()
+    def rec(start: int, comparable: int, closure: int):
+        # comparable: states related either way to an element already chosen
+        out.append(frozenset(bits(closure)))
+        for p in range(start, order.size):
+            if not comparable >> p & 1:
+                rec(p + 1, comparable | up[p] | down[p], closure | up[p])
 
-    rec(0, [], frozenset())
+    rec(0, 0, 0)
     return out
 
 
@@ -412,10 +384,7 @@ def _product_automaton(oas: list[OrderedAutomaton], want_all: bool, cap: int) ->
         hits = (q in oa.finals for q, oa in zip(t, oas))
         if all(hits) if want_all else any(hits):
             finals.append(i)
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    initial = sum(oa.initial * s for oa, s in zip(oas, strides))
+    initial = _row_major(sizes)([oa.initial for oa in oas])
     return OrderedAutomaton(osa, initial, frozenset(finals))
 
 

@@ -96,51 +96,89 @@ class Semiautomaton:
         return self.names[q] if self.names is not None else str(q)
 
 
+def bits(mask: int):
+    """Positions of the set bits of a non-negative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class StateOrder:
-    """Partial order on states as a dense boolean matrix; matrix[p][q] means p <= q.
+    """Relation on states as bitmask rows; bit q of up[p] means p <= q.
 
     Construction never closes the relation transitively: a non-transitive
-    input is preserved as given and surfaces through validate().
+    input is preserved as given and surfaces through validate().  The same
+    type carries quasiorders such as the minimization preorder.
     """
 
-    matrix: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.up)
+        for p, row in enumerate(self.up):
+            if row >> n:
+                raise OrdaError(f"order row {p} has a bit at or above the state count {n}")
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.up)
 
     def leq(self, p: int, q: int) -> bool:
-        return self.matrix[p][q]
+        return bool(self.up[p] >> q & 1)
 
     def pairs(self):
         """Yield the non-reflexive related pairs (p, q) with p <= q."""
-        for p, row in enumerate(self.matrix):
-            for q, rel in enumerate(row):
-                if rel and p != q:
-                    yield p, q
+        for p, row in enumerate(self.up):
+            for q in bits(row & ~(1 << p)):
+                yield p, q
 
     def reversed(self) -> "StateOrder":
-        n = self.size
-        return StateOrder(tuple(tuple(self.matrix[q][p] for q in range(n)) for p in range(n)))
+        down = [0] * self.size
+        for p, row in enumerate(self.up):
+            for q in bits(row):
+                down[q] |= 1 << p
+        return StateOrder(tuple(down))
+
+    def restrict(self, states) -> "StateOrder":
+        """The relation on the given distinct states, renumbered by list position."""
+        index = {s: i for i, s in enumerate(states)}
+        rows = []
+        for s in states:
+            row = 0
+            for t in bits(self.up[s]):
+                if t in index:
+                    row |= 1 << index[t]
+            rows.append(row)
+        return StateOrder(tuple(rows))
+
+    def representatives(self) -> tuple[int, ...]:
+        """rep[p] is the smallest q with p <= q and q <= p; on a quasiorder it names p's rho-class."""
+        down = self.reversed().up
+        reps = []
+        for p, row in enumerate(self.up):
+            mutual = row & down[p] | 1 << p
+            reps.append((mutual & -mutual).bit_length() - 1)
+        return tuple(reps)
 
     @classmethod
     def discrete(cls, n: int) -> "StateOrder":
-        return cls(tuple(tuple(p == q for q in range(n)) for p in range(n)))
+        return cls(tuple(1 << p for p in range(n)))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "StateOrder":
         """Relation holding exactly the given pairs plus reflexivity."""
-        rows = [[p == q for q in range(n)] for p in range(n)]
+        rows = [1 << p for p in range(n)]
         for p, q in pairs:
             if not (0 <= p < n and 0 <= q < n):
                 raise OrdaError(f"order pair ({p}, {q}) out of range")
-            rows[p][q] = True
-        return cls(tuple(tuple(row) for row in rows))
+            rows[p] |= 1 << q
+        return cls(tuple(rows))
 
     @classmethod
     def from_leq(cls, n: int, leq) -> "StateOrder":
-        return cls(tuple(tuple(bool(leq(p, q)) for q in range(n)) for p in range(n)))
+        return cls(tuple(sum(1 << q for q in range(n) if leq(p, q)) for p in range(n)))
 
 
 @dataclass(frozen=True)
@@ -204,43 +242,68 @@ def step(sa: Semiautomaton, q: int, w: str) -> int:
     return q
 
 
+# --- order axioms -----------------------------------------------------------
+#
+# Each check yields its violations in lexicographic order, so a caller can
+# report all of them (validate) or stop at the first (quotients, sampling).
+
+
+def reflexivity_failures(order: StateOrder):
+    """States p without p <= p."""
+    for p, row in enumerate(order.up):
+        if not row >> p & 1:
+            yield p
+
+
+def antisymmetry_failures(order: StateOrder):
+    """Pairs (p, q), p != q, related both ways."""
+    down = order.reversed().up
+    for p, row in enumerate(order.up):
+        for q in bits(row & down[p] & ~(1 << p)):
+            yield p, q
+
+
+def transitivity_failures(order: StateOrder):
+    """Triples (p, q, r) with p <= q and q <= r but not p <= r."""
+    up = order.up
+    for p, row in enumerate(up):
+        for q in bits(row):
+            for r in bits(up[q] & ~row):
+                yield p, q, r
+
+
+def compatibility_failures(sa: Semiautomaton, order: StateOrder):
+    """Triples (p, q, k) with p <= q, p != q, but not p.a <= q.a for the k-th letter a."""
+    up, delta = order.up, sa.delta
+    for p, row in enumerate(up):
+        dp = delta[p]
+        for q in bits(row & ~(1 << p)):
+            dq = delta[q]
+            for k in range(len(dp)):
+                if not up[dp[k]] >> dq[k] & 1:
+                    yield p, q, k
+
+
 def validate(oa: OrderedAutomaton) -> list[str]:
     """Check every ordered-automaton axiom; return one message per violation.
 
     Violations are data, not errors: an empty list means the instance is valid.
     """
     sa, order, finals = oa.sa, oa.order, oa.finals
-    n = sa.state_count
     name = sa.state_name
-    out = []
-    for p in range(n):
-        if not order.leq(p, p):
-            out.append(f"reflexivity: {name(p)}")
-    for p in range(n):
-        for q in range(n):
-            if p != q and order.leq(p, q) and order.leq(q, p):
-                out.append(f"antisymmetry: {name(p)},{name(q)}")
-    for p in range(n):
-        for q in range(n):
-            if not order.leq(p, q):
-                continue
-            for r in range(n):
-                if order.leq(q, r) and not order.leq(p, r):
-                    out.append(f"transitivity: {name(p)},{name(q)},{name(r)}")
-    for p in range(n):
-        for q in range(n):
-            if p == q or not order.leq(p, q):
-                continue
-            for k, a in enumerate(sa.alphabet):
-                if not order.leq(sa.delta[p][k], sa.delta[q][k]):
-                    out.append(
-                        f"compatibility: {name(p)}<={name(q)} but "
-                        f"{name(sa.delta[p][k])}<={name(sa.delta[q][k])} fails on {a!r}"
-                    )
+    out = [f"reflexivity: {name(p)}" for p in reflexivity_failures(order)]
+    out += [f"antisymmetry: {name(p)},{name(q)}" for p, q in antisymmetry_failures(order)]
+    out += [f"transitivity: {name(p)},{name(q)},{name(r)}" for p, q, r in transitivity_failures(order)]
+    for p, q, k in compatibility_failures(sa, order):
+        pa, qa = sa.delta[p][k], sa.delta[q][k]
+        out.append(
+            f"compatibility: {name(p)}<={name(q)} but "
+            f"{name(pa)}<={name(qa)} fails on {sa.alphabet.symbols[k]!r}"
+        )
+    final_mask = sum(1 << q for q in finals)
     for p in finals:
-        for q in range(n):
-            if order.leq(p, q) and q not in finals:
-                out.append(f"finals not upward closed: {name(p)}<={name(q)}, {name(q)} not final")
+        for q in bits(order.up[p] & ~final_mask):
+            out.append(f"finals not upward closed: {name(p)}<={name(q)}, {name(q)} not final")
     return out
 
 
@@ -294,6 +357,16 @@ def reachable_states(sa: Semiautomaton, q: int) -> tuple[int, ...]:
                 out.append(r)
                 queue.append(r)
     return tuple(out)
+
+
+def path_word(parents: dict, node) -> str:
+    """Letters along a search tree from its root to node; parents maps a node to
+    (its parent, the letter leading from it), and the root to None."""
+    letters = []
+    while parents[node] is not None:
+        node, a = parents[node]
+        letters.append(a)
+    return "".join(reversed(letters))
 
 
 # --- text format ------------------------------------------------------------

@@ -17,6 +17,7 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    compatibility_failures,
 )
 from .languages import (
     EMPTY,
@@ -41,16 +42,6 @@ def random_semiautomaton(rng: random.Random, max_states: int, alphabet: Alphabet
     return Semiautomaton(alphabet, rows)
 
 
-def _compatible(sa: Semiautomaton, order: StateOrder) -> bool:
-    for p in range(sa.state_count):
-        for q in range(sa.state_count):
-            if p != q and order.leq(p, q):
-                for k in range(len(sa.alphabet)):
-                    if not order.leq(sa.delta[p][k], sa.delta[q][k]):
-                        return False
-    return True
-
-
 def random_compatible_order(rng: random.Random, sa: Semiautomaton) -> StateOrder:
     """A partial order compatible with the actions; discrete when sampling fails.
 
@@ -64,20 +55,18 @@ def random_compatible_order(rng: random.Random, sa: Semiautomaton) -> StateOrder
     for _ in range(_ORDER_TRIES):
         perm = list(range(n))
         rng.shuffle(perm)
-        rows = [[p == q for q in range(n)] for p in range(n)]
+        rows = [1 << p for p in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
-                    rows[perm[i]][perm[j]] = True
+                    rows[perm[i]] |= 1 << perm[j]
         # transitive closure; edges all point forward along perm so no cycles
         for k in range(n):
             for p in range(n):
-                if rows[p][k]:
-                    for q in range(n):
-                        if rows[k][q]:
-                            rows[p][q] = True
-        order = StateOrder(tuple(tuple(r) for r in rows))
-        if _compatible(sa, order):
+                if rows[p] >> k & 1:
+                    rows[p] |= rows[k]
+        order = StateOrder(tuple(rows))
+        if next(compatibility_failures(sa, order), None) is None:
             return order
     return StateOrder.discrete(n)
 

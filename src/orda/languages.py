@@ -19,6 +19,7 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    path_word,
 )
 from .errors import AlphabetError, ParseError, ResourceError
 from .minimize import minimize_ordered
@@ -541,12 +542,7 @@ def language_inclusion(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> tuple[bo
         pair = queue.popleft()
         p1, p2 = pair
         if p1 in f1 and p2 not in f2:
-            letters = []
-            cur = pair
-            while parents[cur] is not None:
-                cur, a = parents[cur]
-                letters.append(a)
-            return False, "".join(reversed(letters))
+            return False, path_word(parents, pair)
         for k in range(width):
             nxt = (d1[p1][k], d2[p2][k])
             if nxt not in parents:

@@ -15,83 +15,73 @@ residual languages.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .core import (
     OrderedAutomaton,
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    bits,
     reachable_states,
 )
 
 
-@dataclass(frozen=True)
-class StatePreorder:
-    """The quasiorder Rbar as a dense boolean matrix."""
-
-    rel: tuple[tuple[bool, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rel)
-
-    def holds(self, p: int, q: int) -> bool:
-        return self.rel[p][q]
+def _initial_relation(oa: OrderedAutomaton) -> list[int]:
+    """R1 as bit rows: a final state is below final states only, a non-final one below all."""
+    everything = (1 << oa.state_count) - 1
+    final_mask = sum(1 << q for q in oa.finals)
+    return [final_mask if p in oa.finals else everything for p in range(oa.state_count)]
 
 
-def preorder(oa: OrderedAutomaton) -> StatePreorder:
+def preorder(oa: OrderedAutomaton) -> StateOrder:
     """Greatest relation inside R1 closed under letter actions.
 
     The declared state order of the input is ignored; only transitions and
     finals matter.  Uses a worklist over removed pairs with per-letter
-    predecessor lists, so each pair is processed once.
+    predecessor masks, so each pair is processed once.
     """
     sa = oa.sa
     n = sa.state_count
     width = len(sa.alphabet)
-    finals = oa.finals
-
     preds = [[[] for _ in range(width)] for _ in range(n)]
+    pred_mask = [[0] * width for _ in range(n)]
     for p in range(n):
         row = sa.delta[p]
         for k in range(width):
             preds[row[k]][k].append(p)
+            pred_mask[row[k]][k] |= 1 << p
 
-    rel = [[not (p in finals and q not in finals) for q in range(n)] for p in range(n)]
-    queue = deque((p, q) for p in range(n) for q in range(n) if not rel[p][q])
+    rel = _initial_relation(oa)
+    queue = deque((p, q) for p in range(n) for q in bits(~rel[p] & ((1 << n) - 1)))
     while queue:
         rp, rq = queue.popleft()
         for k in range(width):
+            mask = pred_mask[rq][k]
+            if not mask:
+                continue
             for p in preds[rp][k]:
-                rel_p = rel[p]
-                for q in preds[rq][k]:
-                    if rel_p[q]:
-                        rel_p[q] = False
-                        queue.append((p, q))
-    return StatePreorder(tuple(tuple(row) for row in rel))
+                hit = rel[p] & mask
+                rel[p] ^= hit
+                while hit:  # inline bit loop: one removed pair per set bit
+                    low = hit & -hit
+                    queue.append((p, low.bit_length() - 1))
+                    hit ^= low
+    return StateOrder(tuple(rel))
 
 
-def preorder_naive(oa: OrderedAutomaton) -> StatePreorder:
+def preorder_naive(oa: OrderedAutomaton) -> StateOrder:
     """Scan-until-fixpoint reference version of preorder, for differential tests."""
-    sa = oa.sa
-    n = sa.state_count
-    width = len(sa.alphabet)
-    finals = oa.finals
-    rel = [[not (p in finals and q not in finals) for q in range(n)] for p in range(n)]
+    delta = oa.sa.delta
+    rel = _initial_relation(oa)
     changed = True
     while changed:
         changed = False
-        for p in range(n):
-            for q in range(n):
-                if not rel[p][q]:
-                    continue
-                for k in range(width):
-                    if not rel[sa.delta[p][k]][sa.delta[q][k]]:
-                        rel[p][q] = False
-                        changed = True
-                        break
-    return StatePreorder(tuple(tuple(row) for row in rel))
+        for p, dp in enumerate(delta):
+            for q in bits(rel[p]):
+                if any(not rel[a] >> b & 1 for a, b in zip(dp, delta[q])):
+                    rel[p] &= ~(1 << q)
+                    changed = True
+    return StateOrder(tuple(rel))
 
 
 def reachable_part(oa: OrderedAutomaton) -> OrderedAutomaton:
@@ -102,10 +92,11 @@ def reachable_part(oa: OrderedAutomaton) -> OrderedAutomaton:
     width = len(sa.alphabet)
     delta = tuple(tuple(index[sa.delta[old][k]] for k in range(width)) for old in reach)
     names = tuple(sa.names[old] for old in reach) if sa.names is not None else None
-    order = StateOrder.from_leq(len(reach), lambda p, q: oa.order.leq(reach[p], reach[q]))
     finals = frozenset(index[q] for q in oa.finals if q in index)
     return OrderedAutomaton(
-        OrderedSemiautomaton(Semiautomaton(sa.alphabet, delta, names), order), index[oa.initial], finals
+        OrderedSemiautomaton(Semiautomaton(sa.alphabet, delta, names), oa.order.restrict(reach)),
+        index[oa.initial],
+        finals,
     )
 
 
@@ -120,15 +111,8 @@ def minimize_with_map(oa: OrderedAutomaton) -> tuple[OrderedAutomaton, OrderedAu
     sa = part.sa
     n = sa.state_count
     width = len(sa.alphabet)
-    rbar = preorder(part).rel
-
-    # rho-classes, represented by their smallest member
-    rep = list(range(n))
-    for p in range(n):
-        for q in range(p):
-            if rbar[p][q] and rbar[q][p]:
-                rep[p] = rep[q]
-                break
+    rbar = preorder(part)
+    rep = rbar.representatives()
 
     # number the classes by BFS from the initial class, letters in alphabet order
     class_index: dict[int, int] = {}
@@ -145,11 +129,10 @@ def minimize_with_map(oa: OrderedAutomaton) -> tuple[OrderedAutomaton, OrderedAu
                 reps_in_order.append(s)
                 queue.append(s)
 
-    m = len(reps_in_order)
     delta = tuple(tuple(class_index[rep[sa.delta[r][k]]] for k in range(width)) for r in reps_in_order)
-    order = StateOrder.from_leq(m, lambda i, j: rbar[reps_in_order[i]][reps_in_order[j]])
     finals = frozenset(i for i, r in enumerate(reps_in_order) if r in part.finals)
     names = tuple(sa.names[r] for r in reps_in_order) if sa.names is not None else None
+    order = rbar.restrict(reps_in_order)
     minimal = OrderedAutomaton(
         OrderedSemiautomaton(Semiautomaton(sa.alphabet, delta, names), order), 0, finals
     )

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 
+from orda.classify import Verdict
 from orda.core import OrderedAutomaton, Semiautomaton, step
+from orda.errors import OrdaError
 
 
 def words_up_to(alphabet, max_len: int) -> list[str]:
@@ -180,3 +182,72 @@ def n_extensive_brute(osa, n: int) -> bool:
             if not osa.order.leq(q, step(sa, q, v)):
                 return False
     return True
+
+
+def lemma8_check(sa: Semiautomaton, max_len: int = 3) -> Verdict:
+    """Exhaustive check of q.u.(uv)^|Q| = q.v.(uv)^|Q| for short u, v.
+
+    Only meaningful on acyclic inputs, where the equality for all pairs is
+    another face of confluence; used as a differential oracle against
+    is_confluent, so it steps through words literally.  Acyclicity is
+    decided here as R-triviality of the enumerated transformation monoid.
+    """
+    if not r_trivial_brute(transformations(sa)):
+        raise OrdaError("lemma8_check requires an acyclic semiautomaton")
+    n = sa.state_count
+    words = words_up_to(sa.alphabet, max_len)
+    for u in words:
+        for v in words:
+            pump = (u + v) * n
+            for q in range(n):
+                if step(sa, step(sa, q, u), pump) != step(sa, step(sa, q, v), pump):
+                    return Verdict(False, (q, u, v))
+    return Verdict(True)
+
+
+def order_violations(sa: Semiautomaton, rel, finals) -> list[str]:
+    """The messages validate must give for the relation rel[p][q] (p <= q), by plain loops."""
+    n = sa.state_count
+    out = [f"reflexivity: {p}" for p in range(n) if not rel[p][p]]
+    for p in range(n):
+        for q in range(n):
+            if p != q and rel[p][q] and rel[q][p]:
+                out.append(f"antisymmetry: {p},{q}")
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                if rel[p][q] and rel[q][r] and not rel[p][r]:
+                    out.append(f"transitivity: {p},{q},{r}")
+    for p in range(n):
+        for q in range(n):
+            for k, a in enumerate(sa.alphabet):
+                x, y = sa.delta[p][k], sa.delta[q][k]
+                if p != q and rel[p][q] and not rel[x][y]:
+                    out.append(f"compatibility: {p}<={q} but {x}<={y} fails on {a!r}")
+    for p in finals:
+        for q in range(n):
+            if rel[p][q] and q not in finals:
+                out.append(f"finals not upward closed: {p}<={q}, {q} not final")
+    return out
+
+
+def precongruence_errors(sa: Semiautomaton, order, rel) -> list[str]:
+    """Every reason rel (a bool matrix) cannot quotient a semiautomaton ordered by
+    the bool matrix order, in the order quotient_by_precongruence checks them:
+    reflexivity, transitivity, then per pair (p, q) containment of the order
+    before compatibility with each letter."""
+    n = sa.state_count
+    out = [f"not reflexive at {p}" for p in range(n) if not rel[p][p]]
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                if rel[p][q] and rel[q][r] and not rel[p][r]:
+                    out.append(f"not transitive at {p},{q},{r}")
+    for p in range(n):
+        for q in range(n):
+            if order[p][q] and not rel[p][q]:
+                out.append(f"state order not contained: {p} <= {q}")
+            for k, a in enumerate(sa.alphabet):
+                if rel[p][q] and not rel[sa.delta[p][k]][sa.delta[q][k]]:
+                    out.append(f"not action-compatible: {p},{q} on {a!r}")
+    return out

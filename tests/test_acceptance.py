@@ -127,7 +127,7 @@ def test_criterion_02_preorder_equals_word_quantification():
         rel = preorder(oa)
         for p in range(oa.state_count):
             for q in range(oa.state_count):
-                assert rel.holds(p, q) == residual_included(oa, p, q)
+                assert rel.leq(p, q) == residual_included(oa, p, q)
     report(2, "greatest-fixpoint relation matches word-level inclusion on 500 automata")
 
 

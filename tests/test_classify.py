@@ -17,7 +17,6 @@ from orda.classify import (
     is_strongly_acyclic,
     is_synchronizing,
     is_weakly_confluent,
-    lemma8_check,
     main_follower,
 )
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, step
@@ -32,6 +31,7 @@ from oracles import (
     extensive_brute,
     j_trivial_brute,
     joinable,
+    lemma8_check,
     n_extensive_brute,
     r_trivial_brute,
     transformations,

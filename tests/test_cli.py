@@ -79,6 +79,26 @@ def test_minimize_reads_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == MINIMAL_CONTAINS_A
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"alphabet: a b\nstates: 1\ninitial: 0 \xff\n")
+    code, out, err = run(capsys, ["minimize", str(bad)])
+    assert code == 2 and out == ""
+    assert err == "error: input is not UTF-8: byte 0xff (line 3)\n"
+
+    class BinaryStdin:  # stands in for a real stdin, which exposes its bytes
+        buffer = io.BytesIO(b"alphabet: a\xc3(\n")
+
+    monkeypatch.setattr("sys.stdin", BinaryStdin())
+    code, out, err = run(capsys, ["classify", "-"])
+    assert code == 2 and out == ""
+    assert err == "error: input is not UTF-8: byte 0xc3 (line 1)\n"
+
+    BinaryStdin.buffer = io.BytesIO(format_automaton(contains_a()).encode())
+    code, out, _ = run(capsys, ["minimize", "-"])
+    assert code == 0 and out == MINIMAL_CONTAINS_A
+
+
 def test_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("alphabet: a b\nstates: x\n")
@@ -92,6 +112,9 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2 and "not both" in err
     code, _, err = run(capsys, ["minimize", str(tmp_path / "missing.txt")])
     assert code == 2 and err.startswith("error:")
+    with pytest.raises(SystemExit) as info:  # no product construction reads a cap here
+        cli.main(["minimize", "--regex", "a", "--cap-product", "5"])
+    assert info.value.code == 2
 
 
 def test_classify_text_output(tmp_path, capsys):

@@ -39,10 +39,10 @@ from orda.core import (
 from orda.errors import AlphabetError, CompatibilityError, OrdaError, ParseError, ResourceError
 from orda.fixtures import ab_star, contains_a, even_a, finite_two_words
 from orda.generate import random_automaton
-from orda.minimize import StatePreorder, isomorphic, minimize_ordered, minimize_with_map, preorder
+from orda.minimize import isomorphic, minimize_ordered, minimize_with_map, preorder
 from orda.languages import enumerate_words
 
-from oracles import language, words_up_to
+from oracles import language, precongruence_errors, words_up_to
 
 AB = Alphabet(("a", "b"))
 XY = Alphabet(("x", "y"))
@@ -200,14 +200,13 @@ def test_quotient_rejects_bad_relations():
     osa = contains_a().osa
     n = 2
     def rel_from(pairs):
-        rows = [[(p, q) in pairs or p == q for q in range(n)] for p in range(n)]
-        return StatePreorder(tuple(tuple(r) for r in rows))
+        return StateOrder.from_leq(n, lambda p, q: (p, q) in pairs or p == q)
 
     # misses the state order 0 <= 1
     with pytest.raises(CompatibilityError, match="state order not contained"):
         quotient_by_precongruence(osa, rel_from(set()))
     # not reflexive
-    broken = StatePreorder(((False, True), (False, True)))
+    broken = StateOrder.from_leq(2, lambda p, q: q == 1)
     with pytest.raises(CompatibilityError, match="not reflexive"):
         quotient_by_precongruence(osa, broken)
     # relates 1 to 0, but actions break it: 1.b = 1 while 0.b = 0 needs (1, 0) again -- fine;
@@ -216,7 +215,7 @@ def test_quotient_rejects_bad_relations():
     with pytest.raises(CompatibilityError, match="not action-compatible"):
         quotient_by_precongruence(swap, rel_from({(0, 1)}))
     with pytest.raises(CompatibilityError, match="size differs"):
-        quotient_by_precongruence(osa, StatePreorder(((True,),)))
+        quotient_by_precongruence(osa, StateOrder.discrete(1))
 
 
 def test_quotient_transitivity_guard():
@@ -227,7 +226,40 @@ def test_quotient_transitivity_guard():
         (False, False, True),
     )
     with pytest.raises(CompatibilityError, match="not transitive"):
-        quotient_by_precongruence(osa, StatePreorder(rows))
+        quotient_by_precongruence(osa, StateOrder.from_leq(3, lambda p, q: rows[p][q]))
+
+
+def test_quotient_raises_the_reference_first_error():
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(400):
+        oa = random_automaton(rng, 6, AB, ordered=True)
+        n = oa.state_count
+        if rng.random() < 0.25:  # a genuine precongruence, or one pair short of it
+            rel = [[preorder(oa).leq(p, q) for q in range(n)] for p in range(n)]
+            p, q = rng.randrange(n), rng.randrange(n)
+            rel[p][q] = rel[p][q] if rng.random() < 0.5 else not rel[p][q]
+        else:
+            density = rng.random()
+            rel = [[p == q or rng.random() < density for q in range(n)] for p in range(n)]
+            if rng.random() < 0.2:
+                p = rng.randrange(n)
+                rel[p][p] = False
+        order = [[oa.order.leq(p, q) for q in range(n)] for p in range(n)]
+        want = precongruence_errors(oa.sa, order, rel)
+        relation = StateOrder.from_leq(n, lambda p, q: rel[p][q])
+        if want:
+            with pytest.raises(CompatibilityError) as info:
+                quotient_by_precongruence(oa.osa, relation)
+            assert str(info.value) == want[0]
+            seen.add(want[0].split(" at ")[0].split(":")[0])
+        else:
+            quotient, hom = quotient_by_precongruence(oa.osa, relation)
+            ok, why = check_homomorphism(hom)
+            assert ok, why
+            seen.add("quotient")
+    assert seen == {"not reflexive", "not transitive", "state order not contained",
+                    "not action-compatible", "quotient"}
 
 
 def test_union_via_product_embedding():

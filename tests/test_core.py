@@ -24,7 +24,7 @@ from orda.core import (
 from orda.errors import AlphabetError, OrdaError, ParseError
 from orda.fixtures import contains_a, even_a, finite_two_words
 
-from oracles import language, words_up_to
+from oracles import language, order_violations, words_up_to
 
 
 def test_alphabet_basics():
@@ -100,6 +100,23 @@ def test_state_order_operations():
         StateOrder.from_pairs(2, [(0, 5)])
 
 
+def test_state_order_rows_are_bitmasks():
+    o = StateOrder((0b011, 0b010, 0b110))  # bit q of row p: p <= q
+    assert o.leq(0, 1) and o.leq(2, 1) and not o.leq(1, 0)
+    assert list(o.pairs()) == [(0, 1), (2, 1)]
+    assert o == StateOrder.from_pairs(3, [(0, 1), (2, 1)])
+    for bad in ((0b100, 0b10), (0b1, -1)):
+        with pytest.raises(OrdaError, match="at or above"):
+            StateOrder(bad)
+    # restrict renumbers by list position and drops states not listed
+    assert o.restrict([2, 1]) == StateOrder((0b11, 0b10))
+    assert o.restrict([1, 0]) == StateOrder.from_pairs(2, [(1, 0)])
+    # representatives: the smallest state related both ways
+    quasi = StateOrder.from_leq(4, lambda p, q: p % 2 == q % 2 or q == 3)
+    assert quasi.representatives() == (0, 1, 0, 1)
+    assert StateOrder.discrete(3).representatives() == (0, 1, 2)
+
+
 def test_validate_accepts_fixtures():
     assert validate(contains_a()) == []
     assert validate(even_a()) == []
@@ -110,21 +127,15 @@ def test_validate_reports_each_axiom():
     ab = Alphabet(("a",))
     sa = Semiautomaton(ab, ((1,), (1,)))
 
-    broken_refl = StateOrder(((False, False), (False, True)))
+    broken_refl = StateOrder((0b00, 0b10))  # bit q of row p: p <= q
     msgs = validate(OrderedAutomaton(OrderedSemiautomaton(sa, broken_refl), 0, frozenset({1})))
     assert any(m.startswith("reflexivity: 0") for m in msgs)
 
-    sym = StateOrder(((True, True), (True, True)))
+    sym = StateOrder((0b11, 0b11))
     msgs = validate(OrderedAutomaton(OrderedSemiautomaton(sa, sym), 0, frozenset({0, 1})))
     assert any(m.startswith("antisymmetry:") for m in msgs)
 
-    loose = StateOrder(
-        (
-            (True, True, False),
-            (False, True, True),
-            (False, False, True),
-        )
-    )
+    loose = StateOrder((0b011, 0b110, 0b100))
     sa3 = Semiautomaton(ab, ((0,), (1,), (2,)))
     msgs = validate(OrderedAutomaton(OrderedSemiautomaton(sa3, loose), 0, frozenset({0, 1, 2})))
     assert any(m.startswith("transitivity: 0,1,2") for m in msgs)
@@ -196,6 +207,30 @@ def test_parse_tolerates_comments_and_defaults_to_discrete():
     oa = parse_automaton(text)
     assert oa.order == StateOrder.discrete(2)
     assert accepts(oa, "aa") and not accepts(oa, "a")
+
+
+def random_relation(rng, n):
+    """A bool matrix that may break every order axiom; its diagonal is mostly set."""
+    density = rng.random()
+    return [[rng.random() < (0.85 if p == q else density) for q in range(n)] for p in range(n)]
+
+
+def test_validate_matches_brute_force_on_random_relations():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        delta = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n))
+        sa = Semiautomaton(Alphabet(("a", "b")), delta)
+        rel = random_relation(rng, n)
+        finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+        order = StateOrder.from_leq(n, lambda p, q: rel[p][q])
+        want = order_violations(sa, rel, finals)
+        assert validate(OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, finals)) == want
+        seen.update(m.split(":")[0] for m in want)
+        seen.add("valid" if not want else "invalid")
+    assert seen == {"reflexivity", "antisymmetry", "transitivity", "compatibility",
+                    "finals not upward closed", "valid", "invalid"}
 
 
 def test_parse_errors_carry_line_numbers():

@@ -33,8 +33,8 @@ AB = Alphabet(("a", "b"))
 def test_preorder_on_contains_a():
     oa = contains_a()
     r = preorder(oa)
-    assert r.holds(0, 1) and r.holds(0, 0) and r.holds(1, 1)
-    assert not r.holds(1, 0)
+    assert r.leq(0, 1) and r.leq(0, 0) and r.leq(1, 1)
+    assert not r.leq(1, 0)
     assert r.size == 2
 
 
@@ -47,7 +47,7 @@ def test_preorder_matches_word_quantification():
         brute = bounded_preorder(oa, oa.state_count * oa.state_count)
         for p in range(oa.state_count):
             for q in range(oa.state_count):
-                assert r.holds(p, q) == brute[p][q]
+                assert r.leq(p, q) == brute[p][q]
 
 
 def test_preorder_matches_pair_automaton():
@@ -58,7 +58,7 @@ def test_preorder_matches_pair_automaton():
         r = preorder(oa)
         for p in range(oa.state_count):
             for q in range(oa.state_count):
-                assert r.holds(p, q) == residual_included(oa, p, q)
+                assert r.leq(p, q) == residual_included(oa, p, q)
 
 
 def test_worklist_and_fixpoint_agree():
@@ -76,7 +76,7 @@ def test_declared_order_is_contained_in_the_preorder():
         assert validate(oa) == []
         r = preorder(oa)
         for p, q in oa.order.pairs():
-            assert r.holds(p, q)
+            assert r.leq(p, q)
 
 
 def test_minimize_fixture_shapes():
