@@ -18,11 +18,12 @@ from .core import (
     StateOrder,
     path_word,
     reachable_states,
+    sccs,
     step,
 )
 from .errors import OrdaError, ResourceError
 from .minimize import minimize_with_map
-from .monoid import build as build_monoid, is_aperiodic
+from .monoid import build as build_monoid, is_aperiodic, nontrivial_cycle
 
 CONFLUENCE_ALPHABET_CAP = 10
 
@@ -42,59 +43,6 @@ class Verdict:
 
     def __bool__(self):
         return self.holds
-
-
-def _successor_sets(sa: Semiautomaton) -> list[set]:
-    return [set(row) for row in sa.delta]
-
-
-def _sccs(adj: list[set]) -> list[list[int]]:
-    """Tarjan, iterative; components come out sorted internally."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-    return out
 
 
 def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str | None:
@@ -129,20 +77,7 @@ def is_counter_free(sa: Semiautomaton, cap: int = 1_000_000) -> Verdict:
     ok, m = is_aperiodic(tm)
     if ok:
         return Verdict(True)
-    u = tm.witnesses[m]
-    t = tm.elements[m]
-    for q in range(sa.state_count):
-        trail = []
-        seen = {}
-        cur = q
-        while cur not in seen:
-            seen[cur] = len(trail)
-            trail.append(cur)
-            cur = t[cur]
-        cycle = trail[seen[cur]:]
-        if len(cycle) >= 2:
-            return Verdict(False, (min(cycle), u))
-    raise OrdaError("non-aperiodic element without a nontrivial cycle")  # unreachable
+    return Verdict(False, (nontrivial_cycle(tm.elements[m]), tm.witnesses[m]))
 
 
 def is_acyclic(sa: Semiautomaton) -> Verdict:
@@ -152,15 +87,14 @@ def is_acyclic(sa: Semiautomaton) -> Verdict:
     (self-loops allowed).  Certificate: a topological order of the states.
     Counterexample: (q, u, a) with q.u = q, a in the letters of u, q.a != q.
     """
-    adj = _successor_sets(sa)
-    n = sa.state_count
-    for comp in sorted(_sccs(adj), key=min):
+    adj = [set(row) for row in sa.delta]
+    for comp in sorted(sccs(adj), key=min):
         if len(comp) < 2:
             continue
-        q = comp[0]
-        r = comp[1]
+        q, r = comp[0], comp[1]
         u = _shortest_path_word(sa, q, r) + _shortest_path_word(sa, r, q)
         return Verdict(False, (q, u, u[0]))
+    n = sa.state_count
     # Kahn over the self-loop-free DAG, smallest state first
     indeg = [0] * n
     for p in range(n):
@@ -407,15 +341,12 @@ def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
 def is_strongly_acyclic(sa: Semiautomaton) -> Verdict:
     """Every state lying on a cycle is absorbing.
 
-    Counterexample (q, u, a): q.u = q yet q.a != q.
+    Counterexample (q, u, a): q.u = q yet q.a != q, either from a cycle
+    through two states as is_acyclic reports it, or from a self-loop.
     """
-    adj = _successor_sets(sa)
-    for comp in sorted(_sccs(adj), key=min):
-        if len(comp) < 2:
-            continue
-        q, r = comp[0], comp[1]
-        u = _shortest_path_word(sa, q, r) + _shortest_path_word(sa, r, q)
-        return Verdict(False, (q, u, u[0]))
+    acyclic = is_acyclic(sa)
+    if not acyclic.holds:
+        return acyclic
     width = len(sa.alphabet)
     for q in range(sa.state_count):
         loops = [k for k in range(width) if sa.delta[q][k] == q]

@@ -369,6 +369,55 @@ def path_word(parents: dict, node) -> str:
     return "".join(reversed(letters))
 
 
+def sccs(adj) -> list[list[int]]:
+    """Tarjan, iterative, over the successor lists adj; components come out sorted internally."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(sorted(adj[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(sorted(adj[w]))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(sorted(comp))
+    return out
+
+
 # --- text format ------------------------------------------------------------
 #
 # One item per line, '#' starts a comment, keys: alphabet, states, initial,

@@ -9,7 +9,7 @@ automaton-level classifiers.
 
 from __future__ import annotations
 
-from .core import OrderedSemiautomaton
+from .core import OrderedSemiautomaton, sccs
 from .errors import AlphabetError, ResourceError
 
 # full composition memo only for monoids where the table stays cheap
@@ -21,16 +21,20 @@ class TransitionMonoid:
 
     elements[i] is a transformation tuple t with q.w = t[q]; element 0 is the
     identity.  witnesses[i] is the length-lex least word acting as element i.
+    generators maps each letter, in alphabet order, to its element, and
+    right[i][k] is the element acting as w_i followed by the k-th of those
+    letters: the right Cayley graph.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "order", "_index", "_memo", "_omega")
+    __slots__ = ("elements", "witnesses", "generators", "right", "order", "_index", "_memo", "_omega")
 
     identity = 0
 
-    def __init__(self, elements, witnesses, generators, order):
+    def __init__(self, elements, witnesses, generators, right, order):
         self.elements = elements
         self.witnesses = witnesses
         self.generators = generators
+        self.right = right
         self.order = order
         self._index = {t: i for i, t in enumerate(elements)}
         self._memo = {} if len(elements) <= _MEMO_LIMIT else None
@@ -62,38 +66,41 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     every element carries its shortest (then lexicographically least) witness.
     """
     sa = osa.sa
-    n = sa.state_count
     delta = sa.delta
-    identity = tuple(range(n))
+    identity = tuple(range(sa.state_count))
     elements = [identity]
     witnesses = [""]
+    right = []
     index = {identity: 0}
     pos = 0
     while pos < len(elements):
         base = elements[pos]
+        row = []
         for k, a in enumerate(sa.alphabet):
             t = tuple(delta[q][k] for q in base)
-            if t not in index:
+            i = index.get(t)
+            if i is None:
                 if len(elements) >= cap:
                     raise ResourceError(f"transition monoid exceeded {cap} elements")
-                index[t] = len(elements)
+                i = index[t] = len(elements)
                 elements.append(t)
                 witnesses.append(witnesses[pos] + a)
+            row.append(i)
+        right.append(tuple(row))
         pos += 1
-    generators = {
-        a: index[tuple(delta[q][k] for q in range(n))] for k, a in enumerate(sa.alphabet)
-    }
-    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, osa.order)
+    generators = dict(zip(sa.alphabet, right[0]))
+    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
 
 
 def element_of_word(tm: TransitionMonoid, w: str) -> int:
     """Fold the word through the generator map."""
+    column = {a: k for k, a in enumerate(tm.generators)}
     out = tm.identity
     for a in w:
-        g = tm.generators.get(a)
-        if g is None:
+        k = column.get(a)
+        if k is None:
             raise AlphabetError(f"symbol {a!r} not in alphabet")
-        out = tm.compose(out, g)
+        out = tm.right[out][k]
     return out
 
 
@@ -135,85 +142,75 @@ def omega_exponent(tm: TransitionMonoid, m: int) -> int:
     return _omega_data(tm, m)[1]
 
 
+def nontrivial_cycle(t: tuple) -> int | None:
+    """Smallest state on the first cycle of length >= 2 that walks along q -> t[q]
+    run into, starting from each state in increasing order; None if there is none."""
+    walk = [-1] * len(t)  # the start whose walk first reached each state
+    for q in range(len(t)):
+        cur = q
+        while walk[cur] == -1:
+            walk[cur] = q
+            cur = t[cur]
+        if walk[cur] == q and t[cur] != cur:
+            low, x = cur, t[cur]
+            while x != cur:
+                low, x = min(low, x), t[x]
+            return low
+    return None
+
+
 def is_aperiodic(tm: TransitionMonoid) -> tuple[bool, int | None]:
-    """True iff m^omega . m = m^omega for every element; witness = offending element."""
-    for m in range(len(tm)):
-        e = omega_power(tm, m)
-        if tm.compose(e, m) != e:
+    """True iff m^omega . m = m^omega, that is, the transformation of m has no
+    cycle of length >= 2, for every element m; witness = offending element."""
+    for m, t in enumerate(tm.elements):
+        if nontrivial_cycle(t) is not None:
             return False, m
     return True, None
 
 
-def _right_ideal(tm: TransitionMonoid, m: int) -> frozenset:
-    """mM as an explicit element set (closure under right generator steps)."""
-    gens = sorted(set(tm.generators.values()))
-    seen = {m}
-    stack = [m]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = tm.compose(x, g)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
-
-
-def _two_sided_ideal(tm: TransitionMonoid, m: int) -> frozenset:
-    """MmM as an explicit element set (closure under both one-sided generator steps)."""
-    gens = sorted(set(tm.generators.values()))
-    seen = {m}
-    stack = [m]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            for y in (tm.compose(x, g), tm.compose(g, x)):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return frozenset(seen)
+def _trivial_classes(classes) -> tuple[bool, tuple[int, int] | None]:
+    """(True, None) when every class is a singleton; otherwise the pair
+    (smallest member of x's class, x) for the lowest-index x that is not the
+    smallest member of its class."""
+    pairs = [(c[1], c[0]) for c in classes if len(c) > 1]
+    if not pairs:
+        return True, None
+    x, first = min(pairs)
+    return False, (first, x)
 
 
 def is_r_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     """True iff equal principal right ideals force equal elements.
 
-    A non-aperiodic monoid fails outright: for a witness m with e = m^omega,
-    the pair (e, e.m) is distinct yet e.m.m^(n-1) = e.e = e, so both generate
-    the same right ideal.  Checking that first keeps the quadratic ideal scan
-    off the huge non-aperiodic monoids.
+    The R-classes are the strongly connected components of the right Cayley
+    graph.  A non-aperiodic monoid fails outright: for a witness m with
+    e = m^omega, the pair (e, e.m) is distinct yet e.m.m^(n-1) = e.e = e, so
+    both generate the same right ideal; that pair is reported first.
     """
     ok, m = is_aperiodic(tm)
     if not ok:
         e = omega_power(tm, m)
         return False, (e, tm.compose(e, m))
-    ideals: dict[frozenset, int] = {}
-    for x in range(len(tm)):
-        ideal = _right_ideal(tm, x)
-        other = ideals.get(ideal)
-        if other is not None:
-            return False, (other, x)
-        ideals[ideal] = x
-    return True, None
+    return _trivial_classes(sccs(tm.right))
 
 
 def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     """True iff equal principal two-sided ideals force equal elements.
 
-    J-trivial implies R-trivial on a finite monoid, and an R-violating pair
-    has equal right (hence two-sided) ideals, so the R check doubles as a
-    sound prefilter.
+    The J-classes are the strongly connected components of the right and left
+    Cayley graphs taken together.  J-trivial implies R-trivial on a finite
+    monoid, and an R-violating pair has equal right (hence two-sided) ideals,
+    so the R check doubles as a sound prefilter.
     """
     ok, pair = is_r_trivial(tm)
     if not ok:
         return False, pair
-    ideals: dict[frozenset, int] = {}
-    for x in range(len(tm)):
-        ideal = _two_sided_ideal(tm, x)
-        other = ideals.get(ideal)
-        if other is not None:
-            return False, (other, x)
-        ideals[ideal] = x
-    return True, None
+    letters = [tm.elements[g] for g in tm.right[0]]
+    adj = [
+        row + tuple(tm._index[tuple(t[x] for x in g)] for g in letters)
+        for row, t in zip(tm.right, tm.elements)
+    ]
+    return _trivial_classes(sccs(adj))
 
 
 def leq(tm: TransitionMonoid, m1: int, m2: int) -> bool:

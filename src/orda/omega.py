@@ -259,8 +259,9 @@ def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
     """
     out: dict[int, str] = {}
     queue: list[int] = []
-    for a in sorted(tm.generators):
-        g = tm.generators[a]
+    columns = sorted((a, k) for k, a in enumerate(tm.generators))
+    for a, k in columns:
+        g = tm.right[tm.identity][k]
         if g not in out:
             out[g] = a
             queue.append(g)
@@ -268,8 +269,8 @@ def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
     while pos < len(queue):
         e = queue[pos]
         pos += 1
-        for a in sorted(tm.generators):
-            y = tm.compose(e, tm.generators[a])
+        for a, k in columns:
+            y = tm.right[e][k]
             if y not in out:
                 out[y] = out[e] + a
                 queue.append(y)
@@ -305,12 +306,11 @@ def length_set(tm: TransitionMonoid, m: int, cap: int = 100_000) -> EventuallyPe
     projecting every letter to a single one gives a unary NFA whose subset
     construction is a lasso: prefix part + cycle, read off directly.
     """
-    gens = [tm.generators[a] for a in sorted(tm.generators)]
     subsets: list[frozenset] = [frozenset({tm.identity})]
     seen: dict[frozenset, int] = {subsets[0]: 0}
     while True:
         cur = subsets[-1]
-        nxt = frozenset(tm.compose(e, g) for e in cur for g in gens)
+        nxt = frozenset(y for e in cur for y in tm.right[e])
         hit = seen.get(nxt)
         if hit is not None:
             mu, lam = hit, len(subsets) - hit
@@ -333,20 +333,17 @@ def _word_of_length(tm: TransitionMonoid, m: int, k: int) -> str:
     walking forward and taking the least viable letter at each position is
     then greedy-optimal.
     """
-    letters = sorted(tm.generators)
     can_reach: list[set[int]] = [{m}]
     for _ in range(k):
         prev = can_reach[-1]
-        can_reach.append(
-            {e for e in range(len(tm)) if any(tm.compose(e, tm.generators[a]) in prev for a in letters)}
-        )
+        can_reach.append({e for e in range(len(tm)) if any(y in prev for y in tm.right[e])})
     if tm.identity not in can_reach[k]:
         raise OrdaError(f"element {m} has no word of length {k}")
     out = []
     cur = tm.identity
     for remaining in range(k, 0, -1):
-        for a in letters:
-            y = tm.compose(cur, tm.generators[a])
+        for a, c in sorted((a, k) for k, a in enumerate(tm.generators)):
+            y = tm.right[cur][c]
             if y in can_reach[remaining - 1]:
                 out.append(a)
                 cur = y
