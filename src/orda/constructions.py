@@ -177,15 +177,18 @@ def product(osas: list[OrderedSemiautomaton], cap: int = 1_000_000) -> OrderedSe
         tuple(encode(tuple(d[q][k] for d, q in zip(deltas, t))) for k in range(width))
         for t in tuples
     )
-    orders = [o.order for o in osas]
-    order = StateOrder.from_leq(
-        total,
-        lambda i, j: all(od.leq(p, q) for od, p, q in zip(orders, tuples[i], tuples[j])),
-    )
+    # Order rows from the last factor outwards: up holds the rows over the later
+    # factors (block states), and multiplying one by spread[p] copies it into
+    # block p' for every p' above p; the copies do not overlap, so nothing carries.
+    up, block = (1,), 1
+    for o in reversed(osas):
+        spread = [sum(1 << (p * block) for p in bits(row)) for row in o.order.up]
+        up = tuple(s * r for s in spread for r in up)
+        block *= o.state_count
     names = tuple(
         "(" + ",".join(o.sa.state_name(q) for o, q in zip(osas, t)) + ")" for t in tuples
     )
-    return OrderedSemiautomaton(Semiautomaton(alphabet, rows, names), order)
+    return OrderedSemiautomaton(Semiautomaton(alphabet, rows, names), StateOrder(up))
 
 
 def disjoint_union(osas: list[OrderedSemiautomaton]) -> OrderedSemiautomaton:

@@ -424,6 +424,17 @@ def sccs(adj) -> list[list[int]]:
 # finals, order, trans.  Missing order lines mean the discrete order.
 
 
+def _decimal(token: str) -> int | None:
+    """Value of a token of decimal digits; None for anything else, also for more
+    digits than int() converts."""
+    if not token.isdecimal():
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def parse_automaton(text: str) -> OrderedAutomaton:
     alphabet = None
     state_count = None
@@ -454,15 +465,15 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         elif key == "states":
             if state_count is not None:
                 fail("duplicate states line", lineno)
-            if not rest.isdigit() or int(rest) < 1:
+            state_count = _decimal(rest)
+            if state_count is None or state_count < 1:
                 fail(f"states wants a positive integer, got {rest!r}", lineno)
-            state_count = int(rest)
         elif key == "initial":
             if initial is not None:
                 fail("duplicate initial line", lineno)
-            if not rest.isdigit():
+            initial = _decimal(rest)
+            if initial is None:
                 fail(f"initial wants a state index, got {rest!r}", lineno)
-            initial = int(rest)
         elif key == "finals":
             if finals is not None:
                 fail("duplicate finals line", lineno)
@@ -472,14 +483,17 @@ def parse_automaton(text: str) -> OrderedAutomaton:
                 fail(f"finals wants state indices, got {rest!r}", lineno)
         elif key == "order":
             parts = rest.split()
-            if len(parts) != 3 or parts[1] != "<=" or not parts[0].isdigit() or not parts[2].isdigit():
+            shaped = len(parts) == 3 and parts[1] == "<="
+            p, q = (_decimal(parts[0]), _decimal(parts[2])) if shaped else (None, None)
+            if p is None or q is None:
                 fail(f"order wants 'p <= q', got {rest!r}", lineno)
-            order_pairs.append((int(parts[0]), int(parts[2]), lineno))
+            order_pairs.append((p, q, lineno))
         elif key == "trans":
             parts = rest.split()
-            if len(parts) != 3 or not parts[0].isdigit() or not parts[2].isdigit():
+            src, dst = (_decimal(parts[0]), _decimal(parts[2])) if len(parts) == 3 else (None, None)
+            if src is None or dst is None:
                 fail(f"trans wants 'state symbol state', got {rest!r}", lineno)
-            src, sym, dst = int(parts[0]), parts[1], int(parts[2])
+            sym = parts[1]
             if (src, sym) in trans:
                 fail(f"duplicate transition for ({src}, {sym})", lineno)
             trans[(src, sym)] = (dst, lineno)

@@ -280,10 +280,21 @@ def _as_alphabet(alphabet) -> Alphabet:
 # prefix `!`; `#` is the empty language, `_` the empty word; any other
 # printable non-reserved character is a symbol.  Whitespace is skipped.
 
+# Parser and tree walkers recurse once per level, so the depth of a parsed
+# regex stays well inside Python's default recursion limit of 1000 frames.
+REGEX_DEPTH_LIMIT = 100
+
 
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
+    """Parse with the grammar above.
+
+    Every node counts one level above its deepest child, and a parenthesized
+    group one level above its contents; more than REGEX_DEPTH_LIMIT levels
+    is a ParseError.
+    """
     alphabet = _as_alphabet(alphabet)
     pos = 0
+    open_levels = 0  # parentheses and `!` the parser is inside of
 
     def skip():
         nonlocal pos
@@ -297,61 +308,78 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     def starts_atom(c):
         return c is not None and c not in "|&*)"
 
+    def level(height):
+        """The depth one level above height, refused past the limit."""
+        if height >= REGEX_DEPTH_LIMIT:
+            raise ParseError(f"regex nested deeper than the limit of {REGEX_DEPTH_LIMIT} levels", column=pos)
+        return height + 1
+
+    # each parse_* returns (node, depth of node)
     def parse_union():
-        parts = [parse_inter()]
+        node, height = parse_inter()
+        parts = [node]
         while peek() == "|":
             nonlocal pos
             pos += 1
-            parts.append(parse_inter())
-        return union(parts)
+            node, h = parse_inter()
+            parts.append(node)
+            height = max(height, h)
+        return union(parts), level(height) if len(parts) > 1 else height
 
     def parse_inter():
         nonlocal pos
-        node = parse_concat()
+        node, height = parse_concat()
         while peek() == "&":
             pos += 1
-            node = inter(node, parse_concat())
-        return node
+            right, h = parse_concat()
+            node, height = inter(node, right), level(max(height, h))
+        return node, height
 
     def parse_concat():
-        node = parse_postfix()
+        node, height = parse_postfix()
         while starts_atom(peek()):
-            node = cat(node, parse_postfix())
-        return node
+            right, h = parse_postfix()
+            node, height = cat(node, right), level(max(height, h))
+        return node, height
 
     def parse_postfix():
         nonlocal pos
-        node = parse_prefix()
+        node, height = parse_prefix()
         while peek() == "*":
             pos += 1
-            node = star(node)
-        return node
+            node, height = star(node), level(height)
+        return node, height
 
     def parse_prefix():
-        nonlocal pos
+        nonlocal pos, open_levels
         if peek() == "!":
             pos += 1
-            return compl(parse_prefix())
+            open_levels = level(open_levels)
+            node, height = parse_prefix()
+            open_levels -= 1
+            return compl(node), level(height)
         return parse_atom()
 
     def parse_atom():
-        nonlocal pos
+        nonlocal pos, open_levels
         c = peek()
         if c is None:
             raise ParseError("unexpected end of expression", column=pos)
         if c == "(":
             pos += 1
-            node = parse_union()
+            open_levels = level(open_levels)
+            node, height = parse_union()
+            open_levels -= 1
             if peek() != ")":
                 raise ParseError("missing ')'", column=pos)
             pos += 1
-            return node
+            return node, level(height)
         if c == "#":
             pos += 1
-            return EMPTY
+            return EMPTY, 1
         if c == "_":
             pos += 1
-            return EPS
+            return EPS, 1
         if c in RESERVED:
             raise ParseError(f"unexpected {c!r}", column=pos)
         if not c.isprintable():
@@ -359,9 +387,9 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
         if c not in alphabet:
             raise AlphabetError(f"symbol {c!r} at column {pos} not in alphabet {''.join(alphabet)!r}")
         pos += 1
-        return Sym(c)
+        return Sym(c), 1
 
-    node = parse_union()
+    node, _ = parse_union()
     if peek() is not None:
         raise ParseError(f"unexpected {text[pos]!r}", column=pos)
     return node
@@ -474,7 +502,7 @@ class Nfa:
         return len(self.moves)
 
 
-def subset_construction(n: Nfa) -> OrderedAutomaton:
+def subset_construction(n: Nfa, cap: int = 10000) -> OrderedAutomaton:
     """Accessible subset DFA, ordered by set inclusion on the reachable subsets."""
     width = len(n.alphabet)
     start = frozenset(n.initials)
@@ -489,17 +517,29 @@ def subset_construction(n: Nfa) -> OrderedAutomaton:
             nxt = frozenset().union(*(n.moves[q][k] for q in cur)) if cur else frozenset()
             i = index.get(nxt)
             if i is None:
+                if len(subsets) >= cap:
+                    raise ResourceError(f"subset construction exceeded {cap} states")
                 i = len(subsets)
                 index[nxt] = i
                 subsets.append(nxt)
             row.append(i)
         rows.append(tuple(row))
         pos += 1
-    order = StateOrder.from_leq(len(subsets), lambda i, j: subsets[i] <= subsets[j])
+    # up[i] is the set of subsets containing every member of subset i
+    containing = [0] * len(n.moves)
+    for i, s in enumerate(subsets):
+        for q in s:
+            containing[q] |= 1 << i
+    up = []
+    for s in subsets:
+        row = (1 << len(subsets)) - 1
+        for q in s:
+            row &= containing[q]
+        up.append(row)
     finals = frozenset(i for i, s in enumerate(subsets) if s & n.finals)
     names = tuple("{" + ",".join(str(q) for q in sorted(s)) + "}" for s in subsets)
     sa = Semiautomaton(n.alphabet, tuple(rows), names)
-    return OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, finals)
+    return OrderedAutomaton(OrderedSemiautomaton(sa, StateOrder(tuple(up))), 0, finals)
 
 
 def reverse(oa: OrderedAutomaton) -> Nfa:
@@ -519,13 +559,14 @@ def reverse(oa: OrderedAutomaton) -> Nfa:
     )
 
 
-def brzozowski_minimize(oa: OrderedAutomaton) -> OrderedAutomaton:
+def brzozowski_minimize(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
     """Minimal ordered automaton by double reversal.
 
     Both subset constructions build only accessible subsets, which is what
-    makes the final inclusion order coincide with residual inclusion.
+    makes the final inclusion order coincide with residual inclusion; cap
+    bounds the states of each.
     """
-    return subset_construction(reverse(subset_construction(reverse(oa))))
+    return subset_construction(reverse(subset_construction(reverse(oa), cap)), cap)
 
 
 def language_inclusion(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> tuple[bool, str | None]:

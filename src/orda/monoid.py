@@ -66,7 +66,7 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     every element carries its shortest (then lexicographically least) witness.
     """
     sa = osa.sa
-    delta = sa.delta
+    columns = [tuple(row[k] for row in sa.delta) for k in range(len(sa.alphabet))]  # q -> q.a
     identity = tuple(range(sa.state_count))
     elements = [identity]
     witnesses = [""]
@@ -76,8 +76,8 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     while pos < len(elements):
         base = elements[pos]
         row = []
-        for k, a in enumerate(sa.alphabet):
-            t = tuple(delta[q][k] for q in base)
+        for column, a in zip(columns, sa.alphabet):
+            t = tuple([column[q] for q in base])
             i = index.get(t)
             if i is None:
                 if len(elements) >= cap:
@@ -207,7 +207,7 @@ def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
         return False, pair
     letters = [tm.elements[g] for g in tm.right[0]]
     adj = [
-        row + tuple(tm._index[tuple(t[x] for x in g)] for g in letters)
+        row + tuple(tm._index[tuple([t[x] for x in g])] for g in letters)
         for row, t in zip(tm.right, tm.elements)
     ]
     return _trivial_classes(sccs(adj))

@@ -107,13 +107,22 @@ def format_query(q: OmegaQuery) -> str:
     return f"{format_term(q.left)} {q.relation} {format_term(q.right)} @{q.category}"
 
 
+# The parser and the term walkers recurse once per level, so the depth of a
+# parsed term stays well inside Python's default recursion limit.
+QUERY_DEPTH_LIMIT = 100
+
+
 def parse_query(text: str) -> OmegaQuery:
     """Grammar: term (<=|==) term @all|@ne|@lp|@surj|@lm.
 
     Terms: `1`, variables (letter then alphanumerics, maximal munch),
     juxtaposition, `^w` postfix on a variable or parenthesized group.
+    Juxtaposition and `^w` count one level above their deepest operand, and
+    parentheses one above their contents; a term more than QUERY_DEPTH_LIMIT
+    levels deep is a ParseError.
     """
     pos = 0
+    open_parens = 0
 
     def skip():
         nonlocal pos
@@ -124,50 +133,62 @@ def parse_query(text: str) -> OmegaQuery:
         skip()
         return text[pos] if pos < len(text) else None
 
-    def parse_atom() -> OmegaTerm:
-        nonlocal pos
+    def level(height):
+        """The depth one level above height, refused past the limit."""
+        if height >= QUERY_DEPTH_LIMIT:
+            raise ParseError(f"query nested deeper than the limit of {QUERY_DEPTH_LIMIT} levels", column=pos)
+        return height + 1
+
+    # each parse_* returns (term, depth of term)
+    def parse_atom() -> tuple[OmegaTerm, int]:
+        nonlocal pos, open_parens
         c = peek()
         if c is None:
             raise ParseError("unexpected end of query", column=pos)
         if c == "(":
             pos += 1
-            node = parse_term()
+            open_parens = level(open_parens)
+            node, height = parse_term()
+            open_parens -= 1
             if peek() != ")":
                 raise ParseError("missing ')'", column=pos)
             pos += 1
-            return node
+            return node, level(height)
         if c == "1":
             pos += 1
-            return UNIT
+            return UNIT, 1
         if c.isalpha():
             start = pos
             pos += 1
             while pos < len(text) and text[pos].isalnum():
                 pos += 1
-            return Var(text[start:pos])
+            return Var(text[start:pos]), 1
         raise ParseError(f"unexpected {c!r}", column=pos)
 
-    def parse_postfix() -> OmegaTerm:
+    def parse_postfix() -> tuple[OmegaTerm, int]:
         nonlocal pos
-        node = parse_atom()
+        node, height = parse_atom()
         while peek() == "^":
             pos += 1
             if pos >= len(text) or text[pos] != "w":
                 raise ParseError("expected 'w' after '^'", column=pos)
             pos += 1
-            node = OmegaPower(node)
-        return node
+            node, height = OmegaPower(node), level(height)
+        return node, height
 
     def starts_atom(c) -> bool:
         return c is not None and (c == "(" or c == "1" or c.isalpha())
 
-    def parse_term() -> OmegaTerm:
-        parts = [parse_postfix()]
+    def parse_term() -> tuple[OmegaTerm, int]:
+        node, height = parse_postfix()
+        parts = [node]
         while starts_atom(peek()):
-            parts.append(parse_postfix())
-        return concat(parts)
+            node, h = parse_postfix()
+            parts.append(node)
+            height = max(height, h)
+        return concat(parts), level(height) if len(parts) > 1 else height
 
-    left = parse_term()
+    left, _ = parse_term()
     c = peek()
     if c == "<":
         if not text.startswith("<=", pos):
@@ -181,7 +202,7 @@ def parse_query(text: str) -> OmegaQuery:
         pos += 2
     else:
         raise ParseError("expected '<=' or '=='", column=pos)
-    right = parse_term()
+    right, _ = parse_term()
     if peek() != "@":
         raise ParseError("expected '@' category suffix", column=pos)
     pos += 1

@@ -135,6 +135,59 @@ def j_trivial_brute(elements) -> bool:
     return True
 
 
+def _ideal(start: tuple, steps) -> frozenset:
+    """Closure of {start} under the maps in steps."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        t = stack.pop()
+        for step_map in steps:
+            u = step_map(t)
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return frozenset(seen)
+
+
+def _first_shared(ideals) -> tuple[bool, tuple[int, int] | None]:
+    """(True, None) if the ideals are distinct, else (False, (i, x)) for the first
+    x whose ideal an earlier i already has."""
+    first: dict[frozenset, int] = {}
+    for x, ideal in enumerate(ideals):
+        if ideal in first:
+            return False, (first[ideal], x)
+        first[ideal] = x
+    return True, None
+
+
+def green_triviality_brute(sa: Semiautomaton) -> tuple[tuple, tuple]:
+    """R- and J-triviality of the transition monoid, each as (holds, pair), by
+    explicit ideal closures over the raw transformations.
+
+    Elements are numbered in the order transformations() finds them.  A
+    non-aperiodic monoid fails both with (e, e.m), where m is the first element
+    whose powers do not settle and e its idempotent power.  Otherwise R fails
+    at the first element whose right ideal an earlier one generates, paired
+    with that earlier one; J is tested the same way, and only if R holds.
+    """
+    elems = list(transformations(sa))
+    index = {t: i for i, t in enumerate(elems)}
+    letters = [tuple(sa.delta[q][k] for q in range(sa.state_count)) for k in range(len(sa.alphabet))]
+    for t in elems:
+        e = t
+        while compose(e, e) != e:
+            e = compose(e, t)
+        if compose(e, t) != e:
+            failure = (False, (index[e], index[compose(e, t)]))
+            return failure, failure
+    right_steps = [lambda t, g=g: compose(t, g) for g in letters]
+    left_steps = [lambda t, g=g: compose(g, t) for g in letters]
+    r = _first_shared(_ideal(x, right_steps) for x in elems)
+    if not r[0]:
+        return r, r
+    return r, _first_shared(_ideal(x, right_steps + left_steps) for x in elems)
+
+
 def extensive_brute(osa) -> bool:
     """q is below q.t for every monoid element t (not only the letters)."""
     for t in transformations(osa.sa):

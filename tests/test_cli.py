@@ -7,8 +7,9 @@ import pytest
 from orda import cli
 from orda.core import format_automaton, parse_automaton
 from orda.fixtures import contains_a, even_a, finite_two_words
-from orda.languages import parse_regex, regex_matches
+from orda.languages import REGEX_DEPTH_LIMIT, parse_regex, regex_matches
 from orda.minimize import isomorphic, minimize_ordered
+from orda.omega import QUERY_DEPTH_LIMIT
 
 from oracles import words_up_to
 
@@ -115,6 +116,45 @@ def test_input_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:  # no product construction reads a cap here
         cli.main(["minimize", "--regex", "a", "--cap-product", "5"])
     assert info.value.code == 2
+
+
+def _nested(k, core):
+    """core inside k - 1 pairs of parentheses: k levels deep."""
+    return "(" * (k - 1) + core + ")" * (k - 1)
+
+
+def test_regex_depth_limit(capsys):
+    limit = REGEX_DEPTH_LIMIT
+    chain = lambda k: ("ab" * k)[:k]  # k letters, k levels deep
+    # classify is left out on the chain: its confluence search is slow on 100 states
+    for argv in (
+        ["minimize", "--regex", chain(limit)],
+        ["check", "--regex", chain(limit), "x^w x == x^w @all"],
+        ["minimize", "--regex", _nested(limit, "a")],
+        ["classify", "--regex", _nested(limit, "a")],
+        ["classify", "--regex", "!" * (limit - 1) + "a"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and out and err == ""
+    too_deep = (chain(limit + 1), _nested(limit + 1, "a"), "a" + "*" * limit, chain(3000), _nested(3000, "a"))
+    for regex in too_deep:
+        for command in ("minimize", "classify"):
+            code, out, err = run(capsys, [command, "--regex", regex])
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: regex nested deeper than the limit of {limit} levels")
+            assert err.count("\n") == 1
+
+
+def test_query_depth_limit(capsys):
+    limit = QUERY_DEPTH_LIMIT
+    for query in (_nested(limit, "x"), "x" + "^w" * (limit - 1), _nested(limit // 2, "x y") + "^w"):
+        code, out, err = run(capsys, ["check", "--regex", "a*", query + " == x @all"])
+        assert code == 0 and out == "holds\n" and err == ""
+    for query in (_nested(limit + 1, "x"), "x" + "^w" * limit, _nested(3000, "x")):
+        code, out, err = run(capsys, ["check", "--regex", "a*", query + " == x @all"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: query nested deeper than the limit of {limit} levels")
+        assert err.count("\n") == 1
 
 
 def test_classify_text_output(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -129,6 +130,31 @@ def test_product_is_componentwise():
             expect = a.order.leq(s // 3, t // 3) and b.order.leq(s % 3, t % 3)
             assert prod.order.leq(s, t) == expect
     assert prod.sa.state_name(4) == "(1,1)"
+
+
+def test_product_order_matches_componentwise_reference():
+    rng = random.Random(71)
+    for _ in range(300):
+        osas = [random_automaton(rng, 4, AB, ordered=True).osa for _ in range(rng.randint(2, 3))]
+        prod = product(osas)
+        states = list(itertools.product(*(range(o.state_count) for o in osas)))
+        expect = StateOrder.from_leq(
+            len(states),
+            lambda i, j: all(o.order.leq(p, q) for o, p, q in zip(osas, states[i], states[j])),
+        )
+        assert prod.order == expect
+
+
+def test_product_of_two_40_state_chains_takes_under_a_second():
+    n = 40
+    chain = OrderedSemiautomaton(
+        Semiautomaton(AB, tuple((min(q + 1, n - 1), q) for q in range(n))),
+        StateOrder.from_leq(n, lambda p, q: p <= q),
+    )
+    start = time.perf_counter()
+    prod = product([chain, chain])
+    assert time.perf_counter() - start < 1.0
+    assert prod.order.leq(0, n * n - 1) and not prod.order.leq(1, n)
 
 
 def test_product_guards():

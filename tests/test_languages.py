@@ -16,6 +16,7 @@ from orda.languages import (
     Cat,
     Compl,
     Inter,
+    Nfa,
     Star,
     Sym,
     Union,
@@ -33,6 +34,7 @@ from orda.languages import (
     nullable,
     parse_regex,
     regex_matches,
+    reverse,
     star,
     subset_construction,
     sym,
@@ -181,9 +183,7 @@ def test_double_reversal_on_random_automata():
 
 
 def test_subset_construction_orders_by_inclusion():
-    from orda.languages import Nfa
-
-    n = Nfa(
+    fixed = Nfa(
         Alphabet(("a",)),
         (
             (frozenset({1, 2}),),
@@ -193,16 +193,27 @@ def test_subset_construction_orders_by_inclusion():
         frozenset({0}),
         frozenset({2}),
     )
-    det = subset_construction(n)
+    assert subset_construction(fixed).state_count >= 3  # {0}, {1,2}, {2}, {}
+    rng = random.Random(23)
+    for n in [fixed] + [reverse(random_automaton(rng, 6, AB)) for _ in range(200)]:
+        det = subset_construction(n)
 
-    def subset_of(i):
-        body = det.sa.state_name(i).strip("{}")
-        return frozenset(int(x) for x in body.split(",")) if body else frozenset()
+        def subset_of(i):
+            body = det.sa.state_name(i).strip("{}")
+            return frozenset(int(x) for x in body.split(",")) if body else frozenset()
 
-    assert det.state_count >= 3  # {0}, {1,2}, {2}, {}
-    for p in range(det.state_count):
-        for q in range(det.state_count):
-            assert det.order.leq(p, q) == (subset_of(p) <= subset_of(q))
+        for p in range(det.state_count):
+            for q in range(det.state_count):
+                assert det.order.leq(p, q) == (subset_of(p) <= subset_of(q))
+
+
+def test_subset_construction_cap():
+    n = reverse(contains_a())  # subsets {1} and {0,1}
+    assert subset_construction(n, cap=2).state_count == 2
+    with pytest.raises(ResourceError, match="subset construction exceeded 1 states"):
+        subset_construction(n, cap=1)
+    with pytest.raises(ResourceError, match="subset construction exceeded 1 states"):
+        brzozowski_minimize(contains_a(), cap=1)
 
 
 def test_language_inclusion():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import orda.monoid as monoid_mod
-from orda.core import Alphabet, discrete
+from orda.core import Alphabet, Semiautomaton, discrete
 from orda.fixtures import ab_star, cerny, contains_a, even_a
 from orda.errors import AlphabetError, ResourceError
 from orda.generate import random_minimal_automaton
@@ -25,6 +25,7 @@ from orda.monoid import (
 from oracles import (
     aperiodic_brute,
     compose as compose_brute,
+    green_triviality_brute,
     j_trivial_brute,
     r_trivial_brute,
     transformations,
@@ -145,6 +146,35 @@ def test_triviality_oracles_match_brute_force():
         assert is_aperiodic(tm)[0] == aperiodic_brute(elems)
         assert is_r_trivial(tm)[0] == r_trivial_brute(elems)
         assert is_j_trivial(tm)[0] == j_trivial_brute(elems)
+
+
+def _green_regimes(rng, count):
+    """count semiautomata from each of three regimes: random minimal DFAs (mostly
+    not aperiodic), acyclic semiautomata (R-trivial, often not J-trivial) and
+    aperiodic semiautomata that are not R-trivial."""
+    for _ in range(count):
+        yield random_minimal_automaton(rng, 5, AB).sa
+        n = rng.randint(2, 6)
+        yield Semiautomaton(AB, tuple(tuple(rng.randrange(q, n) for _ in AB) for q in range(n)))
+        while True:
+            n = rng.randint(2, 4)
+            sa = Semiautomaton(AB, tuple(tuple(rng.randrange(n) for _ in AB) for _ in range(n)))
+            elems = list(transformations(sa))
+            if aperiodic_brute(elems) and not r_trivial_brute(elems):
+                yield sa
+                break
+
+
+def test_green_witnesses_match_ideal_closures():
+    rng = random.Random(73)
+    failing = 0
+    for sa in _green_regimes(rng, 350):
+        tm = build(discrete(sa))
+        r, j = green_triviality_brute(sa)
+        assert is_r_trivial(tm) == r
+        assert is_j_trivial(tm) == j
+        failing += is_aperiodic(tm)[0] and not j[0]
+    assert failing >= 350  # the class scan, not only the aperiodicity prefilter, names pairs
 
 
 def test_triviality_implications():
