@@ -532,10 +532,10 @@ def subset_construction(n: Nfa, cap: int = 10000) -> OrderedAutomaton:
             containing[q] |= 1 << i
     up = []
     for s in subsets:
-        row = (1 << len(subsets)) - 1
+        mask = (1 << len(subsets)) - 1
         for q in s:
-            row &= containing[q]
-        up.append(row)
+            mask &= containing[q]
+        up.append(mask)
     finals = frozenset(i for i, s in enumerate(subsets) if s & n.finals)
     names = tuple("{" + ",".join(str(q) for q in sorted(s)) + "}" for s in subsets)
     sa = Semiautomaton(n.alphabet, tuple(rows), names)
