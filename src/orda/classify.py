@@ -16,10 +16,10 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    explore,
     path_word,
     reachable_states,
     sccs,
-    step,
 )
 from .errors import OrdaError, ResourceError
 from .minimize import minimize_with_map
@@ -45,24 +45,10 @@ class Verdict:
         return self.holds
 
 
-def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str | None:
-    """Lexicographically least shortest transition word src -> dst."""
-    if src == dst:
-        return ""
-    parents: dict[int, tuple[int, str] | None] = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k, a in enumerate(sa.alphabet):
-                r = sa.delta[p][k]
-                if r not in parents:
-                    parents[r] = (p, a)
-                    nxt.append(r)
-        if dst in parents:
-            return path_word(parents, dst)
-        frontier = nxt
-    return None
+def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str:
+    """Lexicographically least shortest transition word src -> dst; dst must be reachable."""
+    states, rows = explore(src, sa.delta.__getitem__)
+    return path_word(rows, sa.alphabet.symbols, states.index(dst))
 
 
 def is_counter_free(sa: Semiautomaton, cap: int = 1_000_000) -> Verdict:
@@ -121,67 +107,28 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
 
     For each state q the BFS tracks (state, letter content) pairs; two
     branches (p1, C1), (p2, C2) must be joinable inside the product automaton
-    restricted to C1 | C2.  Exponential in the alphabet, hence the cap.
+    restricted to C1 | C2, which the merge table of C1 | C2 answers.
+    Exponential in the alphabet, hence the cap.
     """
     width = len(sa.alphabet)
     if width > alphabet_cap:
         raise ResourceError(f"confluence check capped at {alphabet_cap} letters, got {width}")
     delta = sa.delta
-    join_cache: dict[tuple[int, int, frozenset], bool] = {}
-
-    def joinable(p1: int, p2: int, letters: frozenset) -> bool:
-        if p1 == p2:
-            return True
-        key = (min(p1, p2), max(p1, p2), letters)
-        hit = join_cache.get(key)
-        if hit is not None:
-            return hit
-        ks = [k for k, a in enumerate(sa.alphabet) if a in letters]
-        seen = {(p1, p2)}
-        frontier = [(p1, p2)]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for x, y in frontier:
-                for k in ks:
-                    pair = (delta[x][k], delta[y][k])
-                    if pair[0] == pair[1]:
-                        found = True
-                        break
-                    if pair not in seen:
-                        seen.add(pair)
-                        nxt.append(pair)
-                if found:
-                    break
-            frontier = nxt
-        join_cache[key] = found
-        return found
-
+    tables: dict[int, dict[tuple[int, int], int]] = {}  # letter set -> its merge table
     for q in range(sa.state_count):
-        start = (q, frozenset())
-        parents: dict[tuple[int, frozenset], tuple[tuple[int, frozenset], str] | None] = {
-            start: None
-        }
-        order = [start]
-        pos = 0
-        while pos < len(order):
-            node = order[pos]
-            pos += 1
-            p, content = node
-            for k, a in enumerate(sa.alphabet):
-                succ = (delta[p][k], content | {a})
-                if succ not in parents:
-                    parents[succ] = (node, a)
-                    order.append(succ)
-
-        for i in range(len(order)):
-            p1, c1 = order[i]
-            for j in range(i + 1, len(order)):
-                p2, c2 = order[j]
+        # a node is (state, letters spent so far as a bitmask of alphabet positions)
+        nodes, rows = explore((q, 0), lambda node: [(r, node[1] | 1 << k) for k, r in enumerate(delta[node[0]])])
+        for i, (p1, c1) in enumerate(nodes):
+            for j in range(i + 1, len(nodes)):
+                p2, c2 = nodes[j]
                 if p1 == p2:
                     continue
-                if not joinable(p1, p2, c1 | c2):
-                    words = path_word(parents, order[i]), path_word(parents, order[j])
+                letters = c1 | c2
+                table = tables.get(letters)
+                if table is None:
+                    table = tables[letters] = _merge_table(sa, letters)
+                if (p1, p2) not in table:
+                    words = path_word(rows, sa.alphabet.symbols, i), path_word(rows, sa.alphabet.symbols, j)
                     return Verdict(False, (q, *words))
     return Verdict(True)
 
@@ -247,47 +194,62 @@ def is_cycle_union_dividing(sa: Semiautomaton, d: int) -> Verdict:
     return Verdict(True, tuple(lengths))
 
 
-def _merge_word(sa: Semiautomaton, p: int, q: int) -> str | None:
-    """Shortest (then lex-least) word sending p and q to one state."""
-    if p == q:
-        return ""
-    start = (min(p, q), max(p, q))
-    parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
-    frontier = [start]
+def _merge_table(sa: Semiautomaton, letters: int) -> dict[tuple[int, int], int]:
+    """Length of the shortest word over a letter set that sends p and q to one
+    state, for every pair, in both orders, that such a word merges; the letter
+    set is a bitmask of alphabet positions.
+
+    One backward breadth-first search from the diagonal (p, p), at distance 0,
+    over the per-letter preimages of the pair automaton.
+    """
+    n = sa.state_count
+    ks = [k for k in range(len(sa.alphabet)) if letters >> k & 1]
+    preimages = [[[] for _ in range(n)] for _ in ks]
+    for x, row in enumerate(sa.delta):
+        for pre, k in zip(preimages, ks):
+            pre[row[k]].append(x)
+    dist = {(p, p): 0 for p in range(n)}
+    frontier = list(dist)
+    d = 0
     while frontier:
+        d += 1
         nxt = []
-        for pair in frontier:
-            for k, a in enumerate(sa.alphabet):
-                x, y = sa.delta[pair[0]][k], sa.delta[pair[1]][k]
-                if x == y:
-                    return path_word(parents, pair) + a
-                succ = (min(x, y), max(x, y))
-                if succ not in parents:
-                    parents[succ] = (pair, a)
-                    nxt.append(succ)
+        for p, q in frontier:
+            for pre in preimages:
+                for x in pre[p]:
+                    for y in pre[q]:
+                        if (x, y) not in dist:
+                            dist[x, y] = d
+                            nxt.append((x, y))
         frontier = nxt
-    return None
+    return dist
 
 
 def is_synchronizing(sa: Semiautomaton) -> Verdict:
     """Some word maps all states to one; certificate = a reset word.
 
     The reset word is assembled greedily by repeatedly merging the two
-    smallest surviving states, which is short enough at desk scale.
+    smallest surviving states with their shortest, then lexicographically
+    least, merging word, which is short enough at desk scale.
     """
     n = sa.state_count
+    width = len(sa.alphabet)
+    dist = _merge_table(sa, (1 << width) - 1)
     for p in range(n):
         for q in range(p + 1, n):
-            if _merge_word(sa, p, q) is None:
+            if (p, q) not in dist:
                 return Verdict(False, (p, q))
     survivors = set(range(n))
-    word = ""
+    word = []
     while len(survivors) > 1:
         p, q = sorted(survivors)[:2]
-        w = _merge_word(sa, p, q)
-        word += w
-        survivors = {step(sa, s, w) for s in survivors}
-    return Verdict(True, word)
+        while p != q:
+            # the smallest letter that brings the pair one step closer to merging
+            k = next(k for k in range(width) if dist[sa.delta[p][k], sa.delta[q][k]] < dist[p, q])
+            word.append(sa.alphabet.symbols[k])
+            survivors = {sa.delta[s][k] for s in survivors}
+            p, q = sa.delta[p][k], sa.delta[q][k]
+    return Verdict(True, "".join(word))
 
 
 def _weak_components(n: int, edges) -> list[list[int]]:
@@ -313,15 +275,6 @@ def _weak_components(n: int, edges) -> list[list[int]]:
     return [groups[root] for root in sorted(groups)]
 
 
-def _restrict(sa: Semiautomaton, states: list[int]) -> Semiautomaton:
-    index = {p: i for i, p in enumerate(states)}
-    rows = tuple(
-        tuple(index[sa.delta[p][k]] for k in range(len(sa.alphabet))) for p in states
-    )
-    names = tuple(sa.names[p] for p in states) if sa.names is not None else None
-    return Semiautomaton(sa.alphabet, rows, names)
-
-
 def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
     """Every weakly connected component synchronizes on its own.
 
@@ -330,7 +283,7 @@ def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
     """
     comps = _weak_components(sa.state_count, ((q, r) for q, row in enumerate(sa.delta) for r in row))
     for members in comps:
-        sub = _restrict(sa, members)
+        sub = sa.restrict(members)
         v = is_synchronizing(sub)
         if not v.holds:
             p, q = v.witness
@@ -366,6 +319,11 @@ def main_follower(sa: Semiautomaton, q: int) -> int:
         raise OrdaError("main follower needs a strongly acyclic semiautomaton")
     if not is_confluent(sa).holds:
         raise OrdaError("main follower needs a confluent semiautomaton")
+    return _follower(sa, q)
+
+
+def _follower(sa: Semiautomaton, q: int) -> int:
+    """main_follower without its precondition checks, for callers that hold both verdicts."""
     width = len(sa.alphabet)
     hits = [
         p
@@ -468,10 +426,8 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
     strongly = is_strongly_acyclic(sa)
 
     if strongly.holds and confluent.holds:
-        f = main_follower(sa, minimal.initial)
-        order_ok = all(
-            minimal.order.leq(main_follower(sa, q), q) for q in range(sa.state_count)
-        )
+        f = _follower(sa, minimal.initial)
+        order_ok = all(minimal.order.leq(_follower(sa, q), q) for q in range(sa.state_count))
         if f in minimal.finals:
             finite = Verdict(False, ("follower final", f))
             cofinite = Verdict(True, (f, order_ok))

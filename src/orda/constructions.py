@@ -249,10 +249,7 @@ def subsemiautomaton(osa: OrderedSemiautomaton, states) -> OrderedSemiautomaton:
                     f"subset not action-closed: {sa.state_name(p)} on {a!r} reaches {sa.state_name(r)}",
                     witness=(p, a),
                 )
-    index = {p: i for i, p in enumerate(keep)}
-    rows = tuple(tuple(index[sa.delta[p][k]] for k in range(len(sa.alphabet))) for p in keep)
-    names = tuple(sa.names[p] for p in keep) if sa.names is not None else None
-    return OrderedSemiautomaton(Semiautomaton(sa.alphabet, rows, names), osa.order.restrict(keep))
+    return OrderedSemiautomaton(sa.restrict(keep), osa.order.restrict(keep))
 
 
 def generated(osa: OrderedSemiautomaton, q: int) -> OrderedSemiautomaton:

@@ -10,10 +10,9 @@ table used only for rendering.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import AlphabetError, OrdaError, ParseError
+from .errors import AlphabetError, OrdaError, ParseError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,14 @@ class Semiautomaton:
 
     def state_name(self, q: int) -> str:
         return self.names[q] if self.names is not None else str(q)
+
+    def restrict(self, states) -> "Semiautomaton":
+        """The rows of the given distinct, action-closed states, renumbered by
+        list position; names are kept."""
+        index = {s: i for i, s in enumerate(states)}
+        rows = tuple(tuple(index[r] for r in self.delta[s]) for s in states)
+        names = tuple(self.names[s] for s in states) if self.names is not None else None
+        return Semiautomaton(self.alphabet, rows, names)
 
 
 def bits(mask: int):
@@ -344,29 +351,52 @@ def discrete(sa: Semiautomaton) -> OrderedSemiautomaton:
     return OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
 
 
+def explore(start, successors, cap=None, what=None):
+    """Breadth-first numbering of the nodes reachable from start.
+
+    successors(node) yields the node's successors in a fixed order.  Returns
+    (nodes, rows): nodes[i] is the i-th node discovered, start first, and
+    rows[i][k] the number of the k-th successor of nodes[i].  Discovering more
+    than cap nodes raises ResourceError naming what was being built.
+    """
+    index = {start: 0}
+    nodes = [start]
+    rows = []
+    for node in nodes:  # nodes grows while it is walked: the list is the queue
+        row = []
+        for succ in successors(node):
+            i = index.get(succ)
+            if i is None:
+                if cap is not None and len(nodes) >= cap:
+                    raise ResourceError(f"{what} exceeded {cap} states")
+                i = index[succ] = len(nodes)
+                nodes.append(succ)
+            row.append(i)
+        rows.append(tuple(row))
+    return nodes, rows
+
+
+def path_word(rows, letters, j: int) -> str:
+    """Shortest, then lexicographically least, word leading from node 0 to node j
+    of explore's rows, where successor k reads letters[k].
+
+    Node j > 0 was discovered at its first occurrence in row order, so that
+    occurrence names its parent and the letter from it.
+    """
+    parent = {}
+    for i, row in enumerate(rows):
+        for k, r in enumerate(row):
+            parent.setdefault(r, (i, k))
+    word = []
+    while j:
+        j, k = parent[j]
+        word.append(letters[k])
+    return "".join(reversed(word))
+
+
 def reachable_states(sa: Semiautomaton, q: int) -> tuple[int, ...]:
     """States reachable from q, in breadth-first discovery order (letters in alphabet order)."""
-    seen = {q}
-    out = [q]
-    queue = deque([q])
-    while queue:
-        p = queue.popleft()
-        for r in sa.delta[p]:
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-                queue.append(r)
-    return tuple(out)
-
-
-def path_word(parents: dict, node) -> str:
-    """Letters along a search tree from its root to node; parents maps a node to
-    (its parent, the letter leading from it), and the root to None."""
-    letters = []
-    while parents[node] is not None:
-        node, a = parents[node]
-        letters.append(a)
-    return "".join(reversed(letters))
+    return tuple(explore(q, sa.delta.__getitem__)[0])
 
 
 def sccs(adj) -> list[list[int]]:

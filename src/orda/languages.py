@@ -10,7 +10,6 @@ argument that keeps the set of iterated derivatives finite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    explore,
     path_word,
 )
 from .errors import AlphabetError, ParseError, ResourceError
@@ -399,31 +399,48 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
 _LEVEL_UNION, _LEVEL_INTER, _LEVEL_CAT, _LEVEL_STAR, _LEVEL_COMPL, _LEVEL_ATOM = range(6)
 
 
-def _render(r: Regex, level: int) -> str:
-    if isinstance(r, Empty):
-        return "#"
-    if isinstance(r, Eps):
-        return "_"
-    if isinstance(r, Sym):
-        return r.symbol
+def _layout(r: Regex):
+    """How a node prints: (its level, prefix, separator, suffix, [(child, the
+    level the child is printed at)]); a child below that level is parenthesized."""
     if isinstance(r, Union):
-        text = "|".join(_render(p, _LEVEL_INTER) for p in r.parts)
-        mine = _LEVEL_UNION
-    elif isinstance(r, Inter):
-        text = _render(r.left, _LEVEL_INTER) + "&" + _render(r.right, _LEVEL_CAT)
-        mine = _LEVEL_INTER
-    elif isinstance(r, Cat):
-        text = _render(r.left, _LEVEL_CAT) + _render(r.right, _LEVEL_STAR)
-        mine = _LEVEL_CAT
-    elif isinstance(r, Star):
-        text = _render(r.inner, _LEVEL_COMPL) + "*"
-        mine = _LEVEL_STAR
-    elif isinstance(r, Compl):
-        text = "!" + _render(r.inner, _LEVEL_ATOM)
-        mine = _LEVEL_COMPL
-    else:
-        raise TypeError(f"not a regex: {r!r}")
+        return _LEVEL_UNION, "", "|", "", [(p, _LEVEL_INTER) for p in r.parts]
+    if isinstance(r, Inter):
+        return _LEVEL_INTER, "", "&", "", [(r.left, _LEVEL_INTER), (r.right, _LEVEL_CAT)]
+    if isinstance(r, Cat):
+        return _LEVEL_CAT, "", "", "", [(r.left, _LEVEL_CAT), (r.right, _LEVEL_STAR)]
+    if isinstance(r, Star):
+        return _LEVEL_STAR, "", "", "*", [(r.inner, _LEVEL_COMPL)]
+    if isinstance(r, Compl):
+        return _LEVEL_COMPL, "!", "", "", [(r.inner, _LEVEL_ATOM)]
+    if isinstance(r, Sym):
+        return _LEVEL_ATOM, r.symbol, "", "", []
+    if isinstance(r, Empty):
+        return _LEVEL_ATOM, "#", "", "", []
+    if isinstance(r, Eps):
+        return _LEVEL_ATOM, "_", "", "", []
+    raise TypeError(f"not a regex: {r!r}")
+
+
+def _render(r: Regex, level: int) -> str:
+    if isinstance(r, Sym):  # most nodes
+        return r.symbol
+    mine, prefix, separator, suffix, children = _layout(r)
+    text = prefix + separator.join(_render(c, at) for c, at in children) + suffix
     return "(" + text + ")" if mine < level else text
+
+
+def _printed_depth(r: Regex, memo: dict) -> tuple[int, int]:
+    """(level of r, the depth parse_regex assigns to format_regex(r)): one per
+    node and one per pair of parentheses the printer adds."""
+    out = memo.get(r)
+    if out is None:
+        mine, _, _, _, children = _layout(r)
+        depth = 1
+        for c, at in children:
+            c_level, c_depth = _printed_depth(c, memo)
+            depth = max(depth, 1 + c_depth + (c_level < at))
+        out = memo[r] = (mine, depth)
+    return out
 
 
 def format_regex(r: Regex) -> str:
@@ -440,27 +457,10 @@ def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = 10000) -> Orde
     order is claimed here; the inclusion order appears after minimization.
     """
     alphabet = _as_alphabet(alphabet)
-    start = normalize(r)
-    index = {start: 0}
-    states = [start]
-    rows = []
     memo: dict = {}
-    pos = 0
-    while pos < len(states):
-        s = states[pos]
-        row = []
-        for a in alphabet:
-            d = _derivative(s, a, memo)
-            i = index.get(d)
-            if i is None:
-                if len(states) >= cap:
-                    raise ResourceError(f"derivative automaton exceeded {cap} states")
-                i = len(states)
-                index[d] = i
-                states.append(d)
-            row.append(i)
-        rows.append(tuple(row))
-        pos += 1
+    states, rows = explore(
+        normalize(r), lambda s: (_derivative(s, a, memo) for a in alphabet), cap, "derivative automaton"
+    )
     finals = frozenset(i for i, s in enumerate(states) if nullable(s))
     names = tuple(format_regex(s) for s in states)
     sa = Semiautomaton(alphabet, tuple(rows), names)
@@ -505,26 +505,12 @@ class Nfa:
 def subset_construction(n: Nfa, cap: int = 10000) -> OrderedAutomaton:
     """Accessible subset DFA, ordered by set inclusion on the reachable subsets."""
     width = len(n.alphabet)
-    start = frozenset(n.initials)
-    index = {start: 0}
-    subsets = [start]
-    rows = []
-    pos = 0
-    while pos < len(subsets):
-        cur = subsets[pos]
-        row = []
-        for k in range(width):
-            nxt = frozenset().union(*(n.moves[q][k] for q in cur)) if cur else frozenset()
-            i = index.get(nxt)
-            if i is None:
-                if len(subsets) >= cap:
-                    raise ResourceError(f"subset construction exceeded {cap} states")
-                i = len(subsets)
-                index[nxt] = i
-                subsets.append(nxt)
-            row.append(i)
-        rows.append(tuple(row))
-        pos += 1
+    subsets, rows = explore(
+        frozenset(n.initials),
+        lambda cur: (frozenset().union(*(n.moves[q][k] for q in cur)) for k in range(width)),
+        cap,
+        "subset construction",
+    )
     # up[i] is the set of subsets containing every member of subset i
     containing = [0] * len(n.moves)
     for i, s in enumerate(subsets):
@@ -574,21 +560,10 @@ def language_inclusion(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> tuple[bo
     if oa1.alphabet.symbols != oa2.alphabet.symbols:
         raise AlphabetError("alphabet mismatch")
     d1, d2 = oa1.sa.delta, oa2.sa.delta
-    f1, f2 = oa1.finals, oa2.finals
-    width = len(oa1.alphabet)
-    start = (oa1.initial, oa2.initial)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        p1, p2 = pair
-        if p1 in f1 and p2 not in f2:
-            return False, path_word(parents, pair)
-        for k in range(width):
-            nxt = (d1[p1][k], d2[p2][k])
-            if nxt not in parents:
-                parents[nxt] = (pair, oa1.alphabet.symbols[k])
-                queue.append(nxt)
+    pairs, rows = explore((oa1.initial, oa2.initial), lambda pair: zip(d1[pair[0]], d2[pair[1]]))
+    for j, (p1, p2) in enumerate(pairs):
+        if p1 in oa1.finals and p2 not in oa2.finals:
+            return False, path_word(rows, oa1.alphabet.symbols, j)
     return True, None
 
 
@@ -609,16 +584,36 @@ def to_regex(oa: OrderedAutomaton) -> Regex:
     """Language-equivalent regex by state elimination (oracle support).
 
     Deterministic: ties in the elimination-cost heuristic break on state index.
+    Raises ResourceError once the result would nest deeper than
+    REGEX_DEPTH_LIMIT, which parse_regex could not read back.
     """
     n = oa.state_count
     start, end = n, n + 1
     edge: dict[tuple[int, int], Regex] = {}
+    # An edge between live states, those on some path from start to end, ends
+    # up inside the result; any other edge only needs to exist, for the costs.
+    back = [[] for _ in range(n + 2)]
+    back[end] = sorted(oa.finals)
+    for p, row in enumerate(oa.sa.delta):
+        for r in row:
+            back[r].append(p)
+    live = set(explore(oa.initial, oa.sa.delta.__getitem__)[0]) & set(explore(end, back.__getitem__)[0])
+    live |= {start, end}
+    depths: dict = {}
 
     def add(i, j, r):
         if isinstance(r, Empty):
             return
+        if i not in live or j not in live:
+            edge[(i, j)] = EPS
+            return
         old = edge.get((i, j))
-        edge[(i, j)] = union((old, r)) if old is not None else r
+        edge[(i, j)] = r = union((old, r)) if old is not None else r
+        if _printed_depth(r, depths)[1] > REGEX_DEPTH_LIMIT:
+            raise ResourceError(
+                f"regex for the automaton nests deeper than REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT} "
+                "levels, so it could not be read back"
+            )
 
     add(start, oa.initial, EPS)
     for q in oa.finals:

@@ -22,6 +22,7 @@ from .core import (
     Semiautomaton,
     StateOrder,
     bits,
+    explore,
     reachable_states,
 )
 
@@ -87,15 +88,12 @@ def preorder_naive(oa: OrderedAutomaton) -> StateOrder:
 def reachable_part(oa: OrderedAutomaton) -> OrderedAutomaton:
     """Restriction to the states reachable from the initial one, renumbered in BFS order."""
     sa = oa.sa
-    reach = reachable_states(sa, oa.initial)
-    index = {old: new for new, old in enumerate(reach)}
-    width = len(sa.alphabet)
-    delta = tuple(tuple(index[sa.delta[old][k]] for k in range(width)) for old in reach)
+    reach, delta = explore(oa.initial, sa.delta.__getitem__)
     names = tuple(sa.names[old] for old in reach) if sa.names is not None else None
-    finals = frozenset(index[q] for q in oa.finals if q in index)
+    finals = frozenset(new for new, old in enumerate(reach) if old in oa.finals)
     return OrderedAutomaton(
-        OrderedSemiautomaton(Semiautomaton(sa.alphabet, delta, names), oa.order.restrict(reach)),
-        index[oa.initial],
+        OrderedSemiautomaton(Semiautomaton(sa.alphabet, tuple(delta), names), oa.order.restrict(reach)),
+        0,
         finals,
     )
 
@@ -109,35 +107,18 @@ def minimize_with_map(oa: OrderedAutomaton) -> tuple[OrderedAutomaton, OrderedAu
     """
     part = reachable_part(oa)
     sa = part.sa
-    n = sa.state_count
-    width = len(sa.alphabet)
     rbar = preorder(part)
     rep = rbar.representatives()
 
-    # number the classes by BFS from the initial class, letters in alphabet order
-    class_index: dict[int, int] = {}
-    reps_in_order: list[int] = []
-    queue = deque([rep[part.initial]])
-    class_index[rep[part.initial]] = 0
-    reps_in_order.append(rep[part.initial])
-    while queue:
-        r = queue.popleft()
-        for k in range(width):
-            s = rep[sa.delta[r][k]]
-            if s not in class_index:
-                class_index[s] = len(reps_in_order)
-                reps_in_order.append(s)
-                queue.append(s)
-
-    delta = tuple(tuple(class_index[rep[sa.delta[r][k]]] for k in range(width)) for r in reps_in_order)
-    finals = frozenset(i for i, r in enumerate(reps_in_order) if r in part.finals)
-    names = tuple(sa.names[r] for r in reps_in_order) if sa.names is not None else None
-    order = rbar.restrict(reps_in_order)
+    # classes are numbered by BFS from the initial class, letters in alphabet order
+    reps, delta = explore(rep[part.initial], lambda r: [rep[s] for s in sa.delta[r]])
+    finals = frozenset(i for i, r in enumerate(reps) if r in part.finals)
+    names = tuple(sa.names[r] for r in reps) if sa.names is not None else None
     minimal = OrderedAutomaton(
-        OrderedSemiautomaton(Semiautomaton(sa.alphabet, delta, names), order), 0, finals
+        OrderedSemiautomaton(Semiautomaton(sa.alphabet, tuple(delta), names), rbar.restrict(reps)), 0, finals
     )
-    mapping = tuple(class_index[rep[q]] for q in range(n))
-    return part, minimal, mapping
+    number = {r: i for i, r in enumerate(reps)}
+    return part, minimal, tuple(number[r] for r in rep)
 
 
 def minimize_ordered(oa: OrderedAutomaton) -> OrderedAutomaton:

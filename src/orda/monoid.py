@@ -30,13 +30,13 @@ class TransitionMonoid:
 
     identity = 0
 
-    def __init__(self, elements, witnesses, generators, right, order):
+    def __init__(self, elements, witnesses, generators, right, order, index):
         self.elements = elements
         self.witnesses = witnesses
         self.generators = generators
         self.right = right
         self.order = order
-        self._index = {t: i for i, t in enumerate(elements)}
+        self._index = index  # transformation -> element, as build numbered them
         self._memo = {} if len(elements) <= _MEMO_LIMIT else None
         self._omega = {}
 
@@ -73,6 +73,9 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     right = []
     index = {identity: 0}
     pos = 0
+    # Numbered like core.explore, but inline: this is the hot loop of classify
+    # and check, and explore would leave the witness words and the element
+    # index to two more passes over the elements.
     while pos < len(elements):
         base = elements[pos]
         row = []
@@ -89,7 +92,7 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
         right.append(tuple(row))
         pos += 1
     generators = dict(zip(sa.alphabet, right[0]))
-    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
+    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order, index)
 
 
 def element_of_word(tm: TransitionMonoid, w: str) -> int:

@@ -215,6 +215,43 @@ def joinable(sa: Semiautomaton, p: int, q: int) -> bool:
     return False
 
 
+def merge_word_brute(sa: Semiautomaton, p: int, q: int) -> str | None:
+    """Shortest, then lexicographically least, word sending p and q to one
+    state, or None: breadth-first over ordered pairs, each queued with its word."""
+    if p == q:
+        return ""
+    seen = {(p, q)}
+    queue = [((p, q), "")]
+    for (x, y), w in queue:
+        for k, a in enumerate(sa.alphabet.symbols):
+            nx, ny = sa.delta[x][k], sa.delta[y][k]
+            if nx == ny:
+                return w + a
+            if (nx, ny) not in seen:
+                seen.add((nx, ny))
+                queue.append(((nx, ny), w + a))
+    return None
+
+
+def synchronizing_brute(sa: Semiautomaton) -> tuple[bool, object]:
+    """(False, first pair p < q no word merges), or (True, reset word) built by
+    merging the two smallest surviving states with merge_word_brute until one is left."""
+    n = sa.state_count
+    for p in range(n):
+        for q in range(p + 1, n):
+            if merge_word_brute(sa, p, q) is None:
+                return False, (p, q)
+    survivors = set(range(n))
+    word = ""
+    while len(survivors) > 1:
+        w = merge_word_brute(sa, *sorted(survivors)[:2])
+        word += w
+        for a in w:
+            k = sa.alphabet.symbols.index(a)
+            survivors = {sa.delta[s][k] for s in survivors}
+    return True, word
+
+
 def weakly_confluent_brute(sa: Semiautomaton) -> bool:
     """Literal definition: branches q.u, q.v always joinable, u and v short."""
     n = sa.state_count

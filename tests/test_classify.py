@@ -34,6 +34,7 @@ from oracles import (
     lemma8_check,
     n_extensive_brute,
     r_trivial_brute,
+    synchronizing_brute,
     transformations,
     weakly_confluent_brute,
     words_up_to,
@@ -221,6 +222,23 @@ def test_synchronizing_cerny_family():
     assert not joinable(even_a().sa, 0, 1)
 
 
+def test_synchronizing_matches_pairwise_merge_words():
+    rng = random.Random(47)
+    cases = [cerny(n) for n in range(3, 12)]
+    while len(cases) < 1000:
+        alphabet = Alphabet(tuple("abc"[: rng.randint(1, 3)]))
+        if len(cases) % 2:
+            cases.append(random_semiautomaton(rng, 9, alphabet))
+        else:
+            cases.append(random_minimal_automaton(rng, 12, alphabet).sa)
+    synchronizing = 0
+    for sa in cases:
+        v = is_synchronizing(sa)
+        assert (v.holds, v.witness) == synchronizing_brute(sa)
+        synchronizing += v.holds
+    assert 100 < synchronizing < 900  # both outcomes well represented
+
+
 def test_weakly_confluent_matches_brute_force():
     rng = random.Random(41)
     for _ in range(100):
@@ -268,6 +286,19 @@ def test_main_follower():
         main_follower(even_a().sa, 0)
     with pytest.raises(OrdaError, match="confluent"):
         main_follower(branching_sinks(), 0)
+
+
+def test_classify_language_decides_confluence_once(monkeypatch):
+    import orda.classify
+
+    calls = []
+    real = orda.classify.is_confluent
+    monkeypatch.setattr(orda.classify, "is_confluent", lambda sa: calls.append(sa) or real(sa))
+    oa = canonical_ordered_automaton(parse_regex("ab" * 20, "ab"), "ab")
+    report = classify_language(oa)
+    assert len(calls) == 1
+    assert report.finite.holds
+    assert report.finite.witness == (main_follower(report.minimal.sa, 0), True)
 
 
 def test_n_extensive_actions():

@@ -126,9 +126,9 @@ def _nested(k, core):
 def test_regex_depth_limit(capsys):
     limit = REGEX_DEPTH_LIMIT
     chain = lambda k: ("ab" * k)[:k]  # k letters, k levels deep
-    # classify is left out on the chain: its confluence search is slow on 100 states
     for argv in (
         ["minimize", "--regex", chain(limit)],
+        ["classify", "--regex", chain(limit)],
         ["check", "--regex", chain(limit), "x^w x == x^w @all"],
         ["minimize", "--regex", _nested(limit, "a")],
         ["classify", "--regex", _nested(limit, "a")],
@@ -253,6 +253,26 @@ def test_convert_to_regex_round_trips(tmp_path, capsys):
     r = parse_regex(out.strip(), contains_a().alphabet)
     for w in words_up_to(contains_a().alphabet, 5):
         assert regex_matches(r, w) == ("a" in w)
+
+
+def chain_text(n: int) -> str:
+    """n states in a row: a moves one state on, b stays; the last state is final."""
+    moves = "".join(f"trans: {q} a {min(q + 1, n - 1)}\ntrans: {q} b {q}\n" for q in range(n))
+    return f"alphabet: a b\nstates: {n}\ninitial: 0\nfinals: {n - 1}\n" + moves
+
+
+def test_convert_to_regex_refuses_what_parse_regex_cannot_read(tmp_path, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_text(chain_text(20))
+    code, out, err = run(capsys, ["convert", str(path), "--to", "regex"])
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, ["minimize", "--regex", out.strip()])
+    assert code == 0 and out.startswith("# states: 20\n")
+    path.write_text(chain_text(60))
+    code, out, err = run(capsys, ["convert", str(path), "--to", "regex"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT}" in err
+    assert err.count("\n") == 1
 
 
 def test_convert_to_dot(tmp_path, capsys):

@@ -85,6 +85,11 @@ DEEP = [
 ]
 
 
+# a 60-state chain whose regex nests too deep for --regex to read back
+CHAIN_60 = ("alphabet: a b\nstates: 60\ninitial: 0\nfinals: 59\n"
+            + "".join(f"trans: {q} a {min(q + 1, 59)}\ntrans: {q} b {q}\n" for q in range(60))).encode()
+
+
 class _Stdin:
     """Stands in for a real stdin, which exposes its bytes."""
 
@@ -131,3 +136,4 @@ def test_cli_contract_on_input_files(argv, data):
 def test_cli_contract_on_deep_and_long_input():
     for argv in DEEP:
         _exit_code(argv)
+    assert _exit_code(["convert", "-", "--to", "regex"], CHAIN_60) == 2

@@ -12,16 +12,18 @@ from orda.core import (
     StateOrder,
     accepts,
     dual,
+    explore,
     format_automaton,
     future_accepts,
     parse_automaton,
+    path_word,
     quotient_left,
     quotient_right,
     reachable_states,
     step,
     validate,
 )
-from orda.errors import AlphabetError, OrdaError, ParseError
+from orda.errors import AlphabetError, OrdaError, ParseError, ResourceError
 from orda.fixtures import contains_a, even_a, finite_two_words
 
 from oracles import language, order_violations, words_up_to
@@ -181,6 +183,23 @@ def test_reachable_states_is_breadth_first():
     # from the start of the two-word automaton: 1 and 2 first, then their
     # alphabet-order successors 4 (via 1.a) and 3 (via 1.b)
     assert reachable_states(finite_two_words().sa, 0) == (0, 1, 2, 4, 3)
+
+
+def test_explore_numbers_rows_and_rebuilds_words():
+    sa = finite_two_words().sa
+    nodes, rows = explore(0, sa.delta.__getitem__)
+    assert tuple(nodes) == reachable_states(sa, 0)
+    for i, row in enumerate(rows):
+        assert [nodes[j] for j in row] == list(sa.delta[nodes[i]])
+    letters = sa.alphabet.symbols
+    for j, q in enumerate(nodes):
+        w = path_word(rows, letters, j)
+        assert step(sa, 0, w) == q
+        shorter = [u for u in words_up_to(sa.alphabet, len(w)) if step(sa, 0, u) == q]
+        assert w == min(shorter, key=lambda u: (len(u), u))
+    assert path_word(rows, letters, 0) == ""
+    with pytest.raises(ResourceError, match="^walk exceeded 2 states$"):
+        explore(0, sa.delta.__getitem__, 2, "walk")
 
 
 def test_format_parse_round_trip():
