@@ -415,7 +415,8 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
 
     star_free = is_counter_free(sa)
     r_trivial = is_acyclic(sa)
-    confluent = is_confluent(sa)
+    # every verdict that reads confluence needs acyclicity first
+    confluent = is_confluent(sa) if r_trivial.holds else None
     if not r_trivial.holds:
         pt = r_trivial
     elif not confluent.holds:

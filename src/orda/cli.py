@@ -14,6 +14,7 @@ the inputs and the seed, never on timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -228,6 +229,7 @@ def cmd_oracle(args) -> int:
     return 1 if mismatches else 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orda", description="ordered automata toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

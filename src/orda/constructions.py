@@ -21,6 +21,7 @@ from .core import (
     StateOrder,
     bits,
     compatibility_failures,
+    explore,
     reachable_states,
     reflexivity_failures,
     step,
@@ -417,23 +418,22 @@ def reconstruction_product_embedding(
         maps.append(phi)
 
     tuples = [tuple(m[q] for m in maps) for q in range(n)]
-    index: dict[tuple[int, ...], int] = {}
-    image: list[tuple[int, ...]] = []
-    for t in tuples:
-        if t not in index:
-            index[t] = len(image)
-            image.append(t)
+    deltas = [c.sa.delta for c in components]
     width = len(sa.alphabet)
-    rows = []
-    for t in image:
-        src = tuples.index(t)  # any preimage; actions agree componentwise
-        rows.append(tuple(index[tuples[sa.delta[src][k]]] for k in range(width)))
-    order = StateOrder.from_leq(
-        len(image),
-        lambda i, j: all(
-            c.order.leq(p, q) for c, p, q in zip(components, image[i], image[j])
-        ),
+    image, rows = explore(
+        tuples[q0], lambda t: (tuple(d[p][k] for d, p in zip(deltas, t)) for k in range(width))
     )
+    index = {t: i for i, t in enumerate(image)}
+    # image i lies below image j when every coordinate does: up[i] is the AND,
+    # over the components, of the images whose coordinate lies above i's
+    up = [(1 << len(image)) - 1] * len(image)
+    for c, component in enumerate(components):
+        at = [0] * component.state_count  # the images by their c-th coordinate
+        for i, t in enumerate(image):
+            at[t[c]] |= 1 << i
+        above = [sum(at[s] for s in bits(row)) for row in component.order.up]
+        up = [u & above[t[c]] for u, t in zip(up, image)]
+    order = StateOrder(tuple(up))
     names = tuple("(" + ",".join(str(q) for q in t) + ")" for t in image)
     target = OrderedSemiautomaton(Semiautomaton(sa.alphabet, tuple(rows), names), order)
     hom = SemiautomatonHom(osa, target, tuple(index[t] for t in tuples))

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product as cartesian
-from math import lcm, perm
+from math import perm
 
 from .classify import Verdict
 from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder
 from .errors import OrdaError, ParseError, ResourceError
-from .monoid import TransitionMonoid, build, omega_exponent, omega_power
+from .monoid import TransitionMonoid, build, leq, omega_exponent, omega_power
 
 CATEGORIES = ("all", "ne", "lp", "surj", "lm")
 
@@ -298,78 +298,43 @@ def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
     return out
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSet:
-    """Set of nonnegative integers: explicit prefix, then periodic residues.
+def length_set(tm: TransitionMonoid, cap: int = 100_000) -> list[dict[int, tuple[int, str]]]:
+    """The elements acting as words of each length, with least such words.
 
-    k < threshold: k is a member iff k is in prefix.  k >= threshold: member
-    iff period > 0 and k % period is an active residue; period 0 encodes a
-    finite set.
+    Layer 0 is {1} and layer L+1 is layer L times every letter, until a layer
+    repeats the set of an earlier one; so every length k >= 1 has the set of
+    some layer 1 <= L < len(layers).  layers[L] maps each of its elements to
+    (parent, letter): its least word of length L is the parent's of length
+    L - 1, then the letter.  Layers are visited in the order of their least
+    words, letters sorted, so the first product found is the least word.
     """
-
-    prefix: frozenset
-    threshold: int
-    period: int
-    residues: frozenset
-
-    def contains(self, k: int) -> bool:
-        if k < self.threshold:
-            return k in self.prefix
-        if self.period == 0:
-            return False
-        return k % self.period in self.residues
-
-
-def length_set(tm: TransitionMonoid, m: int, cap: int = 100_000) -> EventuallyPeriodicSet:
-    """All lengths of words acting as m, as an eventually periodic set.
-
-    The monoid is a DFA over the alphabet (start = identity, accept = {m});
-    projecting every letter to a single one gives a unary NFA whose subset
-    construction is a lasso: prefix part + cycle, read off directly.
-    """
-    subsets: list[frozenset] = [frozenset({tm.identity})]
-    seen: dict[frozenset, int] = {subsets[0]: 0}
+    columns = sorted((a, k) for k, a in enumerate(tm.generators))
+    layers = [{tm.identity: (tm.identity, "")}]
+    seen = {frozenset(layers[0])}
     while True:
-        cur = subsets[-1]
-        nxt = frozenset(y for e in cur for y in tm.right[e])
-        hit = seen.get(nxt)
-        if hit is not None:
-            mu, lam = hit, len(subsets) - hit
-            break
-        if len(subsets) >= cap:
+        layer = {}
+        for e in layers[-1]:
+            for a, k in columns:
+                y = tm.right[e][k]
+                if y not in layer:
+                    layer[y] = (e, a)
+        layers.append(layer)
+        subset = frozenset(layer)
+        if subset in seen:
+            return layers
+        if len(seen) >= cap:
             raise ResourceError(f"length-set lasso exceeded {cap} subsets")
-        seen[nxt] = len(subsets)
-        subsets.append(nxt)
-    prefix = frozenset(k for k in range(mu) if m in subsets[k])
-    residues = frozenset((k % lam) for k in range(mu, mu + lam) if m in subsets[k])
-    if not residues:
-        return EventuallyPeriodicSet(prefix, mu, 0, frozenset())
-    return EventuallyPeriodicSet(prefix, mu, lam, residues)
+        seen.add(subset)
 
 
-def _word_of_length(tm: TransitionMonoid, m: int, k: int) -> str:
-    """Lexicographically least word of length exactly k acting as m.
-
-    can_reach[j] holds the elements that reach m with exactly j more letters;
-    walking forward and taking the least viable letter at each position is
-    then greedy-optimal.
-    """
-    can_reach: list[set[int]] = [{m}]
-    for _ in range(k):
-        prev = can_reach[-1]
-        can_reach.append({e for e in range(len(tm)) if any(y in prev for y in tm.right[e])})
-    if tm.identity not in can_reach[k]:
-        raise OrdaError(f"element {m} has no word of length {k}")
-    out = []
-    cur = tm.identity
-    for remaining in range(k, 0, -1):
-        for a, c in sorted((a, k) for k, a in enumerate(tm.generators)):
-            y = tm.right[cur][c]
-            if y in can_reach[remaining - 1]:
-                out.append(a)
-                cur = y
-                break
-    return "".join(out)
+def _word_of_length(layers: list[dict[int, tuple[int, str]]], m: int, k: int) -> str:
+    """Lexicographically least word of length exactly k acting as m, read off
+    the parent pointers of length_set's layers; m must be in layers[k]."""
+    word = []
+    for L in range(k, 0, -1):
+        m, a = layers[L][m]
+        word.append(a)
+    return "".join(reversed(word))
 
 
 def valid_substitutions(
@@ -426,19 +391,18 @@ def valid_substitutions(
                 yield Substitution(names, tuple(elements), tuple(witnesses))
     elif category == "lm":
         _guard(n**k, cap)
-        sets: dict[int, EventuallyPeriodicSet] = {}
+        layers = length_set(tm)
+        lengths = [0] * n  # bit L set when the element has a word of length L
+        for L, layer in enumerate(layers):
+            for e in layer:
+                lengths[e] |= 1 << L
         for combo in cartesian(range(n), repeat=k):
-            eps = []
+            common = (1 << len(layers)) - 2  # the lengths 1 .. len(layers) - 1
             for e in combo:
-                if e not in sets:
-                    sets[e] = length_set(tm, e)
-                eps.append(sets[e])
-            length = _common_length(eps)
-            if length is None:
-                continue
-            yield Substitution(
-                names, combo, tuple(_word_of_length(tm, e, length) for e in combo)
-            )
+                common &= lengths[e]
+            if common:
+                length = (common & -common).bit_length() - 1
+                yield Substitution(names, combo, tuple(_word_of_length(layers, e, length) for e in combo))
     else:
         raise OrdaError(f"unknown category {category!r}")
 
@@ -446,17 +410,6 @@ def valid_substitutions(
 def _guard(count: int, cap: int):
     if count > cap:
         raise ResourceError(f"substitution space of {count} tuples exceeds cap {cap}")
-
-
-def _common_length(eps: list[EventuallyPeriodicSet]) -> int | None:
-    """Least k >= 1 in every set, or None; one threshold-plus-lcm window decides."""
-    if not eps:
-        return 1
-    bound = max(s.threshold for s in eps) + lcm(*(s.period for s in eps if s.period > 0), 1)
-    for k in range(1, bound + 1):
-        if all(s.contains(k) for s in eps):
-            return k
-    return None
 
 
 def check(
@@ -478,11 +431,13 @@ def check(
     any_substitution = False
     for s in valid_substitutions(tm, names, query.category, osa.alphabet, substitution_cap):
         any_substitution = True
-        tl = tm.elements[eval_term(tm, query.left, s)]
-        tr = tm.elements[eval_term(tm, query.right, s)]
+        left = eval_term(tm, query.left, s)
+        right = eval_term(tm, query.right, s)
+        if left == right or (want_leq and leq(tm, left, right)):
+            continue
+        tl, tr = tm.elements[left], tm.elements[right]
         for p in range(osa.state_count):
-            ok = order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]
-            if not ok:
+            if not (order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]):
                 return Verdict(False, (s, p))
     if not any_substitution:
         return Verdict(True, vacuous=True)

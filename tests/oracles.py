@@ -188,6 +188,35 @@ def green_triviality_brute(sa: Semiautomaton) -> tuple[tuple, tuple]:
     return r, _first_shared(_ideal(x, right_steps + left_steps) for x in elems)
 
 
+def lm_substitutions_brute(sa: Semiautomaton, arity: int) -> list[tuple[tuple, tuple]]:
+    """(elements, witness words) of every lm substitution of arity variables.
+
+    Elements are numbered in the order transformations() finds them, and the
+    tuples come in lexicographic order.  Words are enumerated length by length,
+    letters sorted, until the set of actions of one length is that of an
+    earlier length; from then on the sets repeat.  A tuple is kept when some
+    length k >= 1 has words acting as every one of its elements, and its
+    witnesses are the first such words of the least such k.
+    """
+    number = {t: i for i, t in enumerate(transformations(sa))}
+    column = {a: k for k, a in enumerate(sa.alphabet)}
+    words = [("", tuple(range(sa.state_count)))]  # every word of the current length, in order
+    first: list[dict[int, str]] = []  # first[k]: element -> first word of length k
+    while not first or set(first[-1]) not in [set(d) for d in first[:-1]]:
+        if first:
+            words = [(w + a, tuple(sa.delta[q][column[a]] for q in t)) for w, t in words for a in sorted(column)]
+        found: dict[int, str] = {}
+        for w, t in words:
+            found.setdefault(number[t], w)
+        first.append(found)
+    out = []
+    for combo in itertools.product(range(len(number)), repeat=arity):
+        k = next((k for k in range(1, len(first)) if all(e in first[k] for e in combo)), None)
+        if k is not None:
+            out.append((combo, tuple(first[k][e] for e in combo)))
+    return out
+
+
 def extensive_brute(osa) -> bool:
     """q is below q.t for every monoid element t (not only the letters)."""
     for t in transformations(osa.sa):

@@ -182,6 +182,15 @@ def test_classify_full_language_regex(capsys):
         assert any(l.startswith(f"{name} ✓") for l in lines), name
 
 
+def test_classify_cyclic_regex_over_eleven_letters(capsys):
+    # confluence is capped at 10 letters, but no verdict reads it on a cyclic automaton
+    code, out, err = run(capsys, ["classify", "--regex", "(abcdefghijk)*"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "piecewise_testable ✗  witness=(0, 'abcdefghijk', 'a')" in lines
+    assert any(l.startswith("star_free ✓") for l in lines)
+
+
 def test_classify_kv_mode(tmp_path, capsys):
     path = write_fixture(tmp_path, contains_a())
     code, out, _ = run(capsys, ["classify", path, "--format", "kv", "--n", "1,2"])

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, step
 from orda.errors import OrdaError, ParseError
 from orda.fixtures import AB, ab_star, contains_a, even_a
-from orda.generate import random_automaton, random_semiautomaton
+from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.monoid import build as build_monoid, element_of_word, omega_power
 from orda.omega import (
     CATEGORIES,
@@ -33,7 +34,13 @@ from orda.omega import (
     _word_of_length,
 )
 
-from oracles import aperiodic_brute, j_trivial_brute, r_trivial_brute, transformations
+from oracles import (
+    aperiodic_brute,
+    j_trivial_brute,
+    lm_substitutions_brute,
+    r_trivial_brute,
+    transformations,
+)
 
 
 def all_names(q: OmegaQuery) -> tuple:
@@ -156,34 +163,86 @@ def test_lm_substitutions_share_a_length():
     assert len(subs) == 2
 
 
-def test_length_set_matches_enumeration():
-    rng = random.Random(67)
+def _length_cases(seed: int):
+    rng = random.Random(seed)
     cases = [even_a().osa, contains_a().osa, ab_star().osa]
     cases += [
         OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
         for sa in (random_semiautomaton(rng, 3, AB) for _ in range(20))
     ]
-    for osa in cases:
+    return cases
+
+
+def test_length_set_matches_enumeration():
+    for osa in _length_cases(67):
         tm = build_monoid(osa)
         by_length = [{tm.identity}]
         for _ in range(20):
             by_length.append(
                 {tm.compose(e, g) for e in by_length[-1] for g in tm.generators.values()}
             )
-        for m in range(len(tm)):
-            eps = length_set(tm, m)
-            for k in range(21):
-                assert eps.contains(k) == (m in by_length[k]), (m, k)
+        layers = length_set(tm)
+        last = len(layers) - 1
+        sets = [frozenset(layer) for layer in layers]
+        # a lasso: the last layer repeats exactly one earlier layer, at mu
+        assert len(set(sets[:last])) == last and sets[last] in sets[:last]
+        mu = sets.index(sets[last])
+        for k in range(21):
+            layer = k if k <= last else mu + (k - mu) % (last - mu)
+            for m in range(len(tm)):
+                assert (m in layers[layer]) == (m in by_length[k]), (m, k)
 
 
 def test_word_of_length():
     tm = build_monoid(contains_a().osa)
+    layers = length_set(tm)
     allword = tm.generators["a"]
-    assert _word_of_length(tm, allword, 2) == "aa"
-    assert _word_of_length(tm, tm.identity, 3) == "bbb"
+    assert len(layers) == 3  # {1}, then {1, a} twice: the window is lengths 0..2
+    assert _word_of_length(layers, allword, 2) == "aa"
+    assert _word_of_length(layers, tm.identity, 2) == "bb"
     swap_tm = build_monoid(even_a().osa)
-    with pytest.raises(OrdaError):
-        _word_of_length(swap_tm, swap_tm.generators["a"], 2)
+    assert swap_tm.generators["a"] not in length_set(swap_tm)[2]  # the swap needs an odd length
+    # every length in the window: the least word of that length, by brute force
+    for osa in _length_cases(71):
+        tm = build_monoid(osa)
+        layers = length_set(tm)
+        for k in range(len(layers)):
+            least: dict[int, str] = {}
+            for letters in itertools.product(sorted(osa.alphabet.symbols), repeat=k):
+                least.setdefault(element_of_word(tm, "".join(letters)), "".join(letters))
+            assert set(layers[k]) == set(least)
+            for m, w in least.items():
+                assert _word_of_length(layers, m, k) == w, (m, k)
+
+
+def test_lm_substitutions_match_word_enumeration():
+    rng = random.Random(83)
+    abc = Alphabet(("a", "b", "c"))
+    ba = Alphabet(("b", "a"))
+    monoids = 0
+    while monoids < 300:
+        alphabet = (AB, abc, ba)[monoids % 3]
+        sa = random_semiautomaton(rng, 2 if alphabet is abc else 3, alphabet)
+        tm = build_monoid(OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count)))
+        if len(tm) == 1:
+            continue
+        monoids += 1
+        for names in (("x",), ("x", "y")):
+            got = [(s.elements, s.witnesses) for s in valid_substitutions(tm, names, "lm", alphabet)]
+            assert got == lm_substitutions_brute(sa, len(names))
+
+
+def test_lm_check_on_a_180_element_monoid_is_fast():
+    rng = random.Random(5)
+    abc = Alphabet(("a", "b", "c"))
+    while True:
+        osa = random_minimal_automaton(rng, 5, abc).osa
+        if 150 <= len(build_monoid(osa)) <= 195:
+            break
+    assert len(build_monoid(osa)) == 180
+    start = time.perf_counter()
+    assert check(osa, parse_query("x y == x y @lm")).holds
+    assert time.perf_counter() - start < 2.0
 
 
 def test_check_finds_replayable_counterexamples():
@@ -205,6 +264,17 @@ def test_check_finds_replayable_counterexamples():
     tm = build_monoid(ab_star().osa)
     lw, rw = counterexample_words(tm, parse_query("1 <= x @all"), s)
     assert not ab_star().order.leq(step(ab_star().sa, p, lw), step(ab_star().sa, p, rw))
+
+
+def test_check_tells_equality_from_order():
+    # on contains_a the identity lies strictly below a (0 <= 1), so == fails
+    # where <= holds, at the first such substitution and its lowest state
+    osa = contains_a().osa
+    s, p = check(osa, parse_query("x == y @all")).witness
+    assert s.witnesses == ("", "a") and p == 0
+    s, p = check(osa, parse_query("x <= y @all")).witness
+    assert s.witnesses == ("a", "") and p == 0
+    assert check(osa, parse_query("x <= x y @all")).holds
 
 
 def test_check_vacuous_category():
