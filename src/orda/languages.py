@@ -589,7 +589,8 @@ def to_regex(oa: OrderedAutomaton) -> Regex:
     """
     n = oa.state_count
     start, end = n, n + 1
-    edge: dict[tuple[int, int], Regex] = {}
+    succ: list[dict[int, Regex]] = [{} for _ in range(n + 2)]  # succ[i][j]: the edge i -> j
+    pred: list[dict[int, Regex]] = [{} for _ in range(n + 2)]  # pred[j][i]: the same edge
     # An edge between live states, those on some path from start to end, ends
     # up inside the result; any other edge only needs to exist, for the costs.
     back = [[] for _ in range(n + 2)]
@@ -605,15 +606,16 @@ def to_regex(oa: OrderedAutomaton) -> Regex:
         if isinstance(r, Empty):
             return
         if i not in live or j not in live:
-            edge[(i, j)] = EPS
-            return
-        old = edge.get((i, j))
-        edge[(i, j)] = r = union((old, r)) if old is not None else r
-        if _printed_depth(r, depths)[1] > REGEX_DEPTH_LIMIT:
-            raise ResourceError(
-                f"regex for the automaton nests deeper than REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT} "
-                "levels, so it could not be read back"
-            )
+            r = EPS
+        else:
+            old = succ[i].get(j)
+            r = union((old, r)) if old is not None else r
+            if _printed_depth(r, depths)[1] > REGEX_DEPTH_LIMIT:
+                raise ResourceError(
+                    f"regex for the automaton nests deeper than REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT} "
+                    "levels, so it could not be read back"
+                )
+        succ[i][j] = pred[j][i] = r
 
     add(start, oa.initial, EPS)
     for q in oa.finals:
@@ -622,24 +624,23 @@ def to_regex(oa: OrderedAutomaton) -> Regex:
         for k, a in enumerate(oa.alphabet):
             add(p, oa.sa.delta[p][k], Sym(a))
 
+    def cost(v):
+        return (len(pred[v]) - (v in pred[v])) * (len(succ[v]) - (v in succ[v]))
+
     remaining = set(range(n))
     while remaining:
-        def cost(v):
-            ins = sum(1 for (i, j) in edge if j == v and i != v)
-            outs = sum(1 for (i, j) in edge if i == v and j != v)
-            return ins * outs
         v = min(remaining, key=lambda v: (cost(v), v))
         remaining.discard(v)
-        loop = edge.pop((v, v), None)
+        pred[v].pop(v, None)
+        loop = succ[v].pop(v, None)
         middle = star(loop) if loop is not None else EPS
-        ins = [(i, r) for (i, j), r in edge.items() if j == v]
-        outs = [(j, r) for (i, j), r in edge.items() if i == v]
-        for (i, _) in ins:
-            del edge[(i, v)]
-        for (j, _) in outs:
-            del edge[(v, j)]
-        for i, rin in ins:
+        ins, outs = pred[v], succ[v]
+        for i in ins:
+            del succ[i][v]
+        for j in outs:
+            del pred[j][v]
+        for i, rin in ins.items():
             left = cat(rin, middle)
-            for j, rout in outs:
+            for j, rout in outs.items():
                 add(i, j, cat(left, rout))
-    return edge.get((start, end), EMPTY)
+    return succ[start].get(end, EMPTY)

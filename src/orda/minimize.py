@@ -23,7 +23,6 @@ from .core import (
     StateOrder,
     bits,
     explore,
-    reachable_states,
 )
 
 
@@ -135,25 +134,13 @@ def isomorphism(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> dict[int, int] 
     """
     if oa1.alphabet.symbols != oa2.alphabet.symbols:
         return None
-    sa1, sa2 = oa1.sa, oa2.sa
-    width = len(sa1.alphabet)
-    mapping = {oa1.initial: oa2.initial}
-    used = {oa2.initial}
-    queue = deque([oa1.initial])
-    while queue:
-        p = queue.popleft()
-        for k in range(width):
-            r1, r2 = sa1.delta[p][k], sa2.delta[mapping[p]][k]
-            if r1 in mapping:
-                if mapping[r1] != r2:
-                    return None
-            else:
-                if r2 in used:
-                    return None
-                mapping[r1] = r2
-                used.add(r2)
-                queue.append(r1)
-    if len(used) != len(reachable_states(sa2, oa2.initial)):
+    d1, d2 = oa1.sa.delta, oa2.sa.delta
+    # the pairs reachable from the initial pair: their second coordinates are
+    # oa2's reachable states, and they form a bijection exactly when no state
+    # of either side turns up in two of them
+    pairs = explore((oa1.initial, oa2.initial), lambda pair: zip(d1[pair[0]], d2[pair[1]]))[0]
+    mapping = dict(pairs)
+    if len(mapping) != len(pairs) or len(set(mapping.values())) != len(pairs):
         return None
     for p, q in mapping.items():
         if (p in oa1.finals) != (q in oa2.finals):

@@ -12,9 +12,6 @@ from __future__ import annotations
 from .core import OrderedSemiautomaton, sccs
 from .errors import AlphabetError, ResourceError
 
-# full composition memo only for monoids where the table stays cheap
-_MEMO_LIMIT = 2000
-
 
 class TransitionMonoid:
     """Closure of the letter actions under composition; immutable once built.
@@ -26,18 +23,17 @@ class TransitionMonoid:
     letters: the right Cayley graph.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "right", "order", "_index", "_memo", "_omega")
+    __slots__ = ("elements", "witnesses", "generators", "right", "order", "_column", "_omega")
 
     identity = 0
 
-    def __init__(self, elements, witnesses, generators, right, order, index):
+    def __init__(self, elements, witnesses, generators, right, order):
         self.elements = elements
         self.witnesses = witnesses
         self.generators = generators
         self.right = right
         self.order = order
-        self._index = index  # transformation -> element, as build numbered them
-        self._memo = {} if len(elements) <= _MEMO_LIMIT else None
+        self._column = {a: k for k, a in enumerate(generators)}  # letter -> column of right
         self._omega = {}
 
     def __len__(self):
@@ -47,16 +43,12 @@ class TransitionMonoid:
         return f"<transition monoid, {len(self.elements)} elements>"
 
     def compose(self, i: int, j: int) -> int:
-        """Element acting as w_i followed by w_j."""
-        if self._memo is not None:
-            out = self._memo.get((i, j))
-            if out is not None:
-                return out
-        tj = self.elements[j]
-        out = self._index[tuple(tj[q] for q in self.elements[i])]
-        if self._memo is not None:
-            self._memo[(i, j)] = out
-        return out
+        """Element acting as w_i followed by w_j: the end of w_j's path from i
+        in the right Cayley graph (Froidure & Pin)."""
+        right, column = self.right, self._column
+        for a in self.witnesses[j]:
+            i = right[i][column[a]]
+        return i
 
 
 def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
@@ -92,12 +84,12 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
         right.append(tuple(row))
         pos += 1
     generators = dict(zip(sa.alphabet, right[0]))
-    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order, index)
+    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
 
 
 def element_of_word(tm: TransitionMonoid, w: str) -> int:
     """Fold the word through the generator map."""
-    column = {a: k for k, a in enumerate(tm.generators)}
+    column = tm._column
     out = tm.identity
     for a in w:
         k = column.get(a)
@@ -208,11 +200,8 @@ def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     ok, pair = is_r_trivial(tm)
     if not ok:
         return False, pair
-    letters = [tm.elements[g] for g in tm.right[0]]
-    adj = [
-        row + tuple(tm._index[tuple([t[x] for x in g])] for g in letters)
-        for row, t in zip(tm.right, tm.elements)
-    ]
+    letters = tm.right[0]
+    adj = [row + tuple(tm.compose(g, m) for g in letters) for m, row in enumerate(tm.right)]
     return _trivial_classes(sccs(adj))
 
 

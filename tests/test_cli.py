@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import io
+import time
 
 import pytest
 
@@ -282,6 +283,16 @@ def test_convert_to_regex_refuses_what_parse_regex_cannot_read(tmp_path, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT}" in err
     assert err.count("\n") == 1
+
+
+def test_convert_to_regex_of_a_1200_state_chain_fails_fast(tmp_path, capsys):
+    # per-state edge maps: 0.2 s; rescanning every edge for each cost took 7 s
+    path = tmp_path / "chain.txt"
+    path.write_text(chain_text(1200))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["convert", str(path), "--to", "regex"])
+    assert code == 2 and f"REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT}" in err
+    assert time.perf_counter() - start < 2
 
 
 def test_convert_to_dot(tmp_path, capsys):

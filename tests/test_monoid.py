@@ -1,10 +1,10 @@
 """Transition monoids: construction, omega powers, triviality oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 
-import orda.monoid as monoid_mod
 from orda.core import Alphabet, Semiautomaton, discrete
 from orda.fixtures import ab_star, cerny, contains_a, even_a
 from orda.errors import AlphabetError, ResourceError
@@ -76,24 +76,38 @@ def test_witnesses_are_length_lex_minimal():
         assert seen[tm.elements[i]] == w
 
 
+def _catalan(n: int) -> Semiautomaton:
+    """Extensive order-preserving maps on 0 < ... < n-1, generated by the
+    maps moving one point i to i+1; the monoid has Catalan(n) elements."""
+    letters = "abcdefghij"[: n - 1]
+    return Semiautomaton(Alphabet(tuple(letters)), tuple(tuple(q + (q == i) for i in range(n - 1)) for q in range(n)))
+
+
 def test_compose_matches_transformation_composition():
-    tm = build(discrete(cerny(4)))
     rng = random.Random(5)
-    for _ in range(200):
-        i = rng.randrange(len(tm))
-        j = rng.randrange(len(tm))
-        expect = compose_brute(tm.elements[i], tm.elements[j])
-        assert tm.elements[tm.compose(i, j)] == expect
+    for osa in (discrete(cerny(4)), discrete(cerny(6))):  # 128 and 2742 elements
+        tm = build(osa)
+        for _ in range(200):
+            i = rng.randrange(len(tm))
+            j = rng.randrange(len(tm))
+            expect = compose_brute(tm.elements[i], tm.elements[j])
+            assert tm.elements[tm.compose(i, j)] == expect
+        got = tm.compose(element_of_word(tm, "ab"), element_of_word(tm, "ba"))
+        assert got == element_of_word(tm, "abba")
 
 
-def test_compose_without_memo(monkeypatch):
-    monkeypatch.setattr(monoid_mod, "_MEMO_LIMIT", 0)
-    tm = build(discrete(cerny(4)))
-    assert tm._memo is None
-    k = element_of_word(tm, "abba")
-    expect = tm.elements[k]
-    got = tm.elements[tm.compose(element_of_word(tm, "ab"), element_of_word(tm, "ba"))]
-    assert got == expect
+def test_composing_every_pair_keeps_no_table():
+    tm = build(discrete(_catalan(7)))
+    assert len(tm) == 429
+    tracemalloc.start()
+    try:
+        for i in range(len(tm)):
+            for j in range(len(tm)):
+                tm.compose(i, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_element_of_word_rejects_foreign_symbols():
