@@ -92,6 +92,12 @@ def test_compose_matches_transformation_composition():
             j = rng.randrange(len(tm))
             expect = compose_brute(tm.elements[i], tm.elements[j])
             assert tm.elements[tm.compose(i, j)] == expect
+
+
+def test_compose_without_memo():
+    for osa in (discrete(cerny(4)), discrete(cerny(6))):
+        tm = build(osa)
+        assert not hasattr(tm, "_memo")
         got = tm.compose(element_of_word(tm, "ab"), element_of_word(tm, "ba"))
         assert got == element_of_word(tm, "abba")
 
