@@ -10,7 +10,7 @@ table used only for rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AlphabetError, OrdaError, ParseError, ResourceError
 
@@ -20,17 +20,19 @@ class Alphabet:
     """Ordered sequence of distinct single-character symbols."""
 
     symbols: tuple[str, ...]
+    _position: dict = field(init=False, repr=False, compare=False)  # symbol -> index
 
     def __post_init__(self):
         if not self.symbols:
             raise AlphabetError("alphabet must be non-empty")
-        seen = set()
+        position = {}
         for s in self.symbols:
             if len(s) != 1 or not s.isprintable() or s.isspace():
                 raise AlphabetError(f"bad symbol {s!r}: need a single printable non-whitespace character")
-            if s in seen:
+            if s in position:
                 raise AlphabetError(f"duplicate symbol {s!r}")
-            seen.add(s)
+            position[s] = len(position)
+        object.__setattr__(self, "_position", position)
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -38,12 +40,12 @@ class Alphabet:
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._position[symbol]
+        except KeyError:
             raise AlphabetError(f"symbol {symbol!r} not in alphabet {''.join(self.symbols)!r}") from None
 
     def __contains__(self, symbol) -> bool:
-        return symbol in self.symbols
+        return symbol in self._position
 
     def __iter__(self):
         return iter(self.symbols)
@@ -242,10 +244,9 @@ def step(sa: Semiautomaton, q: int, w: str) -> int:
     """Run the word w from state q; the action extends letter-wise, q . (ua) = (q . u) . a."""
     if not 0 <= q < sa.state_count:
         raise OrdaError(f"state {q} out of range")
-    delta = sa.delta
+    delta, index = sa.delta, sa.alphabet.index
     for a in w:
-        delta_q = delta[q]
-        q = delta_q[sa.alphabet.index(a)]
+        q = delta[q][index(a)]
     return q
 
 

@@ -11,7 +11,7 @@ replayed literally on the semiautomaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as cartesian
+from itertools import permutations, product as cartesian, repeat
 from math import perm
 
 from .classify import Verdict
@@ -346,49 +346,45 @@ def valid_substitutions(
 ):
     """Stream the admissible substitutions of a category, deterministically.
 
-    all: every element tuple.  ne: tuples over the transition semigroup, with
-    non-empty witnesses.  lp: every map into single letters.  surj: some
-    injection of the alphabet into the variables is pinned to the letters,
-    the rest range free; fewer variables than letters means no substitution.
-    lm: element tuples realizable with one common witness length k >= 1.
+    Each is a pair (elements, key): the element tuple, and what
+    spell_substitution needs to spell its witness words.  all: every element
+    tuple.  ne: tuples over the transition semigroup, with non-empty
+    witnesses.  lp: every map into single letters.  surj: some injection of
+    the alphabet into the variables is pinned to the letters, the rest range
+    free; fewer variables than letters means no substitution.  lm: element
+    tuples realizable with one common witness length k >= 1.
     """
     k = len(names)
     n = len(tm)
     if category == "all":
         _guard(n**k, cap)
-        for combo in cartesian(range(n), repeat=k):
-            yield Substitution(names, combo, tuple(tm.witnesses[e] for e in combo))
+        yield from zip(cartesian(range(n), repeat=k), repeat(None))
     elif category == "ne":
-        realizable = nonempty_realizable(tm)
+        realizable = nonempty_realizable(tm)  # the key: element -> least non-empty word
         choices = sorted(realizable)
         _guard(len(choices) ** k, cap)
-        for combo in cartesian(choices, repeat=k):
-            yield Substitution(names, combo, tuple(realizable[e] for e in combo))
+        yield from zip(cartesian(choices, repeat=k), repeat(realizable))
     elif category == "lp":
-        letters = list(alphabet.symbols)
+        letters = alphabet.symbols  # the key: the letters themselves
         _guard(len(letters) ** k, cap)
-        for combo in cartesian(letters, repeat=k):
-            yield Substitution(
-                names, tuple(tm.generators[a] for a in combo), tuple(combo)
-            )
+        generators = [tm.generators[a] for a in letters]
+        yield from zip(cartesian(generators, repeat=k), cartesian(letters, repeat=k))
     elif category == "surj":
         width = len(alphabet)
         if k < width:
             return
         slots = list(range(k))
         _guard(perm(k, width) * n ** (k - width), cap)
-        for chosen in permutations(slots, width):
+        generators = [tm.generators[a] for a in alphabet.symbols]
+        for chosen in permutations(slots, width):  # the key: slot of each letter
             rest = [i for i in slots if i not in chosen]
+            elements = [0] * k
+            for g, slot in zip(generators, chosen):
+                elements[slot] = g
             for combo in cartesian(range(n), repeat=len(rest)):
-                elements: list[int] = [0] * k
-                witnesses: list[str] = [""] * k
-                for a, slot in zip(alphabet.symbols, chosen):
-                    elements[slot] = tm.generators[a]
-                    witnesses[slot] = a
                 for e, slot in zip(combo, rest):
                     elements[slot] = e
-                    witnesses[slot] = tm.witnesses[e]
-                yield Substitution(names, tuple(elements), tuple(witnesses))
+                yield tuple(elements), chosen
     elif category == "lm":
         _guard(n**k, cap)
         layers = length_set(tm)
@@ -400,16 +396,72 @@ def valid_substitutions(
             common = (1 << len(layers)) - 2  # the lengths 1 .. len(layers) - 1
             for e in combo:
                 common &= lengths[e]
-            if common:
-                length = (common & -common).bit_length() - 1
-                yield Substitution(names, combo, tuple(_word_of_length(layers, e, length) for e in combo))
+            if common:  # the key: the lasso and the least common length
+                yield combo, (layers, (common & -common).bit_length() - 1)
     else:
         raise OrdaError(f"unknown category {category!r}")
+
+
+def spell_substitution(
+    tm: TransitionMonoid, names: tuple[str, ...], category: str, alphabet: Alphabet, elements: tuple[int, ...], key
+) -> Substitution:
+    """The Substitution of one (elements, key) pair of valid_substitutions, with
+    its witness words: least words (all, and the free slots of surj), least
+    non-empty words (ne), the letters (lp, and the pinned slots of surj), or
+    the least words of the common length (lm)."""
+    if category == "ne":
+        words = [key[e] for e in elements]
+    elif category == "lp":
+        words = list(key)
+    elif category == "lm":
+        layers, length = key
+        words = [_word_of_length(layers, e, length) for e in elements]
+    else:
+        words = [tm.witnesses[e] for e in elements]
+        if category == "surj":
+            for a, slot in zip(alphabet.symbols, key):
+                words[slot] = a
+    return Substitution(names, tuple(elements), tuple(words))
 
 
 def _guard(count: int, cap: int):
     if count > cap:
         raise ResourceError(f"substitution space of {count} tuples exceeds cap {cap}")
+
+
+def _program(query: OmegaQuery, names: tuple[str, ...]) -> tuple[list[tuple[int, int | None]], int, int]:
+    """Both sides of the query as one straight-line program: (steps, left, right).
+
+    Slots 0..k-1 hold the variables of names, slot k the identity, and step i
+    fills slot k+1+i: (a, b) is the product of slots a and b, (a, None) the
+    omega power of slot a.  Equal steps share one slot, so a subterm on both
+    sides is computed once; products with 1 and powers of 1 take no step.
+    left and right are the slots of the two sides.
+    """
+    k = len(names)
+    slot_of: dict[tuple[int, int | None], int] = {}  # step -> its slot, in the order the steps run
+
+    def emit(step) -> int:
+        return slot_of.setdefault(step, k + 1 + len(slot_of))
+
+    def walk(t: OmegaTerm) -> int:
+        if isinstance(t, Var):
+            return names.index(t.name)
+        if isinstance(t, OmegaPower):
+            inner = walk(t.inner)
+            return k if inner == k else emit((inner, None))
+        if isinstance(t, Concat):
+            out = k
+            for p in t.parts:
+                x = walk(p)
+                out = x if out == k else out if x == k else emit((out, x))
+            return out
+        if isinstance(t, Unit):
+            return k
+        raise TypeError(f"not an omega-term: {t!r}")
+
+    left, right = walk(query.left), walk(query.right)
+    return list(slot_of), left, right
 
 
 def check(
@@ -420,24 +472,30 @@ def check(
 ) -> Verdict:
     """Decide the query; counterexample = (substitution, state), replayable.
 
+    Both sides run as one program (see _program) on each element tuple, and
+    the Substitution with its words is built for the failing tuple only.
     Quantification over states uses the state order for <= and state equality
     for ==.  A category admitting no substitution at all yields a vacuous
     pass, flagged as such.
     """
     tm = build(osa, monoid_cap)
     names = tuple(sorted(term_variables(query.left) | term_variables(query.right)))
+    steps, left, right = _program(query, names)
+    compose, identity = tm.compose, tm.identity
     want_leq = query.relation == "<="
     order = osa.order
     any_substitution = False
-    for s in valid_substitutions(tm, names, query.category, osa.alphabet, substitution_cap):
+    for elements, key in valid_substitutions(tm, names, query.category, osa.alphabet, substitution_cap):
         any_substitution = True
-        left = eval_term(tm, query.left, s)
-        right = eval_term(tm, query.right, s)
-        if left == right:
+        slots = [*elements, identity]
+        for a, b in steps:
+            slots.append(omega_power(tm, slots[a]) if b is None else compose(slots[a], slots[b]))
+        if slots[left] == slots[right]:
             continue
-        tl, tr = tm.elements[left], tm.elements[right]
+        tl, tr = tm.elements[slots[left]], tm.elements[slots[right]]
         for p in range(osa.state_count):
             if not (order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]):
+                s = spell_substitution(tm, names, query.category, osa.alphabet, elements, key)
                 return Verdict(False, (s, p))
     if not any_substitution:
         return Verdict(True, vacuous=True)

@@ -9,6 +9,7 @@ code with the algorithmic paths under test.
 from __future__ import annotations
 
 import itertools
+import re
 
 from orda.classify import Verdict
 from orda.core import OrderedAutomaton, Semiautomaton, step
@@ -188,20 +189,15 @@ def green_triviality_brute(sa: Semiautomaton) -> tuple[tuple, tuple]:
     return r, _first_shared(_ideal(x, right_steps + left_steps) for x in elems)
 
 
-def lm_substitutions_brute(sa: Semiautomaton, arity: int) -> list[tuple[tuple, tuple]]:
-    """(elements, witness words) of every lm substitution of arity variables.
-
-    Elements are numbered in the order transformations() finds them, and the
-    tuples come in lexicographic order.  Words are enumerated length by length,
-    letters sorted, until the set of actions of one length is that of an
-    earlier length; from then on the sets repeat.  A tuple is kept when some
-    length k >= 1 has words acting as every one of its elements, and its
-    witnesses are the first such words of the least such k.
-    """
+def _first_words_by_length(sa: Semiautomaton) -> list[dict[int, str]]:
+    """first[k] maps each element acting as a word of length k to the first such
+    word, letters sorted; elements are numbered in the order transformations()
+    finds them.  Words are enumerated length by length until the set of actions
+    of one length is that of an earlier length; from then on the sets repeat."""
     number = {t: i for i, t in enumerate(transformations(sa))}
     column = {a: k for k, a in enumerate(sa.alphabet)}
     words = [("", tuple(range(sa.state_count)))]  # every word of the current length, in order
-    first: list[dict[int, str]] = []  # first[k]: element -> first word of length k
+    first: list[dict[int, str]] = []
     while not first or set(first[-1]) not in [set(d) for d in first[:-1]]:
         if first:
             words = [(w + a, tuple(sa.delta[q][column[a]] for q in t)) for w, t in words for a in sorted(column)]
@@ -209,12 +205,146 @@ def lm_substitutions_brute(sa: Semiautomaton, arity: int) -> list[tuple[tuple, t
         for w, t in words:
             found.setdefault(number[t], w)
         first.append(found)
+    return first
+
+
+def lm_substitutions_brute(sa: Semiautomaton, arity: int) -> list[tuple[tuple, tuple]]:
+    """(elements, witness words) of every lm substitution of arity variables.
+
+    Elements are numbered in the order transformations() finds them, and the
+    tuples come in lexicographic order.  A tuple is kept when some length
+    k >= 1 has words acting as every one of its elements (see
+    _first_words_by_length), and its witnesses are the first such words of the
+    least such k.
+    """
+    first = _first_words_by_length(sa)
     out = []
-    for combo in itertools.product(range(len(number)), repeat=arity):
+    for combo in itertools.product(range(len(transformations(sa))), repeat=arity):
         k = next((k for k in range(1, len(first)) if all(e in first[k] for e in combo)), None)
         if k is not None:
             out.append((combo, tuple(first[k][e] for e in combo)))
     return out
+
+
+def _read_term(text: str):
+    """A term of an omega-query: a variable name, ("pow", term) or
+    ("cat", [terms]); 1 is ("cat", [])."""
+    tokens = re.findall(r"\^w|[A-Za-z][A-Za-z0-9]*|[()1]", text)
+    pos = 0
+
+    def sequence():
+        nonlocal pos
+        parts = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            token = tokens[pos]
+            pos += 1
+            if token == "(":
+                term = sequence()
+                pos += 1
+            else:
+                term = ("cat", []) if token == "1" else token
+            while pos < len(tokens) and tokens[pos] == "^w":
+                pos += 1
+                term = ("pow", term)
+            parts.append(term)
+        return parts[0] if len(parts) == 1 else ("cat", parts)
+
+    return sequence()
+
+
+def _read_query(text: str):
+    """(left, relation, right, category) of an omega-query."""
+    body, _, category = text.rpartition("@")
+    relation = "<=" if "<=" in body else "=="
+    left, right = body.split(relation)
+    return _read_term(left), relation, _read_term(right), category.strip()
+
+
+def _variables(term) -> set[str]:
+    if isinstance(term, str):
+        return {term}
+    if term[0] == "pow":
+        return _variables(term[1])
+    return set().union(*(_variables(p) for p in term[1]))
+
+
+def _action(term, values: dict, identity: tuple) -> tuple:
+    """The transformation of the term when each variable acts as values[name];
+    ^w is the first power of the inner action that is idempotent."""
+    if isinstance(term, str):
+        return values[term]
+    if term[0] == "pow":
+        m = _action(term[1], values, identity)
+        e = m
+        while compose(e, e) != e:
+            e = compose(e, m)
+        return e
+    out = identity
+    for part in term[1]:
+        out = compose(out, _action(part, values, identity))
+    return out
+
+
+def check_brute(osa, text: str) -> Verdict:
+    """Decide the query text on the ordered semiautomaton by plain enumeration.
+
+    Variables are sorted by name.  A substitution is a tuple of words, one per
+    variable, and each variable acts as its word stepped on the semiautomaton;
+    elements are numbered in the order transformations() finds them.  The
+    substitutions come in the documented order: all, every element tuple in
+    lexicographic order with least words; ne, the same over elements of
+    non-empty words with least non-empty words (letters sorted); lp, letter
+    tuples in alphabet order; surj, for each permutation of slots given the
+    letters in alphabet order, the other slots as for all; lm,
+    lm_substitutions_brute.  The first failure gives
+    Verdict(False, (names, elements, words, state)) at its lowest state; no
+    substitution at all gives a vacuous pass.
+    """
+    left, relation, right, category = _read_query(text)
+    names = tuple(sorted(_variables(left) | _variables(right)))
+    sa = osa.sa
+    least = transformations(sa)  # action -> least word, letters in alphabet order
+    actions = list(least)
+    words = [least[t] for t in actions]
+    arity = len(names)
+    if category == "all":
+        space = [tuple(words[e] for e in c) for c in itertools.product(range(len(actions)), repeat=arity)]
+    elif category == "ne":
+        nonempty: dict[int, str] = {}
+        for found in _first_words_by_length(sa)[1:]:
+            for e, w in found.items():
+                nonempty.setdefault(e, w)
+        space = [tuple(nonempty[e] for e in c) for c in itertools.product(sorted(nonempty), repeat=arity)]
+    elif category == "lp":
+        space = list(itertools.product(sa.alphabet.symbols, repeat=arity))
+    elif category == "surj":
+        space = []
+        for chosen in itertools.permutations(range(arity), len(sa.alphabet)):
+            rest = [i for i in range(arity) if i not in chosen]
+            for combo in itertools.product(range(len(actions)), repeat=len(rest)):
+                spelled = [""] * arity
+                for a, i in zip(sa.alphabet.symbols, chosen):
+                    spelled[i] = a
+                for e, i in zip(combo, rest):
+                    spelled[i] = words[e]
+                space.append(tuple(spelled))
+    elif category == "lm":
+        space = [spelled for _, spelled in lm_substitutions_brute(sa, arity)]
+    else:
+        raise OrdaError(f"unknown category {category!r}")
+    n = sa.state_count
+    identity = tuple(range(n))
+    number = {t: i for i, t in enumerate(actions)}
+    for spelled in space:
+        values = {x: tuple(step(sa, q, w) for q in range(n)) for x, w in zip(names, spelled)}
+        elements = tuple(number[values[x]] for x in names)
+        lt, rt = _action(left, values, identity), _action(right, values, identity)
+        for p in range(n):
+            if not (osa.order.leq(lt[p], rt[p]) if relation == "<=" else lt[p] == rt[p]):
+                return Verdict(False, (names, elements, spelled, p))
+    if not space:
+        return Verdict(True, vacuous=True)
+    return Verdict(True)
 
 
 def extensive_brute(osa) -> bool:

@@ -10,7 +10,7 @@ from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder,
 from orda.errors import OrdaError, ParseError
 from orda.fixtures import AB, ab_star, contains_a, even_a
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
-from orda.monoid import build as build_monoid, element_of_word, omega_power
+from orda.monoid import TransitionMonoid, build as build_monoid, element_of_word, omega_power
 from orda.omega import (
     CATEGORIES,
     Concat,
@@ -28,6 +28,7 @@ from orda.omega import (
     length_set,
     nonempty_realizable,
     parse_query,
+    spell_substitution,
     term_variables,
     term_word,
     valid_substitutions,
@@ -36,6 +37,7 @@ from orda.omega import (
 
 from oracles import (
     aperiodic_brute,
+    check_brute,
     j_trivial_brute,
     lm_substitutions_brute,
     r_trivial_brute,
@@ -117,7 +119,8 @@ def test_eval_and_term_word_agree():
         tm = build_monoid(osa)
         for q in queries:
             names = all_names(q)
-            for s in valid_substitutions(tm, names, "all", AB):
+            for elements, key in valid_substitutions(tm, names, "all", AB):
+                s = spell_substitution(tm, names, "all", AB, elements, key)
                 for t in (q.left, q.right):
                     assert element_of_word(tm, term_word(tm, t, s)) == eval_term(tm, t, s)
 
@@ -129,7 +132,7 @@ def test_substitution_category_sizes():
     assert sum(1 for _ in valid_substitutions(tm, names, "all", AB)) == 4
     assert sum(1 for _ in valid_substitutions(tm, names, "ne", AB)) == 4
     assert sum(1 for _ in valid_substitutions(tm, names, "lp", AB)) == 4
-    surj = list(valid_substitutions(tm, names, "surj", AB))
+    surj = [spell_substitution(tm, names, "surj", AB, *pair) for pair in valid_substitutions(tm, names, "surj", AB)]
     assert len(surj) == 2
     assert {s.witnesses for s in surj} == {("a", "b"), ("b", "a")}
     # b acts as the identity, so every element tuple has a common word length
@@ -151,7 +154,8 @@ def test_nonempty_realizable():
 def test_lm_substitutions_share_a_length():
     tm = build_monoid(even_a().osa)
     one = Alphabet(("a",))
-    subs = list(valid_substitutions(tm, ("x", "y"), "lm", one))
+    names = ("x", "y")
+    subs = [spell_substitution(tm, names, "lm", one, *pair) for pair in valid_substitutions(tm, names, "lm", one)]
     for s in subs:
         lengths = {len(w) for w in s.witnesses}
         assert len(lengths) == 1 and lengths.pop() >= 1
@@ -228,8 +232,50 @@ def test_lm_substitutions_match_word_enumeration():
             continue
         monoids += 1
         for names in (("x",), ("x", "y")):
-            got = [(s.elements, s.witnesses) for s in valid_substitutions(tm, names, "lm", alphabet)]
+            got = []
+            for elements, key in valid_substitutions(tm, names, "lm", alphabet):
+                s = spell_substitution(tm, names, "lm", alphabet, elements, key)
+                got.append((s.elements, s.witnesses))
             assert got == lm_substitutions_brute(sa, len(names))
+
+
+def test_check_matches_brute_force_witnesses():
+    # verdict, vacuity and the whole witness (names, elements, words, state)
+    # against plain enumeration, for every category and a template catalog
+    rng = random.Random(89)
+    abc = Alphabet(("a", "b", "c"))
+    ba = Alphabet(("b", "a"))
+    templates = (
+        "x^w x == x^w",
+        "(x y)^w x == (x y)^w",
+        "y (x y)^w == (x y)^w",
+        "x^w <= x^w x",
+        "1 <= x",
+        "x y <= y x",
+        "x^w y^w == y^w x^w",
+        "x y x <= x",
+        "x == y",
+        "1 == (x 1)^w",
+        "x y z <= z y x",
+    )
+    queries = [(t, len(all_names(parse_query(f"{t} @all")))) for t in templates]
+    failures = 0
+    for i in range(100):
+        alphabet = (AB, abc, ba)[i % 3]
+        osa = random_automaton(rng, {AB: 3, abc: 2, ba: 4}[alphabet], alphabet, ordered=True).osa
+        size = len(transformations(osa.sa))
+        for t, arity in queries:
+            if size**arity > 400:
+                continue
+            for cat in CATEGORIES:
+                text = f"{t} @{cat}"
+                got, want = check(osa, parse_query(text)), check_brute(osa, text)
+                assert (got.holds, got.vacuous) == (want.holds, want.vacuous), text
+                if not got.holds:
+                    failures += 1
+                    s, p = got.witness
+                    assert (s.names, s.elements, s.witnesses, p) == want.witness, text
+    assert failures > 1000
 
 
 def test_lm_check_on_a_180_element_monoid_is_fast():
@@ -264,6 +310,26 @@ def test_check_finds_replayable_counterexamples():
     tm = build_monoid(ab_star().osa)
     lw, rw = counterexample_words(tm, parse_query("1 <= x @all"), s)
     assert not ab_star().order.leq(step(ab_star().sa, p, lw), step(ab_star().sa, p, rw))
+
+
+def test_check_computes_a_shared_subterm_once(monkeypatch):
+    # the 14-element Catalan monoid on 4 points is J-trivial, so all 196 tuples
+    # run: one product x y and one product (x y)^w x each, plus the 21 products
+    # that find the omega powers of the distinct x y; (x y)^w is taken once
+    maps = [[q + (q == i) for q in range(4)] for i in range(3)]
+    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(4)))
+    osa = OrderedSemiautomaton(sa, StateOrder.discrete(4))
+    calls = 0
+    compose = TransitionMonoid.compose
+
+    def counting(tm, i, j):
+        nonlocal calls
+        calls += 1
+        return compose(tm, i, j)
+
+    monkeypatch.setattr(TransitionMonoid, "compose", counting)
+    assert check(osa, parse_query("(x y)^w x == (x y)^w @all")).holds
+    assert calls == 413
 
 
 def test_check_tells_equality_from_order():
