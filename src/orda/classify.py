@@ -17,6 +17,7 @@ from .core import (
     Semiautomaton,
     StateOrder,
     explore,
+    layer_word,
     path_word,
     reachable_states,
     sccs,
@@ -357,13 +358,7 @@ def has_n_extensive_actions(osa: OrderedSemiautomaton, n: int) -> Verdict:
             layers.append(nxt)
         bad = [p for p in sorted(layers[n]) if not osa.order.leq(q, p)]
         if bad:
-            letters = []
-            cur = bad[0]
-            for depth in range(n, 0, -1):
-                prev, a = layers[depth][cur]
-                letters.append(a)
-                cur = prev
-            return Verdict(False, (q, "".join(reversed(letters))))
+            return Verdict(False, (q, layer_word(layers, bad[0], n)))
     return Verdict(True)
 
 

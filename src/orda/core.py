@@ -395,6 +395,16 @@ def path_word(rows, letters, j: int) -> str:
     return "".join(reversed(word))
 
 
+def layer_word(layers, node, k: int) -> str:
+    """The word spelled back from node in layers[k], where layers[L] maps each
+    node of layer L >= 1 to (its parent in layer L - 1, the letter from it)."""
+    word = []
+    for L in range(k, 0, -1):
+        node, a = layers[L][node]
+        word.append(a)
+    return "".join(reversed(word))
+
+
 def reachable_states(sa: Semiautomaton, q: int) -> tuple[int, ...]:
     """States reachable from q, in breadth-first discovery order (letters in alphabet order)."""
     return tuple(explore(q, sa.delta.__getitem__)[0])
@@ -508,9 +518,8 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         elif key == "finals":
             if finals is not None:
                 fail("duplicate finals line", lineno)
-            try:
-                finals = frozenset(int(tok) for tok in rest.split())
-            except ValueError:
+            finals = frozenset(map(_decimal, rest.split()))
+            if None in finals:
                 fail(f"finals wants state indices, got {rest!r}", lineno)
         elif key == "order":
             parts = rest.split()

@@ -64,6 +64,7 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     witnesses = [""]
     right = []
     index = {identity: 0}
+    letters = list(zip(columns, sa.alphabet.symbols))
     pos = 0
     # Numbered like core.explore, but inline: this is the hot loop of classify
     # and check, and explore would leave the witness words and the element
@@ -71,7 +72,7 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     while pos < len(elements):
         base = elements[pos]
         row = []
-        for column, a in zip(columns, sa.alphabet):
+        for column, a in letters:
             t = tuple([column[q] for q in base])
             i = index.get(t)
             if i is None:

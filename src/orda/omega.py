@@ -15,7 +15,7 @@ from itertools import permutations, product as cartesian, repeat
 from math import perm
 
 from .classify import Verdict
-from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder
+from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word
 from .errors import OrdaError, ParseError, ResourceError
 from .monoid import TransitionMonoid, build, omega_exponent, omega_power
 
@@ -225,51 +225,8 @@ class Substitution:
     elements: tuple[int, ...]
     witnesses: tuple[str, ...]
 
-    def element_of(self, name: str) -> int:
-        try:
-            return self.elements[self.names.index(name)]
-        except ValueError:
-            raise OrdaError(f"unbound variable {name!r}") from None
-
-    def witness_of(self, name: str) -> str:
-        return self.witnesses[self.names.index(name)]
-
     def __str__(self):
         return ", ".join(f"{x}={w!r}" for x, w in zip(self.names, self.witnesses))
-
-
-def eval_term(tm: TransitionMonoid, t: OmegaTerm, s: Substitution) -> int:
-    """Value of the term in the monoid; 1 is the identity, ^w the idempotent power."""
-    if isinstance(t, Unit):
-        return tm.identity
-    if isinstance(t, Var):
-        return s.element_of(t.name)
-    if isinstance(t, Concat):
-        out = tm.identity
-        for p in t.parts:
-            out = tm.compose(out, eval_term(tm, p, s))
-        return out
-    if isinstance(t, OmegaPower):
-        return omega_power(tm, eval_term(tm, t.inner, s))
-    raise TypeError(f"not an omega-term: {t!r}")
-
-
-def term_word(tm: TransitionMonoid, t: OmegaTerm, s: Substitution) -> str:
-    """A concrete word realizing the term: each ^w unfolds to its own exponent.
-
-    The word's action equals eval_term's value, which is what makes replayed
-    counterexamples equivalent to the monoid computation.
-    """
-    if isinstance(t, Unit):
-        return ""
-    if isinstance(t, Var):
-        return s.witness_of(t.name)
-    if isinstance(t, Concat):
-        return "".join(term_word(tm, p, s) for p in t.parts)
-    if isinstance(t, OmegaPower):
-        w = term_word(tm, t.inner, s)
-        return w * omega_exponent(tm, eval_term(tm, t.inner, s))
-    raise TypeError(f"not an omega-term: {t!r}")
 
 
 def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
@@ -325,16 +282,6 @@ def length_set(tm: TransitionMonoid, cap: int = 100_000) -> list[dict[int, tuple
         if len(seen) >= cap:
             raise ResourceError(f"length-set lasso exceeded {cap} subsets")
         seen.add(subset)
-
-
-def _word_of_length(layers: list[dict[int, tuple[int, str]]], m: int, k: int) -> str:
-    """Lexicographically least word of length exactly k acting as m, read off
-    the parent pointers of length_set's layers; m must be in layers[k]."""
-    word = []
-    for L in range(k, 0, -1):
-        m, a = layers[L][m]
-        word.append(a)
-    return "".join(reversed(word))
 
 
 def valid_substitutions(
@@ -415,7 +362,7 @@ def spell_substitution(
         words = list(key)
     elif category == "lm":
         layers, length = key
-        words = [_word_of_length(layers, e, length) for e in elements]
+        words = [layer_word(layers, e, length) for e in elements]
     else:
         words = [tm.witnesses[e] for e in elements]
         if category == "surj":
@@ -503,8 +450,25 @@ def check(
 
 
 def counterexample_words(tm: TransitionMonoid, query: OmegaQuery, s: Substitution) -> tuple[str, str]:
-    """Concrete words for both sides under the substitution, for literal replay."""
-    return term_word(tm, query.left, s), term_word(tm, query.right, s)
+    """Concrete words for both sides under the substitution, for literal replay.
+
+    The query's program (see _program) runs once on s's elements with a word
+    beside each value: the variables start from s's witnesses and the identity
+    from the empty word, a product concatenates its two words, and an omega
+    power repeats its base word by the base's omega exponent.  So each word
+    acts as its value.
+    """
+    steps, left, right = _program(query, s.names)
+    values = [*s.elements, tm.identity]
+    words = [*s.witnesses, ""]
+    for a, b in steps:
+        if b is None:
+            values.append(omega_power(tm, values[a]))
+            words.append(words[a] * omega_exponent(tm, values[a]))
+        else:
+            values.append(tm.compose(values[a], values[b]))
+            words.append(words[a] + words[b])
+    return words[left], words[right]
 
 
 @dataclass(frozen=True)

@@ -56,15 +56,16 @@ from orda.monoid import (
     satisfies_one_leq_x,
 )
 from orda.omega import (
-    Substitution,
     check,
     check_identity_catalog,
-    eval_term,
+    format_query,
     parse_query,
     term_variables,
 )
 
 from oracles import (
+    _action,
+    _read_query,
     aperiodic_brute,
     language,
     residual_included,
@@ -298,13 +299,15 @@ def test_criterion_10_lm_category_against_bounded_search():
                 {tm.compose(e, g) for e in by_length[-1] for g in tm.generators.values()}
             )
         names = tuple(sorted(term_variables(query.left) | term_variables(query.right)))
+        left_term, _, right_term, _ = _read_query(format_query(query))
+        identity = tuple(range(osa.state_count))
         want = True
         for combo in itertools.product(range(len(tm)), repeat=len(names)):
             if not any(all(e in by_length[k] for e in combo) for k in range(1, 65)):
                 continue
-            s = Substitution(names, combo, tuple(tm.witnesses[e] for e in combo))
-            left = tm.elements[eval_term(tm, query.left, s)]
-            right = tm.elements[eval_term(tm, query.right, s)]
+            values = {x: tm.elements[e] for x, e in zip(names, combo)}
+            left = _action(left_term, values, identity)
+            right = _action(right_term, values, identity)
             for p in range(osa.state_count):
                 ok = (
                     osa.order.leq(left[p], right[p])

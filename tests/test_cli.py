@@ -271,6 +271,16 @@ def chain_text(n: int) -> str:
     return f"alphabet: a b\nstates: {n}\ninitial: 0\nfinals: {n - 1}\n" + moves
 
 
+def test_finals_reads_decimal_indices_only(tmp_path, capsys):
+    # int() would read 1_0 as state 10 and +1 as state 1; states: refuses both
+    path = tmp_path / "chain.txt"
+    for token in ("1_0", "+1"):
+        path.write_text(chain_text(11).replace("finals: 10", f"finals: {token}"))
+        code, out, err = run(capsys, ["minimize", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: finals wants state indices") and err.count("\n") == 1
+
+
 def test_convert_to_regex_refuses_what_parse_regex_cannot_read(tmp_path, capsys):
     path = tmp_path / "chain.txt"
     path.write_text(chain_text(20))

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, step
-from orda.errors import OrdaError, ParseError
+from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, step
+from orda.errors import ParseError
 from orda.fixtures import AB, ab_star, contains_a, even_a
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.monoid import TransitionMonoid, build as build_monoid, element_of_word, omega_power
@@ -22,7 +22,6 @@ from orda.omega import (
     check,
     check_identity_catalog,
     counterexample_words,
-    eval_term,
     format_query,
     format_term,
     length_set,
@@ -30,12 +29,12 @@ from orda.omega import (
     parse_query,
     spell_substitution,
     term_variables,
-    term_word,
     valid_substitutions,
-    _word_of_length,
 )
 
 from oracles import (
+    _action,
+    _read_query,
     aperiodic_brute,
     check_brute,
     j_trivial_brute,
@@ -102,7 +101,7 @@ def test_format_round_trip():
     assert format_query(parse_query("  x^w   x ==x^w@all")) == "x^w x == x^w @all"
 
 
-def test_eval_and_term_word_agree():
+def test_counterexample_words_act_as_the_terms():
     rng = random.Random(61)
     queries = [
         parse_query(t)
@@ -111,18 +110,22 @@ def test_eval_and_term_word_agree():
             "(x y)^w x == (x y)^w @all",
             "y (x y)^w == (x y)^w @all",
             "x y x^w <= y^w @all",
+            "1^w <= 1 (x 1)^w (y x)^w y @all",
         )
     ]
     for _ in range(25):
         sa = random_semiautomaton(rng, 4, AB)
         osa = OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
         tm = build_monoid(osa)
+        states = range(sa.state_count)
         for q in queries:
+            left, _, right, _ = _read_query(format_query(q))
             names = all_names(q)
             for elements, key in valid_substitutions(tm, names, "all", AB):
                 s = spell_substitution(tm, names, "all", AB, elements, key)
-                for t in (q.left, q.right):
-                    assert element_of_word(tm, term_word(tm, t, s)) == eval_term(tm, t, s)
+                values = {x: tuple(step(sa, p, w) for p in states) for x, w in zip(names, s.witnesses)}
+                for word, term in zip(counterexample_words(tm, q, s), (left, right)):
+                    assert tuple(step(sa, p, word) for p in states) == _action(term, values, tuple(states))
 
 
 def test_substitution_category_sizes():
@@ -159,8 +162,8 @@ def test_lm_substitutions_share_a_length():
     for s in subs:
         lengths = {len(w) for w in s.witnesses}
         assert len(lengths) == 1 and lengths.pop() >= 1
-        for name in s.names:
-            assert element_of_word(tm, s.witness_of(name)) == s.element_of(name)
+        for w, e in zip(s.witnesses, s.elements):
+            assert element_of_word(tm, w) == e
     # swap and identity need an odd and an even length: never simultaneous
     swap = tm.generators["a"]
     assert all({s.elements[0], s.elements[1]} != {swap, tm.identity} for s in subs)
@@ -202,8 +205,8 @@ def test_word_of_length():
     layers = length_set(tm)
     allword = tm.generators["a"]
     assert len(layers) == 3  # {1}, then {1, a} twice: the window is lengths 0..2
-    assert _word_of_length(layers, allword, 2) == "aa"
-    assert _word_of_length(layers, tm.identity, 2) == "bb"
+    assert layer_word(layers, allword, 2) == "aa"
+    assert layer_word(layers, tm.identity, 2) == "bb"
     swap_tm = build_monoid(even_a().osa)
     assert swap_tm.generators["a"] not in length_set(swap_tm)[2]  # the swap needs an odd length
     # every length in the window: the least word of that length, by brute force
@@ -216,7 +219,7 @@ def test_word_of_length():
                 least.setdefault(element_of_word(tm, "".join(letters)), "".join(letters))
             assert set(layers[k]) == set(least)
             for m, w in least.items():
-                assert _word_of_length(layers, m, k) == w, (m, k)
+                assert layer_word(layers, m, k) == w, (m, k)
 
 
 def test_lm_substitutions_match_word_enumeration():
@@ -387,15 +390,17 @@ def test_lm_against_bounded_enumeration():
                 {tm.compose(e, g) for e in by_length[-1] for g in tm.generators.values()}
             )
         names = all_names(q)
+        left, _, right, _ = _read_query(format_query(q))
+        identity = tuple(range(osa.state_count))
         want = True
         none_admissible = True
         for combo in itertools.product(range(len(tm)), repeat=len(names)):
             if not any(all(e in by_length[k] for e in combo) for k in range(1, 65)):
                 continue
             none_admissible = False
-            s = Substitution(names, combo, tuple(tm.witnesses[e] for e in combo))
-            tl = tm.elements[eval_term(tm, q.left, s)]
-            tr = tm.elements[eval_term(tm, q.right, s)]
+            values = {x: tm.elements[e] for x, e in zip(names, combo)}
+            tl = _action(left, values, identity)
+            tr = _action(right, values, identity)
             for p in range(osa.state_count):
                 ok = osa.order.leq(tl[p], tr[p]) if q.relation == "<=" else tl[p] == tr[p]
                 if not ok:
@@ -431,5 +436,3 @@ def test_identity_catalog_fixture_values():
 def test_substitution_str_and_errors():
     s = Substitution(("x", "y"), (0, 1), ("", "ab"))
     assert str(s) == "x='', y='ab'"
-    with pytest.raises(OrdaError):
-        s.element_of("z")
