@@ -15,7 +15,6 @@ from .core import (
     OrderedAutomaton,
     OrderedSemiautomaton,
     Semiautomaton,
-    StateOrder,
     explore,
     layer_word,
     path_word,
@@ -24,8 +23,11 @@ from .core import (
 )
 from .errors import OrdaError, ResourceError
 from .minimize import minimize_with_map
-from .monoid import build as build_monoid, is_aperiodic, nontrivial_cycle
+# build_monoid is unused here: only the bench needs the binding, to check that
+# its tracer wraps monoid.build everywhere, until the package has spans (ROADMAP item 5)
+from .monoid import build as build_monoid, closure, nontrivial_cycle  # noqa: F401
 
+# the exhaustive confluence search on cyclic input is exponential in the alphabet
 CONFLUENCE_ALPHABET_CAP = 10
 
 
@@ -55,16 +57,17 @@ def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str:
 def is_counter_free(sa: Semiautomaton, cap: int = 1_000_000) -> Verdict:
     """No nontrivial cycle powers: q.u^n = q forces q.u = q.
 
-    Decided through aperiodicity of the transition monoid; a non-aperiodic
-    element's witness word, together with a state on one of its nontrivial
-    cycles, violates the definition directly.
+    Decided through aperiodicity of the transition monoid, whose closure
+    stops at the first element acting with a cycle of length >= 2; that
+    element's witness word, together with a state on the cycle, violates the
+    definition directly.  Only an aperiodic monoid is enumerated in full.
     """
-    osa = OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
-    tm = build_monoid(osa, cap)
-    ok, m = is_aperiodic(tm)
-    if ok:
-        return Verdict(True)
-    return Verdict(False, (nontrivial_cycle(tm.elements[m]), tm.witnesses[m]))
+    elements, witnesses = [], []
+    for m in closure(sa, cap, elements, witnesses, []):
+        q = nontrivial_cycle(elements[m])
+        if q is not None:
+            return Verdict(False, (q, witnesses[m]))
+    return Verdict(True)
 
 
 def is_acyclic(sa: Semiautomaton) -> Verdict:
@@ -106,11 +109,15 @@ def is_acyclic(sa: Semiautomaton) -> Verdict:
 def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP) -> Verdict:
     """Branches from a common state rejoin using only letters already spent.
 
-    For each state q the BFS tracks (state, letter content) pairs; two
-    branches (p1, C1), (p2, C2) must be joinable inside the product automaton
-    restricted to C1 | C2, which the merge table of C1 | C2 answers.
-    Exponential in the alphabet, hence the cap.
+    On acyclic input (every strongly connected component a single state)
+    this is the local condition of _locally_confluent.  Otherwise, for each
+    state q the BFS tracks (state, letter content) pairs; two branches
+    (p1, C1), (p2, C2) must be joinable inside the product automaton
+    restricted to C1 | C2, which the merge table of C1 | C2 answers.  That
+    search is exponential in the alphabet, hence the cap on cyclic input.
     """
+    if all(len(comp) == 1 for comp in sccs([set(row) for row in sa.delta])):
+        return _locally_confluent(sa)
     width = len(sa.alphabet)
     if width > alphabet_cap:
         raise ResourceError(f"confluence check capped at {alphabet_cap} letters, got {width}")
@@ -131,6 +138,29 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
                 if (p1, p2) not in table:
                     words = path_word(rows, sa.alphabet.symbols, i), path_word(rows, sa.alphabet.symbols, j)
                     return Verdict(False, (q, *words))
+    return Verdict(True)
+
+
+def _locally_confluent(sa: Semiautomaton) -> Verdict:
+    """Confluence of an acyclic semiautomaton: q.a and q.b merge under a word
+    over {a, b}, for every state q and letters a < b (Klima & Polak, DLT 2013).
+
+    One merge table per letter pair, built on first use; counterexample (q, a, b).
+    """
+    symbols = sa.alphabet.symbols
+    tables: dict[int, dict[tuple[int, int], int]] = {}  # letter pair -> its merge table
+    for q, row in enumerate(sa.delta):
+        for i, p1 in enumerate(row):
+            for j in range(i + 1, len(row)):
+                p2 = row[j]
+                if p1 == p2:
+                    continue
+                letters = 1 << i | 1 << j
+                table = tables.get(letters)
+                if table is None:
+                    table = tables[letters] = _merge_table(sa, letters)
+                if (p1, p2) not in table:
+                    return Verdict(False, (q, symbols[i], symbols[j]))
     return Verdict(True)
 
 

@@ -327,20 +327,21 @@ def union_via_product_embedding(
     return big, SemiautomatonHom(big, uni, tuple(mapping))
 
 
-def _upward_closed_sets(order: StateOrder) -> list[frozenset]:
-    """All upward-closed subsets, one per antichain of minimal elements."""
+def _upward_closed_sets(order: StateOrder):
+    """All upward-closed subsets, one per antichain of minimal elements, streamed.
+
+    Depth first: a set comes before the sets that add minimal elements of
+    higher index to its antichain.
+    """
     up, down = order.up, order.reversed().up
-    out: list[frozenset] = []
-
-    def rec(start: int, comparable: int, closure: int):
-        # comparable: states related either way to an element already chosen
-        out.append(frozenset(bits(closure)))
-        for p in range(start, order.size):
+    # (next candidate, states related either way to a chosen element, the up-set so far)
+    stack = [(0, 0, 0)]
+    while stack:
+        start, comparable, closure = stack.pop()
+        yield frozenset(bits(closure))
+        for p in reversed(range(start, order.size)):
             if not comparable >> p & 1:
-                rec(p + 1, comparable | up[p] | down[p], closure | up[p])
-
-    rec(0, 0, 0)
-    return out
+                stack.append((p + 1, comparable | up[p] | down[p], closure | up[p]))
 
 
 def recognized_languages(
@@ -352,10 +353,9 @@ def recognized_languages(
     deduplicated up to isomorphism.  Returns (automata, truncated); the flag
     is set when the cap cut the enumeration short.
     """
-    upsets = _upward_closed_sets(osa.order)
     kept: list[OrderedAutomaton] = []
     for i in range(osa.state_count):
-        for finals in upsets:
+        for finals in _upward_closed_sets(osa.order):
             minimal = minimize_with_map(OrderedAutomaton(osa, i, finals))[1]
             if any(isomorphic(minimal, k) for k in kept):
                 continue

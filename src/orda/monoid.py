@@ -9,7 +9,7 @@ automaton-level classifiers.
 
 from __future__ import annotations
 
-from .core import OrderedSemiautomaton, sccs
+from .core import OrderedSemiautomaton, Semiautomaton, sccs
 from .errors import AlphabetError, ResourceError
 
 
@@ -51,19 +51,21 @@ class TransitionMonoid:
         return i
 
 
-def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
-    """Transition monoid by breadth-first closure of the letter actions.
+def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right: list):
+    """Breadth-first closure of the letter actions, resumable (Froidure & Pin).
 
-    Elements are discovered in length-lex order of their witness words, so
-    every element carries its shortest (then lexicographically least) witness.
+    Fills the three lists in place and yields each new element's index as it
+    is found, so a caller can stop at any element.  Elements are discovered in
+    length-lex order of their witness words, so every element carries its
+    shortest (then lexicographically least) witness; right[i] is complete once
+    the search has moved past element i.
     """
-    sa = osa.sa
     columns = [tuple(row[k] for row in sa.delta) for k in range(len(sa.alphabet))]  # q -> q.a
     identity = tuple(range(sa.state_count))
-    elements = [identity]
-    witnesses = [""]
-    right = []
+    elements.append(identity)
+    witnesses.append("")
     index = {identity: 0}
+    yield 0
     letters = list(zip(columns, sa.alphabet.symbols))
     pos = 0
     # Numbered like core.explore, but inline: this is the hot loop of classify
@@ -81,10 +83,18 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
                 i = index[t] = len(elements)
                 elements.append(t)
                 witnesses.append(witnesses[pos] + a)
+                yield i
             row.append(i)
         right.append(tuple(row))
         pos += 1
-    generators = dict(zip(sa.alphabet, right[0]))
+
+
+def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
+    """Transition monoid: the closure of the letter actions, run to the end."""
+    elements, witnesses, right = [], [], []
+    for _ in closure(osa.sa, cap, elements, witnesses, right):
+        pass
+    generators = dict(zip(osa.sa.alphabet, right[0]))
     return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
 
 

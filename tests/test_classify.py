@@ -89,6 +89,35 @@ def test_counter_free_witness_replays():
         assert cur == q  # q really sits on a nontrivial u-cycle
 
 
+def test_counter_free_stops_at_the_first_counter():
+    # the transition monoid exceeds the default cap of a million elements,
+    # but the letter a already acts with a nontrivial cycle
+    sa = random_minimal_automaton(random.Random(24), 24, AB).sa
+    assert sa.state_count == 17
+    v = is_counter_free(sa)
+    assert not v.holds and v.witness == (3, "a")
+    q, u = v.witness
+    cur = step(sa, q, u)
+    assert cur != q
+    for _ in range(sa.state_count):
+        cur = step(sa, cur, u)
+        if cur == q:
+            break
+    assert cur == q
+
+
+def test_counter_free_under_a_small_cap():
+    # cerny(4) has 128 elements and a counter at its first letter
+    assert not is_counter_free(cerny(4), cap=2).holds
+    assert is_counter_free(cerny(4), cap=2).witness == is_counter_free(cerny(4)).witness == (0, "a")
+    with pytest.raises(ResourceError):
+        build_monoid(OrderedSemiautomaton(cerny(4), StateOrder.discrete(4)), cap=2)
+    # an aperiodic monoid has no counter to stop at
+    assert is_counter_free(ab_star().sa).holds
+    with pytest.raises(ResourceError):
+        is_counter_free(ab_star().sa, cap=2)
+
+
 def test_acyclic_fixture_values():
     v = is_acyclic(ab_star().sa)
     assert not v.holds and v.witness == (0, "ab", "a")
@@ -119,7 +148,7 @@ def test_confluent_fixture_values():
     v = is_confluent(branching_sinks())
     assert not v.holds and v.witness == (0, "a", "b")
     with pytest.raises(ResourceError):
-        is_confluent(contains_a().sa, alphabet_cap=1)
+        is_confluent(ab_star().sa, alphabet_cap=1)  # cyclic: the exhaustive search, capped
 
 
 def test_confluent_witness_replays():
@@ -142,14 +171,36 @@ def test_lemma8_agrees_with_confluence_on_acyclic_inputs():
     assert not v.holds and v.witness == (0, "a", "b")
     with pytest.raises(OrdaError):
         lemma8_check(even_a().sa)
-    rng = random.Random(31)
-    checked = 0
-    while checked < 40:
-        sa = random_semiautomaton(rng, 4, AB)
-        if not is_acyclic(sa).holds:
-            continue
-        checked += 1
-        assert is_confluent(sa).holds == lemma8_check(sa, max_len=4).holds
+    for alphabet, max_len in ((AB, 4), (Alphabet(("a", "b", "c")), 3)):
+        rng = random.Random(31)
+        checked = failing = 0
+        while checked < 40:
+            sa = random_semiautomaton(rng, 4, alphabet)
+            if not is_acyclic(sa).holds:
+                continue
+            checked += 1
+            assert is_confluent(sa).holds == lemma8_check(sa, max_len=max_len).holds
+        # transitions that never lead to a smaller state are acyclic by
+        # construction, and branch into distinct sinks more often
+        for _ in range(40):
+            sa = Semiautomaton(alphabet, tuple(tuple(rng.randrange(q, 5) for _ in alphabet) for q in range(5)))
+            v = is_confluent(sa)
+            failing += not v.holds
+            assert v.holds == lemma8_check(sa, max_len=max_len).holds
+        assert failing >= 3
+
+
+def test_confluence_on_a_wide_acyclic_chain():
+    # a moves one state up and every other letter loops: confluent, and no
+    # letter cap applies to acyclic input
+    alphabet = Alphabet(tuple("abcdefghij"))
+    chain = tuple(tuple(min(q + 1, 7) if k == 0 else q for k in range(10)) for q in range(8))
+    assert is_confluent(Semiautomaton(alphabet, chain), alphabet_cap=1).holds
+    assert is_confluent(Semiautomaton(alphabet, chain)).holds
+    # j sends state 0 to a ninth, absorbing state, which never meets the chain's top
+    forked = ((1,) + (0,) * 8 + (8,),) + chain[1:] + ((8,) * 10,)
+    v = is_confluent(Semiautomaton(alphabet, forked))
+    assert not v.holds and v.witness == (0, "a", "j")
 
 
 def test_pt_semiautomaton_combines_both():

@@ -192,6 +192,13 @@ def test_classify_cyclic_regex_over_eleven_letters(capsys):
     assert any(l.startswith("star_free ✓") for l in lines)
 
 
+def test_classify_acyclic_regex_over_eleven_letters(capsys):
+    # confluence of an acyclic automaton is decided letter pair by letter pair, with no letter cap
+    code, out, err = run(capsys, ["classify", "--regex", "abcdefghijk*"])
+    assert code == 0 and err == ""
+    assert "piecewise_testable ✓" in out.splitlines()
+
+
 def test_classify_kv_mode(tmp_path, capsys):
     path = write_fixture(tmp_path, contains_a())
     code, out, _ = run(capsys, ["classify", path, "--format", "kv", "--n", "1,2"])

@@ -316,10 +316,10 @@ def test_upward_closed_sets_match_enumeration():
             if all(osa.order.leq(p, q) <= (q in s) for p in s for q in range(n)):
                 brute.add(s)
         assert ours == brute
-        assert len(ours) == len(_upward_closed_sets(osa.order))  # no duplicates
+        assert len(ours) == len(list(_upward_closed_sets(osa.order)))  # no duplicates
     for _ in range(40):
         oa = random_automaton(rng, 5, AB, ordered=True)
-        ours = _upward_closed_sets(oa.order)
+        ours = list(_upward_closed_sets(oa.order))
         assert len(set(ours)) == len(ours)
         n = oa.state_count
         brute = {
@@ -334,6 +334,27 @@ def test_upward_closed_sets_match_enumeration():
             )
         }
         assert set(ours) == brute
+
+
+def test_upward_closed_sets_are_streamed():
+    def brute_count(order):
+        n = order.size
+        return sum(
+            all(order.leq(p, q) <= (q in s) for p in s for q in range(n))
+            for s in (
+                {q for q in range(n) if picked[q]} for picked in itertools.product((False, True), repeat=n)
+            )
+        )
+
+    rng = random.Random(101)
+    orders = [StateOrder.discrete(n) for n in range(5)]
+    orders += [StateOrder.from_leq(n, lambda p, q: p <= q) for n in range(1, 6)]  # chains: n + 1 up-sets
+    orders += [random_automaton(rng, 6, AB, ordered=True).order for _ in range(20)]
+    for order in orders:
+        assert sum(1 for _ in _upward_closed_sets(order)) == brute_count(order)
+    # the discrete order on 40 states has 2^40 up-sets; the first ones come at once
+    first = list(itertools.islice(_upward_closed_sets(StateOrder.discrete(40)), 3))
+    assert first == [frozenset(), frozenset({0}), frozenset({0, 1})]
 
 
 def test_recognized_languages_of_contains_a():
