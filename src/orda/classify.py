@@ -9,7 +9,7 @@ records what it judged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import (
     OrderedAutomaton,
@@ -410,19 +410,9 @@ class ClassificationReport:
     n_insertion_closed: tuple[tuple[int, Verdict], ...] = field(default=())
 
     def items(self) -> list[tuple[str, Verdict]]:
-        """Stable (name, verdict) pairs, n-indexed entries last."""
-        out = [
-            ("finite", self.finite),
-            ("cofinite", self.cofinite),
-            ("prefix_testable", self.prefix_testable),
-            ("piecewise_testable", self.piecewise_testable),
-            ("positive_piecewise_testable", self.positive_piecewise_testable),
-            ("star_free", self.star_free),
-            ("r_trivial_language", self.r_trivial_language),
-            ("weakly_confluent", self.weakly_confluent),
-            ("synchronizing", self.synchronizing),
-            ("autonomous", self.autonomous),
-        ]
+        """Stable (name, verdict) pairs: the fields between minimal and
+        n_insertion_closed in declaration order, n-indexed entries last."""
+        out = [(f.name, getattr(self, f.name)) for f in fields(self)[1:-1]]
         out.extend((f"n_insertion_closed_{n}", v) for n, v in self.n_insertion_closed)
         return out
 
@@ -453,7 +443,9 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
 
     if strongly.holds and confluent.holds:
         f = _follower(sa, minimal.initial)
-        order_ok = all(minimal.order.leq(_follower(sa, q), q) for q in range(sa.state_count))
+        # every state is reachable from the initial one, so f is the follower of
+        # them all, and the order condition is f <= q at every state q
+        order_ok = minimal.order.up[f] == (1 << sa.state_count) - 1
         if f in minimal.finals:
             finite = Verdict(False, ("follower final", f))
             cofinite = Verdict(True, (f, order_ok))

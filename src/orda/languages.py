@@ -193,21 +193,6 @@ def normalize(r: Regex) -> Regex:
     raise TypeError(f"not a regex: {r!r}")
 
 
-def regex_symbols(r: Regex) -> set[str]:
-    if isinstance(r, Sym):
-        return {r.symbol}
-    if isinstance(r, (Cat, Inter)):
-        return regex_symbols(r.left) | regex_symbols(r.right)
-    if isinstance(r, (Star, Compl)):
-        return regex_symbols(r.inner)
-    if isinstance(r, Union):
-        out = set()
-        for p in r.parts:
-            out |= regex_symbols(p)
-        return out
-    return set()
-
-
 def nullable(r: Regex) -> bool:
     """True iff the empty word belongs to the language of r."""
     if isinstance(r, (Empty, Sym)):

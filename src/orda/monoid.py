@@ -111,31 +111,17 @@ def element_of_word(tm: TransitionMonoid, w: str) -> int:
 
 
 def _omega_data(tm: TransitionMonoid, m: int) -> tuple[int, int]:
-    """(idempotent power of m, its exponent).
-
-    Iterate m, m^2, ... until a repeat closes the cycle (threshold mu,
-    cycle length lam); the idempotent is m^n for the least multiple n of
-    lam with n >= mu.
-    """
+    """(idempotent power of m, its exponent): multiply by m until the power's
+    transformation fixes its own image, which happens first at the least n
+    with m^n idempotent."""
     cached = tm._omega.get(m)
-    if cached is not None:
-        return cached
-    powers = [m]  # powers[e-1] = m^(e)
-    seen = {m: 1}
-    cur = m
-    while True:
-        cur = tm.compose(cur, m)
-        exp = len(powers) + 1
-        first = seen.get(cur)
-        if first is not None:
-            lam = exp - first
-            n = lam * ((first + lam - 1) // lam)
-            out = (powers[n - 1], n)
-            break
-        seen[cur] = exp
-        powers.append(cur)
-    tm._omega[m] = out
-    return out
+    if cached is None:
+        power, n, t = m, 1, tm.elements[m]
+        while any(t[x] != x for x in t):
+            power, n = tm.compose(power, m), n + 1
+            t = tm.elements[power]
+        cached = tm._omega[m] = (power, n)
+    return cached
 
 
 def omega_power(tm: TransitionMonoid, m: int) -> int:
@@ -144,7 +130,7 @@ def omega_power(tm: TransitionMonoid, m: int) -> int:
 
 
 def omega_exponent(tm: TransitionMonoid, m: int) -> int:
-    """The exponent n >= 1 with m^n idempotent; realizes ^w on witness words."""
+    """The least exponent n >= 1 with m^n idempotent; realizes ^w on witness words."""
     return _omega_data(tm, m)[1]
 
 

@@ -11,6 +11,7 @@ replayed literally on the semiautomaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product as cartesian, repeat
 from math import perm
 
@@ -293,45 +294,43 @@ def valid_substitutions(
 ):
     """Stream the admissible substitutions of a category, deterministically.
 
-    Each is a pair (elements, key): the element tuple, and what
-    spell_substitution needs to spell its witness words.  all: every element
-    tuple.  ne: tuples over the transition semigroup, with non-empty
-    witnesses.  lp: every map into single letters.  surj: some injection of
-    the alphabet into the variables is pinned to the letters, the rest range
-    free; fewer variables than letters means no substitution.  lm: element
-    tuples realizable with one common witness length k >= 1.
+    Each is a pair (elements, spell): the element tuple, and one function per
+    variable mapping its element to its witness word (see spell_substitution).
+    all: every element tuple, spelled by least words.  ne: tuples over the
+    transition semigroup, spelled by least non-empty words.  lp: tuples of
+    letter actions, each spelled by the first letter acting as it.  surj: some
+    injection of the alphabet into the variables pins each chosen variable to
+    its letter, the rest range free as for all; fewer variables than letters
+    means no substitution.  lm: element tuples realizable with one common word
+    length k >= 1, spelled by the least words of the least such k.
     """
     k = len(names)
     n = len(tm)
+    least = tm.witnesses.__getitem__
     if category == "all":
         _guard(n**k, cap)
-        yield from zip(cartesian(range(n), repeat=k), repeat(None))
+        yield from zip(cartesian(range(n), repeat=k), repeat((least,) * k))
     elif category == "ne":
-        realizable = nonempty_realizable(tm)  # the key: element -> least non-empty word
-        choices = sorted(realizable)
-        _guard(len(choices) ** k, cap)
-        yield from zip(cartesian(choices, repeat=k), repeat(realizable))
+        realizable = nonempty_realizable(tm)  # element -> least non-empty word
+        _guard(len(realizable) ** k, cap)
+        yield from zip(cartesian(sorted(realizable), repeat=k), repeat((realizable.__getitem__,) * k))
     elif category == "lp":
-        letters = alphabet.symbols  # the key: the letters themselves
-        _guard(len(letters) ** k, cap)
-        generators = [tm.generators[a] for a in letters]
-        yield from zip(cartesian(generators, repeat=k), cartesian(letters, repeat=k))
+        letter: dict[int, str] = {}  # generator -> first letter acting as it
+        for a in alphabet.symbols:
+            letter.setdefault(tm.generators[a], a)
+        _guard(len(letter) ** k, cap)
+        yield from zip(cartesian(letter, repeat=k), repeat((letter.__getitem__,) * k))
     elif category == "surj":
         width = len(alphabet)
         if k < width:
             return
-        slots = list(range(k))
         _guard(perm(k, width) * n ** (k - width), cap)
-        generators = [tm.generators[a] for a in alphabet.symbols]
-        for chosen in permutations(slots, width):  # the key: slot of each letter
-            rest = [i for i in slots if i not in chosen]
-            elements = [0] * k
-            for g, slot in zip(generators, chosen):
-                elements[slot] = g
-            for combo in cartesian(range(n), repeat=len(rest)):
-                for e, slot in zip(combo, rest):
-                    elements[slot] = e
-                yield tuple(elements), chosen
+        pins = [((tm.generators[a],), {tm.generators[a]: a}.__getitem__) for a in alphabet.symbols]
+        for chosen in permutations(range(k), width):  # the slot of each letter
+            domains, spell = [range(n)] * k, [least] * k
+            for (domain, speller), slot in zip(pins, chosen):
+                domains[slot], spell[slot] = domain, speller
+            yield from zip(cartesian(*domains), repeat(tuple(spell)))
     elif category == "lm":
         _guard(n**k, cap)
         layers = length_set(tm)
@@ -339,36 +338,20 @@ def valid_substitutions(
         for L, layer in enumerate(layers):
             for e in layer:
                 lengths[e] |= 1 << L
+        spells = [(partial(layer_word, layers, k=L),) * k for L in range(len(layers))]
         for combo in cartesian(range(n), repeat=k):
             common = (1 << len(layers)) - 2  # the lengths 1 .. len(layers) - 1
             for e in combo:
                 common &= lengths[e]
-            if common:  # the key: the lasso and the least common length
-                yield combo, (layers, (common & -common).bit_length() - 1)
+            if common:  # spelled at the least common length
+                yield combo, spells[(common & -common).bit_length() - 1]
     else:
         raise OrdaError(f"unknown category {category!r}")
 
 
-def spell_substitution(
-    tm: TransitionMonoid, names: tuple[str, ...], category: str, alphabet: Alphabet, elements: tuple[int, ...], key
-) -> Substitution:
-    """The Substitution of one (elements, key) pair of valid_substitutions, with
-    its witness words: least words (all, and the free slots of surj), least
-    non-empty words (ne), the letters (lp, and the pinned slots of surj), or
-    the least words of the common length (lm)."""
-    if category == "ne":
-        words = [key[e] for e in elements]
-    elif category == "lp":
-        words = list(key)
-    elif category == "lm":
-        layers, length = key
-        words = [layer_word(layers, e, length) for e in elements]
-    else:
-        words = [tm.witnesses[e] for e in elements]
-        if category == "surj":
-            for a, slot in zip(alphabet.symbols, key):
-                words[slot] = a
-    return Substitution(names, tuple(elements), tuple(words))
+def spell_substitution(names: tuple[str, ...], elements: tuple[int, ...], spell) -> Substitution:
+    """The Substitution of one (elements, spell) pair of valid_substitutions."""
+    return Substitution(names, elements, tuple(f(e) for f, e in zip(spell, elements)))
 
 
 def _guard(count: int, cap: int):
@@ -432,7 +415,7 @@ def check(
     want_leq = query.relation == "<="
     order = osa.order
     any_substitution = False
-    for elements, key in valid_substitutions(tm, names, query.category, osa.alphabet, substitution_cap):
+    for elements, spell in valid_substitutions(tm, names, query.category, osa.alphabet, substitution_cap):
         any_substitution = True
         slots = [*elements, identity]
         for a, b in steps:
@@ -442,7 +425,7 @@ def check(
         tl, tr = tm.elements[slots[left]], tm.elements[slots[right]]
         for p in range(osa.state_count):
             if not (order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]):
-                s = spell_substitution(tm, names, query.category, osa.alphabet, elements, key)
+                s = spell_substitution(names, elements, spell)
                 return Verdict(False, (s, p))
     if not any_substitution:
         return Verdict(True, vacuous=True)

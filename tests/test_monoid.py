@@ -143,10 +143,13 @@ def test_omega_power_properties():
             n = omega_exponent(tm, m)
             assert tm.compose(e, e) == e  # idempotent
             assert n >= 1
-            # m^n computed by hand equals the reported idempotent
+            # m^n computed by hand equals the reported idempotent, and n is the
+            # least exponent giving one: counterexample word lengths rely on it
             acc = tm.identity
-            for _ in range(n):
+            for i in range(1, n + 1):
                 acc = tm.compose(acc, m)
+                t = tm.elements[acc]
+                assert (compose_brute(t, t) == t) == (i == n), (m, i, n)
             assert acc == e
 
 

@@ -121,8 +121,8 @@ def test_counterexample_words_act_as_the_terms():
         for q in queries:
             left, _, right, _ = _read_query(format_query(q))
             names = all_names(q)
-            for elements, key in valid_substitutions(tm, names, "all", AB):
-                s = spell_substitution(tm, names, "all", AB, elements, key)
+            for elements, spell in valid_substitutions(tm, names, "all", AB):
+                s = spell_substitution(names, elements, spell)
                 values = {x: tuple(step(sa, p, w) for p in states) for x, w in zip(names, s.witnesses)}
                 for word, term in zip(counterexample_words(tm, q, s), (left, right)):
                     assert tuple(step(sa, p, word) for p in states) == _action(term, values, tuple(states))
@@ -135,13 +135,33 @@ def test_substitution_category_sizes():
     assert sum(1 for _ in valid_substitutions(tm, names, "all", AB)) == 4
     assert sum(1 for _ in valid_substitutions(tm, names, "ne", AB)) == 4
     assert sum(1 for _ in valid_substitutions(tm, names, "lp", AB)) == 4
-    surj = [spell_substitution(tm, names, "surj", AB, *pair) for pair in valid_substitutions(tm, names, "surj", AB)]
+    surj = [spell_substitution(names, *pair) for pair in valid_substitutions(tm, names, "surj", AB)]
     assert len(surj) == 2
     assert {s.witnesses for s in surj} == {("a", "b"), ("b", "a")}
     # b acts as the identity, so every element tuple has a common word length
     assert sum(1 for _ in valid_substitutions(tm, names, "lm", AB)) == 4
     # fewer variables than letters: no surjection can exist
     assert list(valid_substitutions(tm, ("x",), "surj", AB)) == []
+
+
+def test_lp_runs_over_distinct_letter_actions():
+    # a and b both swap two states: lp has one element tuple, spelled by the
+    # first letter in alphabet order, while surj still pins each letter
+    for letters in (("a", "b"), ("b", "a")):
+        alphabet = Alphabet(letters)
+        osa = OrderedSemiautomaton(Semiautomaton(alphabet, ((1, 1), (0, 0))), StateOrder.discrete(2))
+        tm = build_monoid(osa)
+        swap = tm.generators["a"]
+        assert tm.generators["b"] == swap
+        names = ("x", "y")
+        pairs = list(valid_substitutions(tm, names, "lp", alphabet))
+        assert [elements for elements, _ in pairs] == [(swap, swap)]
+        first = letters[0]
+        assert spell_substitution(names, *pairs[0]).witnesses == (first, first)
+        for text, words in (("x y == x @lp", (first, first)), ("x y == x @surj", letters)):
+            s, p = check(osa, parse_query(text)).witness
+            assert (s.witnesses, p) == (words, 0)
+            assert check_brute(osa, text).witness == (names, (swap, swap), words, 0)
 
 
 def test_nonempty_realizable():
@@ -158,7 +178,7 @@ def test_lm_substitutions_share_a_length():
     tm = build_monoid(even_a().osa)
     one = Alphabet(("a",))
     names = ("x", "y")
-    subs = [spell_substitution(tm, names, "lm", one, *pair) for pair in valid_substitutions(tm, names, "lm", one)]
+    subs = [spell_substitution(names, *pair) for pair in valid_substitutions(tm, names, "lm", one)]
     for s in subs:
         lengths = {len(w) for w in s.witnesses}
         assert len(lengths) == 1 and lengths.pop() >= 1
@@ -236,8 +256,8 @@ def test_lm_substitutions_match_word_enumeration():
         monoids += 1
         for names in (("x",), ("x", "y")):
             got = []
-            for elements, key in valid_substitutions(tm, names, "lm", alphabet):
-                s = spell_substitution(tm, names, "lm", alphabet, elements, key)
+            for elements, spell in valid_substitutions(tm, names, "lm", alphabet):
+                s = spell_substitution(names, elements, spell)
                 got.append((s.elements, s.witnesses))
             assert got == lm_substitutions_brute(sa, len(names))
 
@@ -317,8 +337,9 @@ def test_check_finds_replayable_counterexamples():
 
 def test_check_computes_a_shared_subterm_once(monkeypatch):
     # the 14-element Catalan monoid on 4 points is J-trivial, so all 196 tuples
-    # run: one product x y and one product (x y)^w x each, plus the 21 products
-    # that find the omega powers of the distinct x y; (x y)^w is taken once
+    # run: one product x y and one product (x y)^w x each, plus the 7 products
+    # that raise the distinct x y to their idempotent powers (an idempotent
+    # x y takes none); (x y)^w is taken once
     maps = [[q + (q == i) for q in range(4)] for i in range(3)]
     sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(4)))
     osa = OrderedSemiautomaton(sa, StateOrder.discrete(4))
@@ -332,7 +353,7 @@ def test_check_computes_a_shared_subterm_once(monkeypatch):
 
     monkeypatch.setattr(TransitionMonoid, "compose", counting)
     assert check(osa, parse_query("(x y)^w x == (x y)^w @all")).holds
-    assert calls == 413
+    assert calls == 399
 
 
 def test_check_tells_equality_from_order():

@@ -44,3 +44,30 @@ def test_oracles_import_no_algorithm_under_test():
             if module.split(".")[0] == "orda" and not allowed(module, name):
                 leaks.append(f"oracles.py:{node.lineno}: {module} {name}")
     assert not leaks, leaks
+
+
+def test_every_top_level_definition_is_referenced():
+    # a top-level def or class that nothing names outside its own body is dead
+    package = sorted(Path(orda.__file__).parent.glob("*.py"))
+    repo = Path(__file__).resolve().parent.parent
+    readers = sorted((repo / "tests").glob("*.py")) + sorted((repo / "bench").glob("*.py"))
+    assert package and readers
+    defined, named = [], set()
+    for path in package + readers:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)  # set on def and class statements
+            if owner is not None and path in package:
+                defined.append((path.name, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    named.add(name)
+    unused = [f"{file}: {name}" for file, name in defined if name not in named]
+    assert not unused, unused
