@@ -256,16 +256,18 @@ def _merge_table(sa: Semiautomaton, letters: int) -> dict[tuple[int, int], int]:
     return dist
 
 
-def is_synchronizing(sa: Semiautomaton) -> Verdict:
+def is_synchronizing(sa: Semiautomaton, dist: dict[tuple[int, int], int] | None = None) -> Verdict:
     """Some word maps all states to one; certificate = a reset word.
 
     The reset word is assembled greedily by repeatedly merging the two
     smallest surviving states with their shortest, then lexicographically
-    least, merging word, which is short enough at desk scale.
+    least, merging word, which is short enough at desk scale.  A caller that
+    already holds the full-alphabet merge table of sa passes it as dist.
     """
     n = sa.state_count
     width = len(sa.alphabet)
-    dist = _merge_table(sa, (1 << width) - 1)
+    if dist is None:
+        dist = _merge_table(sa, (1 << width) - 1)
     for p in range(n):
         for q in range(p + 1, n):
             if (p, q) not in dist:
@@ -306,16 +308,20 @@ def _weak_components(n: int, edges) -> list[list[int]]:
     return [groups[root] for root in sorted(groups)]
 
 
-def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
+def is_weakly_confluent(sa: Semiautomaton, dist: dict[tuple[int, int], int] | None = None) -> Verdict:
     """Every weakly connected component synchronizes on its own.
 
     On success the witness is the component decomposition; on failure it is
-    (component, offending state pair) in original numbering.
+    (component, offending state pair) in original numbering.  A component
+    holding every state is judged on sa itself, with the full-alphabet merge
+    table dist when the caller passes it.
     """
     comps = _weak_components(sa.state_count, ((q, r) for q, row in enumerate(sa.delta) for r in row))
     for members in comps:
-        sub = sa.restrict(members)
-        v = is_synchronizing(sub)
+        if len(members) == sa.state_count:
+            v = is_synchronizing(sa, dist)
+        else:
+            v = is_synchronizing(sa.restrict(members))
         if not v.holds:
             p, q = v.witness
             return Verdict(False, (tuple(members), (members[p], members[q])))
@@ -456,6 +462,9 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
         blocker = strongly if not strongly.holds else confluent
         finite = Verdict(False, blocker.witness)
         cofinite = Verdict(False, blocker.witness)
+    # the minimal automaton is weakly connected, so both synchronization
+    # verdicts read the one full-alphabet merge table
+    dist = _merge_table(sa, (1 << len(sa.alphabet)) - 1)
 
     return ClassificationReport(
         minimal=minimal,
@@ -466,8 +475,8 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
         positive_piecewise_testable=positive_pt,
         star_free=star_free,
         r_trivial_language=r_trivial,
-        weakly_confluent=is_weakly_confluent(sa),
-        synchronizing=is_synchronizing(sa),
+        weakly_confluent=is_weakly_confluent(sa, dist),
+        synchronizing=is_synchronizing(sa, dist),
         autonomous=is_autonomous(sa),
         n_insertion_closed=tuple((n, has_n_extensive_actions(osa, n)) for n in ns),
     )

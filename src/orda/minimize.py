@@ -37,35 +37,49 @@ def preorder(oa: OrderedAutomaton) -> StateOrder:
     """Greatest relation inside R1 closed under letter actions.
 
     The declared state order of the input is ignored; only transitions and
-    finals matter.  Uses a worklist over removed pairs with per-letter
-    predecessor masks, so each pair is processed once.
+    finals matter.  The worklist holds rows, not pairs, in the manner of the
+    remove-sets of Henzinger, Henzinger & Kopke (FOCS 1995): pending[p] is
+    the mask of columns row p has lost but not yet propagated, and a row is
+    queued when that mask becomes non-empty.  Processing row p takes the
+    per-letter preimage of its lost columns, and every a-predecessor r of p
+    loses the columns of the a-preimage it still holds.
     """
     sa = oa.sa
     n = sa.state_count
     width = len(sa.alphabet)
+    everything = (1 << n) - 1
+    # preds[q][k]: the states that letter k sends to q; packed[q] holds the
+    # same sets as one mask, letter k in bits k*n to k*n + n - 1, so the
+    # preimage of a set of columns under every letter costs one OR per column
     preds = [[[] for _ in range(width)] for _ in range(n)]
-    pred_mask = [[0] * width for _ in range(n)]
-    for p in range(n):
-        row = sa.delta[p]
-        for k in range(width):
-            preds[row[k]][k].append(p)
-            pred_mask[row[k]][k] |= 1 << p
+    packed = [0] * n
+    for p, row in enumerate(sa.delta):
+        for k, q in enumerate(row):
+            preds[q][k].append(p)
+            packed[q] |= 1 << (k * n + p)
 
     rel = _initial_relation(oa)
-    queue = deque((p, q) for p in range(n) for q in bits(~rel[p] & ((1 << n) - 1)))
+    pending = [everything ^ row for row in rel]
+    queue = deque(p for p in range(n) if pending[p])
     while queue:
-        rp, rq = queue.popleft()
-        for k in range(width):
-            mask = pred_mask[rq][k]
+        p = queue.popleft()
+        union, rest = 0, pending[p]
+        pending[p] = 0
+        while rest:
+            low = rest & -rest
+            union |= packed[low.bit_length() - 1]
+            rest ^= low
+        for k, rs in enumerate(preds[p]):
+            mask = union >> k * n & everything
             if not mask:
                 continue
-            for p in preds[rp][k]:
-                hit = rel[p] & mask
-                rel[p] ^= hit
-                while hit:  # inline bit loop: one removed pair per set bit
-                    low = hit & -hit
-                    queue.append((p, low.bit_length() - 1))
-                    hit ^= low
+            for r in rs:
+                hit = rel[r] & mask
+                if hit:
+                    rel[r] ^= hit
+                    if not pending[r]:
+                        queue.append(r)
+                    pending[r] |= hit
     return StateOrder(tuple(rel))
 
 

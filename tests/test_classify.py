@@ -352,6 +352,26 @@ def test_classify_language_decides_confluence_once(monkeypatch):
     assert report.finite.witness == (main_follower(report.minimal.sa, 0), True)
 
 
+def test_classify_language_builds_one_full_alphabet_merge_table(monkeypatch):
+    import orda.classify
+
+    full = []
+    real = orda.classify._merge_table
+
+    def counting(sa, letters):
+        if letters == (1 << len(sa.alphabet)) - 1:
+            full.append(sa)
+        return real(sa, letters)
+
+    monkeypatch.setattr(orda.classify, "_merge_table", counting)
+    oa = canonical_ordered_automaton(parse_regex("(a|b|c)*ab", "abc"), "abc")
+    report = classify_language(oa)
+    assert not report.r_trivial_language.holds
+    assert len(full) == 1
+    assert report.synchronizing.holds and report.weakly_confluent.holds
+    assert report.synchronizing.witness == is_synchronizing(report.minimal.sa).witness
+
+
 def test_n_extensive_actions():
     osa = even_a().osa
     v = has_n_extensive_actions(osa, 1)

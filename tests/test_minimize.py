@@ -1,6 +1,7 @@
 """Minimization, the acceptance preorder, and ordered isomorphism."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,9 @@ from orda.minimize import (
 
 from oracles import bounded_preorder, language, residual_included, words_up_to
 
+A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 def test_preorder_on_contains_a():
@@ -66,6 +69,31 @@ def test_worklist_and_fixpoint_agree():
     for _ in range(200):
         oa = random_automaton(rng, 6, AB)
         assert preorder(oa) == preorder_naive(oa)
+    # larger inputs, three letters and declared orders: the row batching
+    # must still reach the same greatest fixpoint
+    for i in range(400):
+        alphabet = (A, AB, ABC)[i % 3]
+        oa = random_automaton(rng, rng.randint(1, 60), alphabet, ordered=i % 2 == 1)
+        assert preorder(oa) == preorder_naive(oa)
+
+
+def test_preorder_memory_stays_near_the_relation():
+    # one pending mask per row instead of one queued tuple per removed pair
+    part = reachable_part(random_automaton(random.Random(3), 1500, ABC))
+    assert part.state_count == 457
+    tracemalloc.start()
+    try:
+        preorder(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def test_readme_minimization_example():
+    m = minimize_ordered(random_automaton(random.Random(10), 1500, ABC))
+    assert m.state_count == 1112
+    assert m.order == StateOrder.discrete(1112)
 
 
 def test_declared_order_is_contained_in_the_preorder():
