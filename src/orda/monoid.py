@@ -9,6 +9,8 @@ automaton-level classifiers.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import OrderedSemiautomaton, Semiautomaton, sccs
 from .errors import AlphabetError, ResourceError
 
@@ -51,6 +53,15 @@ class TransitionMonoid:
         return i
 
 
+def _then(t: tuple):
+    """The map u -> t then u, that is, u -> tuple(u[t[q]] for q), as one
+    itemgetter call; a 1-state t gets a one-element tuple, not a bare int."""
+    if len(t) > 1:
+        return itemgetter(*t)
+    (q,) = t
+    return lambda u: (u[q],)
+
+
 def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right: list):
     """Breadth-first closure of the letter actions, resumable (Froidure & Pin).
 
@@ -70,12 +81,13 @@ def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right:
     pos = 0
     # Numbered like core.explore, but inline: this is the hot loop of classify
     # and check, and explore would leave the witness words and the element
-    # index to two more passes over the elements.
+    # index to two more passes over the elements.  Each product is one call of
+    # the base element's itemgetter, made once per base, on a letter's column.
     while pos < len(elements):
-        base = elements[pos]
+        act = _then(elements[pos])
         row = []
         for column, a in letters:
-            t = tuple([column[q] for q in base])
+            t = act(column)
             i = index.get(t)
             if i is None:
                 if len(elements) >= cap:
@@ -112,12 +124,12 @@ def element_of_word(tm: TransitionMonoid, w: str) -> int:
 
 def _omega_data(tm: TransitionMonoid, m: int) -> tuple[int, int]:
     """(idempotent power of m, its exponent): multiply by m until the power's
-    transformation fixes its own image, which happens first at the least n
-    with m^n idempotent."""
+    transformation t satisfies t then t == t, which happens first at the
+    least n with m^n idempotent."""
     cached = tm._omega.get(m)
     if cached is None:
         power, n, t = m, 1, tm.elements[m]
-        while any(t[x] != x for x in t):
+        while _then(t)(t) != t:
             power, n = tm.compose(power, m), n + 1
             t = tm.elements[power]
         cached = tm._omega[m] = (power, n)
@@ -192,14 +204,21 @@ def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     The J-classes are the strongly connected components of the right and left
     Cayley graphs taken together.  J-trivial implies R-trivial on a finite
     monoid, and an R-violating pair has equal right (hence two-sided) ideals,
-    so the R check doubles as a sound prefilter.
+    so the R check doubles as a sound prefilter.  The left Cayley graph
+    follows from the right one by the prefix rule: if j is first reached as
+    right[i][k], then g.w_j = (g.w_i).k, so left[j][g] = right[left[i][g]][k].
     """
     ok, pair = is_r_trivial(tm)
     if not ok:
         return False, pair
-    letters = tm.right[0]
-    adj = [row + tuple(tm.compose(g, m) for g in letters) for m, row in enumerate(tm.right)]
-    return _trivial_classes(sccs(adj))
+    right = tm.right
+    columns = list(zip(*right))  # k -> (right[x][k] for every x)
+    left = [right[0]]
+    for i, row in enumerate(right):
+        for k, j in enumerate(row):
+            if j == len(left):  # the first (i, k) in row-major order reaching j
+                left.append(_then(left[i])(columns[k]))
+    return _trivial_classes(sccs([r + l for r, l in zip(right, left)]))
 
 
 def leq(tm: TransitionMonoid, m1: int, m2: int) -> bool:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from orda.classify import is_counter_free
 from orda.core import Alphabet, Semiautomaton, discrete
 from orda.fixtures import ab_star, cerny, contains_a, even_a
 from orda.errors import AlphabetError, ResourceError
@@ -74,6 +75,65 @@ def test_witnesses_are_length_lex_minimal():
     seen = transformations(cerny(3))
     for i, w in enumerate(tm.witnesses):
         assert seen[tm.elements[i]] == w
+
+
+def _reference_closure(sa: Semiautomaton):
+    """(elements, witnesses, right, generators) by the breadth-first closure
+    with each product formed by a list comprehension."""
+    columns = [tuple(row[k] for row in sa.delta) for k in range(len(sa.alphabet))]
+    elements = [tuple(range(sa.state_count))]
+    witnesses = [""]
+    index = {elements[0]: 0}
+    right = []
+    for base, word in zip(elements, witnesses):  # elements grows while this runs
+        row = []
+        for column, a in zip(columns, sa.alphabet.symbols):
+            t = tuple([column[q] for q in base])
+            if t not in index:
+                index[t] = len(elements)
+                elements.append(t)
+                witnesses.append(word + a)
+            row.append(index[t])
+        right.append(tuple(row))
+    return elements, witnesses, right, dict(zip(sa.alphabet, right[0]))
+
+
+def test_build_matches_the_reference_closure():
+    rng = random.Random(101)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        letters = Alphabet(tuple("abc"[: rng.randint(1, 3)]))
+        sa = Semiautomaton(letters, tuple(tuple(rng.randrange(n) for _ in letters) for _ in range(n)))
+        tm = build(discrete(sa))
+        elements, witnesses, right, generators = _reference_closure(sa)
+        assert list(tm.elements) == elements
+        assert list(tm.witnesses) == witnesses
+        assert list(tm.right) == right
+        assert tm.generators == generators
+        for t in tm.elements:
+            assert type(t) is tuple and len(t) == n
+            assert all(type(q) is int for q in t)
+
+
+def test_one_state_monoid():
+    sa = Semiautomaton(Alphabet(("a", "b")), ((0, 0),))
+    tm = build(discrete(sa))
+    assert tm.elements == ((0,),)
+    assert tm.witnesses == ("",)
+    assert tm.right == ((0, 0),)
+    assert omega_power(tm, 0) == 0 and omega_exponent(tm, 0) == 1
+    assert is_counter_free(sa).holds
+
+
+def test_omega_power_of_a_cyclic_shift():
+    shift = Semiautomaton(Alphabet(("a",)), tuple(((q + 1) % 7,) for q in range(7)))
+    tm = build(discrete(shift))
+    assert len(tm) == 7
+    a = tm.generators["a"]
+    assert omega_exponent(tm, a) == 7
+    assert omega_power(tm, a) == tm.identity
+    for m in range(1, 7):  # every non-identity power of a 7-cycle generates the group
+        assert omega_exponent(tm, m) == 7 and omega_power(tm, m) == tm.identity
 
 
 def _catalan(n: int) -> Semiautomaton:
@@ -198,6 +258,26 @@ def test_green_witnesses_match_ideal_closures():
         assert is_j_trivial(tm) == j
         failing += is_aperiodic(tm)[0] and not j[0]
     assert failing >= 350  # the class scan, not only the aperiodicity prefilter, names pairs
+
+
+def test_j_trivial_by_the_prefix_rule_matches_ideal_closures():
+    catalan = _catalan(7)
+    tm = build(discrete(catalan))
+    assert len(tm) == 429
+    assert is_j_trivial(tm) == green_triviality_brute(catalan)[1] == (True, None)
+    rng = random.Random(83)
+    left_graph_decides = 0  # R-trivial, so the left Cayley graph is built
+    for _ in range(150):
+        # random minimal 5-state DFAs, and 5-state DFAs whose letters never
+        # move a state down, which are R-trivial and often not J-trivial
+        for sa in (
+            random_minimal_automaton(rng, 5, AB).sa,
+            Semiautomaton(AB, tuple(tuple(rng.randrange(q, 5) for _ in AB) for q in range(5))),
+        ):
+            r, j = green_triviality_brute(sa)
+            assert is_j_trivial(build(discrete(sa))) == j
+            left_graph_decides += r[0] and not j[0]
+    assert left_graph_decides >= 20
 
 
 def test_triviality_implications():
