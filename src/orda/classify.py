@@ -9,7 +9,9 @@ records what it judged.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, fields
+from functools import cache, partial
 
 from .core import (
     OrderedAutomaton,
@@ -24,11 +26,13 @@ from .core import (
 from .errors import OrdaError, ResourceError
 from .minimize import minimize_with_map
 # build_monoid is unused here: only the bench needs the binding, to check that
-# its tracer wraps monoid.build everywhere, until the package has spans (ROADMAP item 5)
+# its tracer wraps monoid.build everywhere, until the package has spans (ROADMAP item 1)
 from .monoid import build as build_monoid, closure, nontrivial_cycle  # noqa: F401
 
 # the exhaustive confluence search on cyclic input is exponential in the alphabet
 CONFLUENCE_ALPHABET_CAP = 10
+# has_n_extensive_actions keeps n + 1 layers of reached states per start state
+N_EXTENSIVE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,18 +95,17 @@ def is_acyclic(sa: Semiautomaton) -> Verdict:
         for r in adj[p]:
             if r != p:
                 indeg[r] += 1
-    ready = sorted(q for q in range(n) if indeg[q] == 0)
+    ready = [q for q in range(n) if indeg[q] == 0]  # ascending, so already a heap
     topo = []
     while ready:
-        q = ready.pop(0)
+        q = heapq.heappop(ready)
         topo.append(q)
-        for r in sorted(adj[q]):
+        for r in adj[q]:
             if r == q:
                 continue
             indeg[r] -= 1
             if indeg[r] == 0:
-                ready.append(r)
-        ready.sort()
+                heapq.heappush(ready, r)
     return Verdict(True, tuple(topo))
 
 
@@ -122,7 +125,7 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
     if width > alphabet_cap:
         raise ResourceError(f"confluence check capped at {alphabet_cap} letters, got {width}")
     delta = sa.delta
-    tables: dict[int, dict[tuple[int, int], int]] = {}  # letter set -> its merge table
+    table = cache(partial(_merge_table, sa))  # letter set -> its merge table
     for q in range(sa.state_count):
         # a node is (state, letters spent so far as a bitmask of alphabet positions)
         nodes, rows = explore((q, 0), lambda node: [(r, node[1] | 1 << k) for k, r in enumerate(delta[node[0]])])
@@ -131,11 +134,7 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
                 p2, c2 = nodes[j]
                 if p1 == p2:
                     continue
-                letters = c1 | c2
-                table = tables.get(letters)
-                if table is None:
-                    table = tables[letters] = _merge_table(sa, letters)
-                if (p1, p2) not in table:
+                if (p1, p2) not in table(c1 | c2):
                     words = path_word(rows, sa.alphabet.symbols, i), path_word(rows, sa.alphabet.symbols, j)
                     return Verdict(False, (q, *words))
     return Verdict(True)
@@ -148,18 +147,14 @@ def _locally_confluent(sa: Semiautomaton) -> Verdict:
     One merge table per letter pair, built on first use; counterexample (q, a, b).
     """
     symbols = sa.alphabet.symbols
-    tables: dict[int, dict[tuple[int, int], int]] = {}  # letter pair -> its merge table
+    table = cache(partial(_merge_table, sa))  # letter pair -> its merge table
     for q, row in enumerate(sa.delta):
         for i, p1 in enumerate(row):
             for j in range(i + 1, len(row)):
                 p2 = row[j]
                 if p1 == p2:
                     continue
-                letters = 1 << i | 1 << j
-                table = tables.get(letters)
-                if table is None:
-                    table = tables[letters] = _merge_table(sa, letters)
-                if (p1, p2) not in table:
+                if (p1, p2) not in table(1 << i | 1 << j):
                     return Verdict(False, (q, symbols[i], symbols[j]))
     return Verdict(True)
 
@@ -205,19 +200,17 @@ def is_cycle_union_dividing(sa: Semiautomaton, d: int) -> Verdict:
     if not autonomous.holds:
         return Verdict(False, ("not autonomous",) + tuple(autonomous.witness))
     t = [row[0] for row in sa.delta]
-    n = sa.state_count
     lengths = []
-    for members in _weak_components(n, enumerate(t)):
+    for members in _weak_components(sa):
         cur = members[0]
-        for _ in range(n):
+        for _ in members:  # a tail is shorter than its component
             cur = t[cur]
         cycle = [cur]
         nxt = t[cur]
         while nxt != cur:
             cycle.append(nxt)
             nxt = t[nxt]
-        tails = sorted(set(members) - set(cycle))
-        if tails:
+        if len(cycle) < len(members):  # a tail hangs off the cycle
             return Verdict(False, ("rho_shape", tuple(members), tuple(sorted(cycle))))
         lengths.append(len(cycle))
         if d % len(cycle) != 0:
@@ -256,22 +249,24 @@ def _merge_table(sa: Semiautomaton, letters: int) -> dict[tuple[int, int], int]:
     return dist
 
 
-def is_synchronizing(sa: Semiautomaton, dist: dict[tuple[int, int], int] | None = None) -> Verdict:
+def _first_unmergeable(states, table) -> tuple[int, int] | None:
+    """The first pair p < q of the ascending states missing from the merge table, or None."""
+    return next(((p, q) for i, p in enumerate(states) for q in states[i + 1:] if (p, q) not in table), None)
+
+
+def is_synchronizing(sa: Semiautomaton) -> Verdict:
     """Some word maps all states to one; certificate = a reset word.
 
     The reset word is assembled greedily by repeatedly merging the two
     smallest surviving states with their shortest, then lexicographically
-    least, merging word, which is short enough at desk scale.  A caller that
-    already holds the full-alphabet merge table of sa passes it as dist.
+    least, merging word, which is short enough at desk scale.
     """
     n = sa.state_count
     width = len(sa.alphabet)
-    if dist is None:
-        dist = _merge_table(sa, (1 << width) - 1)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if (p, q) not in dist:
-                return Verdict(False, (p, q))
+    dist = _merge_table(sa, (1 << width) - 1)
+    pair = _first_unmergeable(range(n), dist)
+    if pair is not None:
+        return Verdict(False, pair)
     survivors = set(range(n))
     word = []
     while len(survivors) > 1:
@@ -285,47 +280,33 @@ def is_synchronizing(sa: Semiautomaton, dist: dict[tuple[int, int], int] | None 
     return Verdict(True, "".join(word))
 
 
-def _weak_components(n: int, edges) -> list[list[int]]:
-    """Components of the undirected graph on 0..n-1 with the given edges, by union-find.
+def _weak_components(sa: Semiautomaton) -> list[list[int]]:
+    """Weakly connected components of the transition graph: the strongly
+    connected components once every edge is also reversed.
 
     Each component is sorted; components come in order of their smallest member.
     """
-    comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for q, r in edges:
-        a, b = find(q), find(r)
-        if a != b:
-            comp[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for q in range(n):
-        groups.setdefault(find(q), []).append(q)
-    return [groups[root] for root in sorted(groups)]
+    adj = [set(row) for row in sa.delta]
+    for q, row in enumerate(sa.delta):
+        for r in row:
+            adj[r].add(q)
+    return sorted(sccs(adj), key=min)
 
 
-def is_weakly_confluent(sa: Semiautomaton, dist: dict[tuple[int, int], int] | None = None) -> Verdict:
+def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
     """Every weakly connected component synchronizes on its own.
 
     On success the witness is the component decomposition; on failure it is
-    (component, offending state pair) in original numbering.  A component
-    holding every state is judged on sa itself, with the full-alphabet merge
-    table dist when the caller passes it.
+    (component, offending state pair).  A component is closed under the
+    letters, so one full-alphabet merge table of sa judges every component.
     """
-    comps = _weak_components(sa.state_count, ((q, r) for q, row in enumerate(sa.delta) for r in row))
+    table = _merge_table(sa, (1 << len(sa.alphabet)) - 1)
+    comps = _weak_components(sa)
     for members in comps:
-        if len(members) == sa.state_count:
-            v = is_synchronizing(sa, dist)
-        else:
-            v = is_synchronizing(sa.restrict(members))
-        if not v.holds:
-            p, q = v.witness
-            return Verdict(False, (tuple(members), (members[p], members[q])))
-    return Verdict(True, tuple(tuple(c) for c in comps))
+        pair = _first_unmergeable(members, table)
+        if pair is not None:
+            return Verdict(False, (tuple(members), pair))
+    return Verdict(True, tuple(map(tuple, comps)))
 
 
 def is_strongly_acyclic(sa: Semiautomaton) -> Verdict:
@@ -380,6 +361,8 @@ def has_n_extensive_actions(osa: OrderedSemiautomaton, n: int) -> Verdict:
     """
     if n < 0:
         raise OrdaError("n must be nonnegative")
+    if n > N_EXTENSIVE_LIMIT:
+        raise ResourceError(f"n-extensive check capped at N_EXTENSIVE_LIMIT = {N_EXTENSIVE_LIMIT}, got n = {n}")
     sa = osa.sa
     width = len(sa.alphabet)
     for q in range(sa.state_count):
@@ -462,9 +445,11 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
         blocker = strongly if not strongly.holds else confluent
         finite = Verdict(False, blocker.witness)
         cofinite = Verdict(False, blocker.witness)
-    # the minimal automaton is weakly connected, so both synchronization
-    # verdicts read the one full-alphabet merge table
-    dist = _merge_table(sa, (1 << len(sa.alphabet)) - 1)
+    synchronizing = is_synchronizing(sa)
+    # the minimal automaton is one weakly connected component, so it is weakly
+    # confluent exactly when it synchronizes
+    states = tuple(range(sa.state_count))
+    weakly_confluent = Verdict(True, (states,)) if synchronizing else Verdict(False, (states, synchronizing.witness))
 
     return ClassificationReport(
         minimal=minimal,
@@ -475,8 +460,8 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
         positive_piecewise_testable=positive_pt,
         star_free=star_free,
         r_trivial_language=r_trivial,
-        weakly_confluent=is_weakly_confluent(sa, dist),
-        synchronizing=is_synchronizing(sa, dist),
+        weakly_confluent=weakly_confluent,
+        synchronizing=synchronizing,
         autonomous=is_autonomous(sa),
         n_insertion_closed=tuple((n, has_n_extensive_actions(osa, n)) for n in ns),
     )

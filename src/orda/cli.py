@@ -180,19 +180,15 @@ def cmd_convert(args) -> int:
 _AB = Alphabet(("a", "b"))
 
 
-def run_oracle(seed: int, count: int, max_states: int = 4, corrupt=None) -> tuple[list[str], str]:
+def run_oracle(seed: int, count: int, max_states: int = 4) -> tuple[list[str], str]:
     """Differential sweep: every classifier against its independent oracle.
 
-    corrupt, when given, rewrites each classifier verdict (name, value) ->
-    value before comparison; the test suite uses it to prove the harness
-    actually detects disagreement.  Returns (mismatch lines, summary line).
+    Returns (mismatch lines, summary line).
     """
     rng = random.Random(seed)
-    flip = corrupt if corrupt is not None else (lambda name, value: value)
     mismatches: list[str] = []
 
     def compare(i: int, name: str, claimed: bool, oracle: bool) -> None:
-        claimed = flip(name, claimed)
         if claimed != oracle:
             mismatches.append(f"instance {i}: {name}: claimed={claimed} oracle={oracle}")
 

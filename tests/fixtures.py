@@ -1,4 +1,4 @@
-"""Small hand-built automata used across the test suite and docs.
+"""Small hand-built automata used across the test suite.
 
 Each language fixture is already in canonical form: states are the
 distinct left quotients of the language and the order is inclusion of
@@ -8,7 +8,7 @@ is the classical slowly-synchronizing family.
 
 from __future__ import annotations
 
-from .core import (
+from orda.core import (
     Alphabet,
     OrderedAutomaton,
     OrderedSemiautomaton,

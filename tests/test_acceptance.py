@@ -32,7 +32,6 @@ from orda.constructions import (
     union_via_product_embedding,
 )
 from orda.core import Alphabet, OrderedAutomaton, accepts, reachable_states, step
-from orda.fixtures import AB, cerny, even_a
 from orda.generate import (
     random_automaton,
     random_finite_language,
@@ -63,6 +62,7 @@ from orda.omega import (
     term_variables,
 )
 
+from fixtures import AB, cerny, even_a
 from oracles import (
     _action,
     _read_query,

@@ -21,11 +21,11 @@ from orda.classify import (
 )
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, step
 from orda.errors import OrdaError, ResourceError
-from orda.fixtures import AB, ab_star, cerny, contains_a, even_a, finite_two_words
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.languages import canonical_ordered_automaton, parse_regex
 from orda.monoid import build as build_monoid
 
+from fixtures import AB, ab_star, cerny, contains_a, even_a, finite_two_words
 from oracles import (
     aperiodic_brute,
     extensive_brute,
@@ -301,6 +301,73 @@ def test_weakly_confluent_matches_brute_force():
         else:
             comp, (p, q) = v.witness
             assert p in comp and q in comp and not joinable(sa, p, q)
+
+
+def weak_components_reference(sa: Semiautomaton) -> list[list[int]]:
+    """Components of the undirected transition graph by depth-first search,
+    each sorted, in order of their smallest member."""
+    neighbours = [set() for _ in range(sa.state_count)]
+    for q, row in enumerate(sa.delta):
+        for r in row:
+            neighbours[q].add(r)
+            neighbours[r].add(q)
+    seen: set[int] = set()
+    comps = []
+    for q in range(sa.state_count):
+        if q in seen:
+            continue
+        seen.add(q)
+        stack, comp = [q], []
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in neighbours[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_weakly_confluent_witnesses_match_restricted_synchronization():
+    # reference: restrict each component, renumbered in ascending order, and map
+    # back the first unmergeable pair that synchronizing_brute reports
+    rng = random.Random(53)
+    several = 0
+    for _ in range(1000):
+        alphabet = Alphabet(tuple("abc"[: rng.randint(1, 3)]))
+        sa = random_semiautomaton(rng, 9, alphabet)
+        comps = weak_components_reference(sa)
+        several += len(comps) > 1
+        expected = (True, tuple(map(tuple, comps)))
+        for members in comps:
+            index = {s: i for i, s in enumerate(members)}
+            part = Semiautomaton(alphabet, tuple(tuple(index[r] for r in sa.delta[s]) for s in members))
+            holds, pair = synchronizing_brute(part)
+            if not holds:
+                expected = (False, (tuple(members), (members[pair[0]], members[pair[1]])))
+                break
+        v = is_weakly_confluent(sa)
+        assert (v.holds, v.witness) == expected
+    assert 100 < several < 300  # about one input in six has several components
+
+
+def test_weakly_confluent_builds_one_full_alphabet_merge_table(monkeypatch):
+    import orda.classify
+
+    full = []
+    real = orda.classify._merge_table
+
+    def counting(sa, letters):
+        if letters == (1 << len(sa.alphabet)) - 1:
+            full.append(sa)
+        return real(sa, letters)
+
+    monkeypatch.setattr(orda.classify, "_merge_table", counting)
+    # components {0}, {1, 2} (b fixes 1, a resets to 2) and {3, 4} (both letters swap)
+    sa = Semiautomaton(AB, ((0, 0), (2, 1), (2, 2), (4, 4), (3, 3)))
+    v = is_weakly_confluent(sa)
+    assert not v.holds and v.witness == ((3, 4), (3, 4))
+    assert len(full) == 1
 
 
 def test_weakly_confluent_fixture_values():

@@ -2,16 +2,18 @@
 
 import io
 import time
+import tracemalloc
 
 import pytest
 
 from orda import cli
+from orda.classify import N_EXTENSIVE_LIMIT, Verdict
 from orda.core import format_automaton, parse_automaton
-from orda.fixtures import contains_a, even_a, finite_two_words
 from orda.languages import REGEX_DEPTH_LIMIT, parse_regex, regex_matches
 from orda.minimize import isomorphic, minimize_ordered
 from orda.omega import QUERY_DEPTH_LIMIT
 
+from fixtures import contains_a, even_a, finite_two_words
 from oracles import words_up_to
 
 MINIMAL_CONTAINS_A = """\
@@ -221,6 +223,22 @@ def test_classify_kv_mode(tmp_path, capsys):
     assert code == 2 and "positive" in err
 
 
+def test_classify_n_over_the_limit_fails_before_the_walk(capsys):
+    # the walk keeps n + 1 layers per state (58 MB at n = 10^5), so 10^7 would exhaust memory
+    code, out, _ = run(capsys, ["classify", "--regex", "a*b", "--n", str(N_EXTENSIVE_LIMIT)])
+    assert code == 0 and f"n_insertion_closed_{N_EXTENSIVE_LIMIT} " in out
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["classify", "--regex", "a*b", "--n", "10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"N_EXTENSIVE_LIMIT = {N_EXTENSIVE_LIMIT}" in err
+    assert peak < 2**20
+
+
 def test_check_holds_and_fails(tmp_path, capsys):
     code, out, _ = run(capsys, ["check", "--regex", "(a|b)*a(a|b)*", "1 <= x @all"])
     assert code == 0 and out == "holds\n"
@@ -331,9 +349,10 @@ def test_oracle_sweep(capsys):
     assert code == 0 and out == "checked 0 instances, 0 mismatches\n"
 
 
-def test_oracle_detects_disagreement():
-    flip = lambda name, value: (not value) if name == "acyclic" else value
-    mismatches, summary = cli.run_oracle(7, 10, corrupt=flip)
+def test_oracle_detects_disagreement(monkeypatch):
+    real = cli.is_acyclic
+    monkeypatch.setattr(cli, "is_acyclic", lambda sa: Verdict(not real(sa).holds))
+    mismatches, summary = cli.run_oracle(7, 10)
     assert len(mismatches) == 10
     assert all("acyclic" in line for line in mismatches)
     assert summary == "checked 10 instances, 10 mismatches"

@@ -38,11 +38,11 @@ from orda.core import (
     validate,
 )
 from orda.errors import AlphabetError, CompatibilityError, OrdaError, ParseError, ResourceError
-from orda.fixtures import ab_star, contains_a, even_a, finite_two_words
 from orda.generate import random_automaton
 from orda.minimize import isomorphic, minimize_ordered, minimize_with_map, preorder
 from orda.languages import enumerate_words
 
+from fixtures import ab_star, contains_a, even_a, finite_two_words
 from oracles import language, precongruence_errors, words_up_to
 
 AB = Alphabet(("a", "b"))

@@ -24,8 +24,8 @@ from orda.core import (
     validate,
 )
 from orda.errors import AlphabetError, OrdaError, ParseError, ResourceError
-from orda.fixtures import contains_a, even_a, finite_two_words
 
+from fixtures import contains_a, even_a, finite_two_words
 from oracles import language, order_violations, words_up_to
 
 

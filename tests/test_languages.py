@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from orda.core import Alphabet, StateOrder, accepts
 from orda.errors import AlphabetError, ParseError, ResourceError
-from orda.fixtures import ab_star, contains_a, even_a, finite_two_words
 from orda.generate import random_automaton, random_regex
 from orda.languages import (
     EMPTY,
@@ -44,6 +43,7 @@ from orda.languages import (
 )
 from orda.minimize import isomorphic, minimize_ordered
 
+from fixtures import ab_star, contains_a, even_a, finite_two_words
 from oracles import language, words_up_to
 
 AB = Alphabet(("a", "b"))

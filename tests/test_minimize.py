@@ -14,7 +14,6 @@ from orda.core import (
     future_accepts,
     validate,
 )
-from orda.fixtures import ab_star, contains_a, even_a, finite_two_words
 from orda.generate import random_automaton
 from orda.minimize import (
     isomorphic,
@@ -26,6 +25,7 @@ from orda.minimize import (
     reachable_part,
 )
 
+from fixtures import ab_star, contains_a, even_a, finite_two_words
 from oracles import bounded_preorder, language, residual_included, words_up_to
 
 A = Alphabet(("a",))

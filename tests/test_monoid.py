@@ -7,7 +7,6 @@ import pytest
 
 from orda.classify import is_counter_free
 from orda.core import Alphabet, Semiautomaton, discrete
-from orda.fixtures import ab_star, cerny, contains_a, even_a
 from orda.errors import AlphabetError, ResourceError
 from orda.generate import random_minimal_automaton
 from orda.minimize import minimize_ordered
@@ -23,6 +22,7 @@ from orda.monoid import (
     satisfies_one_leq_x,
 )
 
+from fixtures import ab_star, cerny, contains_a, even_a
 from oracles import (
     aperiodic_brute,
     compose as compose_brute,

@@ -8,7 +8,6 @@ import pytest
 
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, step
 from orda.errors import ParseError
-from orda.fixtures import AB, ab_star, contains_a, even_a
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.monoid import TransitionMonoid, build as build_monoid, element_of_word, omega_power
 from orda.omega import (
@@ -32,6 +31,7 @@ from orda.omega import (
     valid_substitutions,
 )
 
+from fixtures import AB, ab_star, contains_a, even_a
 from oracles import (
     _action,
     _read_query,
