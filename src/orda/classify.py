@@ -31,7 +31,7 @@ from .monoid import build as build_monoid, closure, nontrivial_cycle  # noqa: F4
 
 # the exhaustive confluence search on cyclic input is exponential in the alphabet
 CONFLUENCE_ALPHABET_CAP = 10
-# has_n_extensive_actions keeps n + 1 layers of reached states per start state
+# has_n_extensive_actions keeps up to n + 1 layers of reached states per start state
 N_EXTENSIVE_LIMIT = 10_000
 
 
@@ -358,26 +358,41 @@ def has_n_extensive_actions(osa: OrderedSemiautomaton, n: int) -> Verdict:
 
     Decided by layered reachability (exactly k steps, k = 0..n), not by
     enumerating the |A|^n words; a failing word is rebuilt from the layers.
+    A layer, parents included, depends only on the set of the layer before,
+    so the layers from q form a lasso: the walk stops at the first layer j
+    whose set repeats that of an earlier layer i, and every later layer L is
+    layer i + 1 + (L - i - 1) mod (j - i), as in omega.length_set.
     """
     if n < 0:
         raise OrdaError("n must be nonnegative")
     if n > N_EXTENSIVE_LIMIT:
         raise ResourceError(f"n-extensive check capped at N_EXTENSIVE_LIMIT = {N_EXTENSIVE_LIMIT}, got n = {n}")
     sa = osa.sa
-    width = len(sa.alphabet)
+    symbols = sa.alphabet.symbols
     for q in range(sa.state_count):
         layers: list[dict[int, tuple[int, str] | None]] = [{q: None}]
-        for _ in range(n):
+        seen = {frozenset(layers[0]): 0}
+        i = j = n  # no repeat before layer n: every layer is stored
+        while len(layers) <= n:
             nxt: dict[int, tuple[int, str] | None] = {}
             for p in sorted(layers[-1]):
-                for k in range(width):
-                    r = sa.delta[p][k]
+                for k, r in enumerate(sa.delta[p]):
                     if r not in nxt:
-                        nxt[r] = (p, sa.alphabet.symbols[k])
+                        nxt[r] = (p, symbols[k])
+            subset = frozenset(nxt)
+            if subset in seen:
+                i, j = seen[subset], len(layers)
+                layers.append(nxt)
+                break
+            seen[subset] = len(layers)
             layers.append(nxt)
-        bad = [p for p in sorted(layers[n]) if not osa.order.leq(q, p)]
+
+        def layer(L):
+            return layers[L] if L <= j else layers[i + 1 + (L - i - 1) % (j - i)]
+
+        bad = [p for p in sorted(layer(n)) if not osa.order.leq(q, p)]
         if bad:
-            return Verdict(False, (q, layer_word(layers, bad[0], n)))
+            return Verdict(False, (q, layer_word([layer(L) for L in range(n + 1)], bad[0], n)))
     return Verdict(True)
 
 

@@ -94,7 +94,8 @@ def _read_text(path: str) -> str:
 def cmd_minimize(args) -> int:
     minimal = minimize_ordered(_load(args))
     print(f"# states: {minimal.state_count}")
-    print(f"# order pairs: {sum(1 for _ in minimal.order.pairs())}")
+    pairs = sum((row & ~(1 << p)).bit_count() for p, row in enumerate(minimal.order.up))
+    print(f"# order pairs: {pairs}")
     print(format_automaton(minimal), end="")
     return 0
 
@@ -160,7 +161,7 @@ def _dot(oa: OrderedAutomaton) -> str:
         for dst in sorted(targets):
             label = ",".join(targets[dst])
             lines.append(f'  q{q} -> q{dst} [label="{label}"];')
-    for p, q in sorted(oa.order.pairs()):
+    for p, q in oa.order.pairs():
         lines.append(f'  q{p} -> q{q} [style=dashed, arrowhead=empty, label="<="];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ table used only for rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .errors import AlphabetError, OrdaError, ParseError, ResourceError
 
@@ -152,24 +153,26 @@ class StateOrder:
 
     def restrict(self, states) -> "StateOrder":
         """The relation on the given distinct states, renumbered by list position."""
-        index = {s: i for i, s in enumerate(states)}
+        bit = [0] * self.size  # old state -> its new bit, 0 if not listed
+        for i, s in enumerate(states):
+            bit[s] = 1 << i
         rows = []
         for s in states:
             row = 0
             for t in bits(self.up[s]):
-                if t in index:
-                    row |= 1 << index[t]
+                row |= bit[t]
             rows.append(row)
         return StateOrder(tuple(rows))
 
     def representatives(self) -> tuple[int, ...]:
-        """rep[p] is the smallest q with p <= q and q <= p; on a quasiorder it names p's rho-class."""
-        down = self.reversed().up
-        reps = []
-        for p, row in enumerate(self.up):
-            mutual = row & down[p] | 1 << p
-            reps.append((mutual & -mutual).bit_length() - 1)
-        return tuple(reps)
+        """rep[p] is the first state whose row equals p's.
+
+        Defined on quasiorders (reflexive and transitive), where p <= q and
+        q <= p exactly when the rows of p and q are equal; so rep[p] is the
+        smallest member of p's rho-class.
+        """
+        first = {}
+        return tuple(first.setdefault(row, p) for p, row in enumerate(self.up))
 
     @classmethod
     def discrete(cls, n: int) -> "StateOrder":
@@ -275,44 +278,87 @@ def transitivity_failures(order: StateOrder):
     """Triples (p, q, r) with p <= q and q <= r but not p <= r."""
     up = order.up
     for p, row in enumerate(up):
+        outside = ~row
         for q in bits(row):
-            for r in bits(up[q] & ~row):
-                yield p, q, r
+            if up[q] & outside:  # row p holds all of row q in the common case
+                for r in bits(up[q] & outside):
+                    yield p, q, r
 
 
 def compatibility_failures(sa: Semiautomaton, order: StateOrder):
-    """Triples (p, q, k) with p <= q, p != q, but not p.a <= q.a for the k-th letter a."""
+    """Triples (p, q, k) with p <= q, p != q, but not p.a <= q.a for the k-th letter a.
+
+    Row p is checked whole against above[s] for each image s = p.a: the
+    states q with q.a >= s, letter k in bits k*n to k*n + n - 1, formed as
+    the OR of the packed preimages (see minimize.preorder) over the up-set
+    of s.  Pairs are walked only in rows with a bad column.
+    """
     up, delta = order.up, sa.delta
+    n = len(up)
+    packed = None
+    above = {}
     for p, row in enumerate(up):
-        dp = delta[p]
-        for q in bits(row & ~(1 << p)):
-            dq = delta[q]
-            for k in range(len(dp)):
-                if not up[dp[k]] >> dq[k] & 1:
+        others = row & ~(1 << p)
+        if not others:
+            continue
+        if packed is None:
+            packed = [0] * n
+            for r, images in enumerate(delta):
+                for k, t in enumerate(images):
+                    packed[t] |= 1 << (k * n + r)
+        bad, worst = [], 0
+        for k, s in enumerate(delta[p]):
+            mask = above.get(s)
+            if mask is None:
+                mask = 0
+                for t in bits(up[s]):
+                    mask |= packed[t]
+                above[s] = mask
+            columns = others & ~(mask >> k * n)
+            bad.append(columns)
+            worst |= columns
+        for q in bits(worst):
+            for k, columns in enumerate(bad):
+                if columns >> q & 1:
                     yield p, q, k
 
 
-def validate(oa: OrderedAutomaton) -> list[str]:
-    """Check every ordered-automaton axiom; return one message per violation.
+def _violations(oa: OrderedAutomaton):
+    """validate's messages, lazily and in order.
 
-    Violations are data, not errors: an empty list means the instance is valid.
+    A transitive relation whose rows are pairwise distinct is antisymmetric
+    (p <= q <= p makes the rows of p and q equal), so pairs are searched for
+    antisymmetry only when the first transitivity failure exists or two rows
+    are equal.
     """
     sa, order, finals = oa.sa, oa.order, oa.finals
     name = sa.state_name
-    out = [f"reflexivity: {name(p)}" for p in reflexivity_failures(order)]
-    out += [f"antisymmetry: {name(p)},{name(q)}" for p, q in antisymmetry_failures(order)]
-    out += [f"transitivity: {name(p)},{name(q)},{name(r)}" for p, q, r in transitivity_failures(order)]
+    for p in reflexivity_failures(order):
+        yield f"reflexivity: {name(p)}"
+    transitivity = transitivity_failures(order)
+    first = next(transitivity, None)
+    if first is not None or len(set(order.up)) < order.size:
+        for p, q in antisymmetry_failures(order):
+            yield f"antisymmetry: {name(p)},{name(q)}"
+    if first is not None:
+        for p, q, r in chain((first,), transitivity):
+            yield f"transitivity: {name(p)},{name(q)},{name(r)}"
     for p, q, k in compatibility_failures(sa, order):
         pa, qa = sa.delta[p][k], sa.delta[q][k]
-        out.append(
-            f"compatibility: {name(p)}<={name(q)} but "
-            f"{name(pa)}<={name(qa)} fails on {sa.alphabet.symbols[k]!r}"
-        )
+        yield f"compatibility: {name(p)}<={name(q)} but {name(pa)}<={name(qa)} fails on {sa.alphabet.symbols[k]!r}"
     final_mask = sum(1 << q for q in finals)
     for p in finals:
         for q in bits(order.up[p] & ~final_mask):
-            out.append(f"finals not upward closed: {name(p)}<={name(q)}, {name(q)} not final")
-    return out
+            yield f"finals not upward closed: {name(p)}<={name(q)}, {name(q)} not final"
+
+
+def validate(oa: OrderedAutomaton, limit: int | None = None) -> list[str]:
+    """Check every ordered-automaton axiom; return one message per violation,
+    only the first limit of them if limit is given.
+
+    Violations are data, not errors: an empty list means the instance is valid.
+    """
+    return list(islice(_violations(oa), limit))
 
 
 def accepts(oa: OrderedAutomaton, w: str) -> bool:
@@ -464,6 +510,10 @@ def sccs(adj) -> list[list[int]]:
 # One item per line, '#' starts a comment, keys: alphabet, states, initial,
 # finals, order, trans.  Missing order lines mean the discrete order.
 
+# parse_automaton reports this many violations of an invalid input at most:
+# a dense order can break transitivity a cubic number of times
+VIOLATION_LIMIT = 20
+
 
 def _decimal(token: str) -> int | None:
     """Value of a token of decimal digits; None for anything else, also for more
@@ -487,16 +537,39 @@ def parse_automaton(text: str) -> OrderedAutomaton:
     def fail(msg, lineno):
         raise ParseError(msg, line=lineno)
 
+    # one branch per key, the frequent ones first; a malformed line fails in its branch
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         key, sep, rest = line.partition(":")
         if not sep:
-            fail(f"expected 'key: value', got {line!r}", lineno)
+            if line.strip():
+                fail(f"expected 'key: value', got {line.strip()!r}", lineno)
+            continue
         key = key.strip()
-        rest = rest.strip()
-        if key == "alphabet":
+        if key == "order":
+            parts = rest.split()
+            if len(parts) == 3 and parts[1] == "<=" and parts[0].isdecimal() and parts[2].isdecimal():
+                try:
+                    order_pairs.append((int(parts[0]), int(parts[2]), lineno))
+                    continue
+                except ValueError:  # more digits than int() converts
+                    pass
+            fail(f"order wants 'p <= q', got {rest.strip()!r}", lineno)
+        elif key == "trans":
+            parts = rest.split()
+            if len(parts) == 3 and parts[0].isdecimal() and parts[2].isdecimal():
+                try:
+                    src, dst = int(parts[0]), int(parts[2])
+                except ValueError:  # more digits than int() converts
+                    pass
+                else:
+                    sym = parts[1]
+                    if (src, sym) in trans:
+                        fail(f"duplicate transition for ({src}, {sym})", lineno)
+                    trans[(src, sym)] = (dst, lineno)
+                    continue
+            fail(f"trans wants 'state symbol state', got {rest.strip()!r}", lineno)
+        elif key == "alphabet":
             if alphabet is not None:
                 fail("duplicate alphabet line", lineno)
             try:
@@ -506,12 +579,14 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         elif key == "states":
             if state_count is not None:
                 fail("duplicate states line", lineno)
+            rest = rest.strip()
             state_count = _decimal(rest)
             if state_count is None or state_count < 1:
                 fail(f"states wants a positive integer, got {rest!r}", lineno)
         elif key == "initial":
             if initial is not None:
                 fail("duplicate initial line", lineno)
+            rest = rest.strip()
             initial = _decimal(rest)
             if initial is None:
                 fail(f"initial wants a state index, got {rest!r}", lineno)
@@ -520,23 +595,7 @@ def parse_automaton(text: str) -> OrderedAutomaton:
                 fail("duplicate finals line", lineno)
             finals = frozenset(map(_decimal, rest.split()))
             if None in finals:
-                fail(f"finals wants state indices, got {rest!r}", lineno)
-        elif key == "order":
-            parts = rest.split()
-            shaped = len(parts) == 3 and parts[1] == "<="
-            p, q = (_decimal(parts[0]), _decimal(parts[2])) if shaped else (None, None)
-            if p is None or q is None:
-                fail(f"order wants 'p <= q', got {rest!r}", lineno)
-            order_pairs.append((p, q, lineno))
-        elif key == "trans":
-            parts = rest.split()
-            src, dst = (_decimal(parts[0]), _decimal(parts[2])) if len(parts) == 3 else (None, None)
-            if src is None or dst is None:
-                fail(f"trans wants 'state symbol state', got {rest!r}", lineno)
-            sym = parts[1]
-            if (src, sym) in trans:
-                fail(f"duplicate transition for ({src}, {sym})", lineno)
-            trans[(src, sym)] = (dst, lineno)
+                fail(f"finals wants state indices, got {rest.strip()!r}", lineno)
         else:
             fail(f"unknown key {key!r}", lineno)
 
@@ -564,10 +623,11 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         (src, sym), (_, lineno) = next(iter(trans.items()))
         raise ParseError(f"transition from unknown state or symbol ({src}, {sym})", line=lineno)
 
+    up = [1 << p for p in range(state_count)]
     for p, q, lineno in order_pairs:
-        if not (0 <= p < state_count and 0 <= q < state_count):
+        if not (p < state_count and q < state_count):
             raise ParseError(f"order pair ({p}, {q}) out of range", line=lineno)
-    order = StateOrder.from_pairs(state_count, [(p, q) for p, q, _ in order_pairs])
+        up[p] |= 1 << q
 
     if not 0 <= initial < state_count:
         raise ParseError(f"initial state {initial} out of range")
@@ -575,10 +635,15 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         if not 0 <= q < state_count:
             raise ParseError(f"final state {q} out of range")
 
-    oa = OrderedAutomaton(OrderedSemiautomaton(Semiautomaton(alphabet, tuple(rows)), order), initial, finals)
-    violations = validate(oa)
+    oa = OrderedAutomaton(
+        OrderedSemiautomaton(Semiautomaton(alphabet, tuple(rows)), StateOrder(tuple(up))), initial, finals
+    )
+    violations = validate(oa, VIOLATION_LIMIT + 1)
     if violations:
-        raise OrdaError("invalid automaton: " + "; ".join(violations))
+        shown = "; ".join(violations[:VIOLATION_LIMIT])
+        if len(violations) > VIOLATION_LIMIT:
+            shown += f"; ... (more violations cut: only the first {VIOLATION_LIMIT} are shown)"
+        raise OrdaError("invalid automaton: " + shown)
     return oa
 
 
@@ -590,7 +655,7 @@ def format_automaton(oa: OrderedAutomaton) -> str:
         f"initial: {oa.initial}",
         "finals:" + "".join(f" {q}" for q in sorted(oa.finals)),
     ]
-    for p, q in sorted(oa.order.pairs()):
+    for p, q in oa.order.pairs():
         lines.append(f"order: {p} <= {q}")
     for q in range(sa.state_count):
         for k, a in enumerate(sa.alphabet):

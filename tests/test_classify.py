@@ -1,6 +1,7 @@
 """Class membership checks and the combined language report."""
 
 import random
+import time
 
 import pytest
 
@@ -461,6 +462,54 @@ def test_n_extensive_matches_enumeration():
                 q, w = v.witness
                 assert len(w) == n
                 assert not oa.order.leq(q, step(oa.sa, q, w))
+
+
+def plain_layered_walk(osa, n):
+    """(holds, witness) of has_n_extensive_actions by all n + 1 layers from each state."""
+    sa = osa.sa
+    for q in range(sa.state_count):
+        layers = [{q: None}]
+        for _ in range(n):
+            nxt = {}
+            for p in sorted(layers[-1]):
+                for k, r in enumerate(sa.delta[p]):
+                    nxt.setdefault(r, (p, sa.alphabet.symbols[k]))
+            layers.append(nxt)
+        bad = [p for p in sorted(layers[n]) if not osa.order.leq(q, p)]
+        if bad:
+            word, p = [], bad[0]
+            for L in range(n, 0, -1):
+                p, a = layers[L][p]
+                word.append(a)
+            return False, (q, "".join(reversed(word)))
+    return True, None
+
+
+def test_n_extensive_lasso_matches_the_plain_walk():
+    rng = random.Random(48)
+    abc = Alphabet(("a", "b", "c"))
+    for i in range(60):
+        oa = random_automaton(rng, 7, abc if i % 2 else AB, ordered=True)
+        n = oa.state_count
+        # the declared order, and one relating every pair, so that some checks hold
+        for osa in (oa.osa, OrderedSemiautomaton(oa.sa, StateOrder(((1 << n) - 1,) * n))):
+            for k in range(13):
+                v = has_n_extensive_actions(osa, k)
+                assert (v.holds, v.witness) == plain_layered_walk(osa, k)
+
+
+def test_n_extensive_at_the_limit_is_fast():
+    oa = random_minimal_automaton(random.Random(3), 200, AB)
+    n = oa.state_count
+    assert n == 47
+    full = OrderedSemiautomaton(oa.sa, StateOrder(((1 << n) - 1,) * n))
+    start = time.perf_counter()
+    assert has_n_extensive_actions(full, 10_000).holds
+    v = has_n_extensive_actions(oa.osa, 10_000)
+    assert time.perf_counter() - start < 1.0
+    q, w = v.witness
+    assert not v.holds and len(w) == 10_000
+    assert not oa.order.leq(q, step(oa.sa, q, w))
 
 
 def test_classify_finite_language():

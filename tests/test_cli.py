@@ -296,6 +296,29 @@ def chain_text(n: int) -> str:
     return f"alphabet: a b\nstates: {n}\ninitial: 0\nfinals: {n - 1}\n" + moves
 
 
+def test_an_order_with_many_violations_fails_fast_with_a_short_error(tmp_path, capsys):
+    # blocks A, B, C of 80 states: every pair from A to B and from B to C is
+    # declared, none from A to C, so the order breaks transitivity 80**3 times
+    k = 80
+    order = "".join(f"order: {p} <= {q}\n" for lo in (0, k) for p in range(lo, lo + k) for q in range(lo + k, lo + 2 * k))
+    moves = "".join(f"trans: {q} a {q}\n" for q in range(3 * k))
+    path = tmp_path / "blocks.txt"
+    path.write_text(f"alphabet: a\nstates: {3 * k}\ninitial: 0\nfinals:\n" + order + moves)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["minimize", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid automaton: transitivity: 0,80,160;") and len(err) < 10_000
+    # the violations are never listed in full (that list alone took 66 MB)
+    tracemalloc.start()
+    try:
+        run(capsys, ["minimize", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_finals_reads_decimal_indices_only(tmp_path, capsys):
     # int() would read 1_0 as state 10 and +1 as state 1; states: refuses both
     path = tmp_path / "chain.txt"

@@ -1,6 +1,7 @@
 """Base types: alphabets, transition tables, state orders, text format."""
 
 import random
+import sys
 
 import pytest
 
@@ -23,10 +24,12 @@ from orda.core import (
     step,
     validate,
 )
+from orda.core import VIOLATION_LIMIT
 from orda.errors import AlphabetError, OrdaError, ParseError, ResourceError
 
 from fixtures import contains_a, even_a, finite_two_words
 from oracles import language, order_violations, words_up_to
+from orda.generate import random_automaton
 
 
 def test_alphabet_basics():
@@ -252,6 +255,56 @@ def test_validate_matches_brute_force_on_random_relations():
                     "finals not upward closed", "valid", "invalid"}
 
 
+def chain_automaton(rng, n, alphabet):
+    """A valid ordered automaton: a chain along a random permutation of the
+    states, acted on by isotone maps, with an upward-closed final set."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rank = {q: i for i, q in enumerate(perm)}
+    maps = [sorted(rng.randrange(n) for _ in range(n)) for _ in alphabet]
+    delta = tuple(tuple(perm[m[rank[q]]] for m in maps) for q in range(n))
+    order = StateOrder.from_leq(n, lambda p, q: rank[p] <= rank[q])
+    finals = frozenset(perm[rng.randrange(n + 1):])
+    return OrderedAutomaton(OrderedSemiautomaton(Semiautomaton(alphabet, delta), order), 0, finals)
+
+
+def test_validate_matches_brute_force_on_flipped_orders():
+    # valid orders on up to 24 states over 3 letters with one pair flipped, so
+    # that each axiom can fail on its own and the per-letter masks shift by k*n
+    rng = random.Random(62)
+    abc = Alphabet(("a", "b", "c"))
+    seen = set()
+    for i in range(160):
+        n = rng.randint(1, 24)
+        oa = chain_automaton(rng, n, abc) if i % 2 else random_automaton(rng, n, abc, ordered=True)
+        n = oa.state_count
+        assert validate(oa) == []
+        p, q = rng.randrange(n), rng.randrange(n)
+        up = list(oa.order.up)
+        up[p] ^= 1 << q
+        order = StateOrder(tuple(up))
+        rel = [[order.leq(x, y) for y in range(n)] for x in range(n)]
+        want = order_violations(oa.sa, rel, oa.finals)
+        assert validate(OrderedAutomaton(OrderedSemiautomaton(oa.sa, order), 0, oa.finals)) == want
+        seen.update(m.split(":")[0] for m in want)
+    assert seen == {"reflexivity", "antisymmetry", "transitivity", "compatibility", "finals not upward closed"}
+
+
+def test_representatives_name_rho_classes_of_quasiorders():
+    rng = random.Random(63)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        density = rng.random() * 0.4
+        rel = [[p == q or rng.random() < density for q in range(n)] for p in range(n)]
+        for r in range(n):  # Warshall: the reflexive transitive closure
+            for p in range(n):
+                if rel[p][r]:
+                    rel[p] = [x or y for x, y in zip(rel[p], rel[r])]
+        order = StateOrder.from_leq(n, lambda p, q: rel[p][q])
+        want = tuple(min(q for q in range(n) if rel[p][q] and rel[q][p]) for p in range(n))
+        assert order.representatives() == want
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match=r"line 3"):
         parse_automaton("alphabet: a\nstates: 1\nstates: 2\ninitial: 0\nfinals:\ntrans: 0 a 0")
@@ -278,3 +331,67 @@ def test_finals_coerced_to_frozenset():
     assert isinstance(oa.finals, frozenset)
     with pytest.raises(OrdaError):
         OrderedAutomaton(contains_a().osa, 5, frozenset())
+
+
+CHAIN3 = (
+    "alphabet: a b\nstates: 3\ninitial: 0\nfinals: 2\n"
+    "order: 0 <= 1\norder: 1 <= 2\norder: 0 <= 2\n"
+    "trans: 0 a 1\ntrans: 0 b 0\ntrans: 1 a 2\ntrans: 1 b 1\ntrans: 2 a 2\ntrans: 2 b 2\n"
+)
+
+
+@pytest.mark.parametrize("line, spelling", [
+    ("order: 1 <= 2", " \torder\t :\t1   <=\t2 "),
+    ("order: 1 <= 2", "order:1 <= 2"),
+    ("order: 1 <= 2", "order: 1 <= 2  # above the middle"),
+    ("order: 1 <= 2", "order: 001 <= 02"),
+    ("order: 1 <= 2", "order: \u0661 <= \u0662"),  # Arabic-Indic digits
+    ("trans: 1 a 2", "\ttrans :  01\ta  \uff12#"),  # a fullwidth 2
+    ("states: 3", "states : 03 # three"),
+    ("finals: 2", "finals:\t\u0662"),
+])
+def test_parse_accepts_spellings(line, spelling):
+    assert parse_automaton(CHAIN3.replace(line, spelling)) == parse_automaton(CHAIN3)
+
+
+def test_parse_refuses_spellings_with_the_line():
+    huge = "1" * 5000
+    # int() refuses more digits than sys.get_int_max_str_digits(), 4300 by default
+    limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(huge)
+    cases = [
+        ("order: 1 <= 2", f"order: {huge} <= 2", 6,
+         "order wants 'p <= q', got '1111" if limited else "order pair (1111"),
+        ("trans: 2 b 2", f"trans: 2 b 2\ntrans: {huge} a 2", 14,
+         "trans wants 'state symbol state', got '1111" if limited else "transition from unknown state"),
+        ("order: 1 <= 2", "order: 1 <=2 3", 6, "order wants 'p <= q', got '1 <=2 3'"),
+        ("order: 1 <= 2", "order 1 <= 2", 6, "expected 'key: value', got 'order 1 <= 2'"),
+        ("order: 1 <= 2", "order: 1 <= -2", 6, "order wants 'p <= q', got '1 <= -2'"),
+        ("order: 1 <= 2", "order: 1 <= 3", 6, "order pair (1, 3) out of range"),
+        ("trans: 1 a 2", "trans: 1 a", 10, "trans wants 'state symbol state', got '1 a'"),
+        ("trans: 1 a 2", "trans: 1 a 2 2", 10, "trans wants 'state symbol state', got '1 a 2 2'"),
+    ]
+    for line, spelling, lineno, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_automaton(CHAIN3.replace(line, spelling))
+        assert str(info.value).startswith(message)
+        assert str(info.value).endswith(f"(line {lineno})")
+
+
+def three_blocks(k: int) -> str:
+    """Blocks A, B, C of k states each, every pair from A to B and from B to C
+    declared but none from A to C: k**3 transitivity violations."""
+    order = "".join(f"order: {p} <= {q}\n" for lo in (0, k) for p in range(lo, lo + k) for q in range(lo + k, lo + 2 * k))
+    moves = "".join(f"trans: {q} a {q}\n" for q in range(3 * k))
+    return f"alphabet: a\nstates: {3 * k}\ninitial: 0\nfinals:\n" + order + moves
+
+
+def test_parse_error_shows_a_bounded_number_of_violations():
+    with pytest.raises(OrdaError) as info:
+        parse_automaton(three_blocks(4))
+    message = str(info.value)
+    assert message.startswith("invalid automaton: transitivity: 0,4,8; transitivity: 0,4,9;")
+    assert message.count("transitivity:") == VIOLATION_LIMIT
+    assert message.endswith(f"; ... (more violations cut: only the first {VIOLATION_LIMIT} are shown)")
+    # up to the limit, every violation is shown and nothing is appended
+    message = str(pytest.raises(OrdaError, parse_automaton, three_blocks(2)).value)
+    assert message.count(";") == 2 ** 3 - 1 and "cut" not in message
