@@ -179,16 +179,6 @@ class StateOrder:
         return cls(tuple(1 << p for p in range(n)))
 
     @classmethod
-    def from_pairs(cls, n: int, pairs) -> "StateOrder":
-        """Relation holding exactly the given pairs plus reflexivity."""
-        rows = [1 << p for p in range(n)]
-        for p, q in pairs:
-            if not (0 <= p < n and 0 <= q < n):
-                raise OrdaError(f"order pair ({p}, {q}) out of range")
-            rows[p] |= 1 << q
-        return cls(tuple(rows))
-
-    @classmethod
     def from_leq(cls, n: int, leq) -> "StateOrder":
         return cls(tuple(sum(1 << q for q in range(n) if leq(p, q)) for p in range(n)))
 
@@ -285,13 +275,25 @@ def transitivity_failures(order: StateOrder):
                     yield p, q, r
 
 
+def packed_preimages(sa: Semiautomaton) -> list[int]:
+    """packed[q] holds the states that each letter sends to q as one mask,
+    letter k in bits k*n to k*n + n - 1; so the preimage of a set of states
+    under every letter at once is the OR of their entries."""
+    n = sa.state_count
+    packed = [0] * n
+    for p, row in enumerate(sa.delta):
+        for k, q in enumerate(row):
+            packed[q] |= 1 << (k * n + p)
+    return packed
+
+
 def compatibility_failures(sa: Semiautomaton, order: StateOrder):
     """Triples (p, q, k) with p <= q, p != q, but not p.a <= q.a for the k-th letter a.
 
     Row p is checked whole against above[s] for each image s = p.a: the
-    states q with q.a >= s, letter k in bits k*n to k*n + n - 1, formed as
-    the OR of the packed preimages (see minimize.preorder) over the up-set
-    of s.  Pairs are walked only in rows with a bad column.
+    states q with q.a >= s, in the layout of packed_preimages, formed as the
+    OR of the packed preimages over the up-set of s.  Pairs are walked only
+    in rows with a bad column.
     """
     up, delta = order.up, sa.delta
     n = len(up)
@@ -302,10 +304,7 @@ def compatibility_failures(sa: Semiautomaton, order: StateOrder):
         if not others:
             continue
         if packed is None:
-            packed = [0] * n
-            for r, images in enumerate(delta):
-                for k, t in enumerate(images):
-                    packed[t] |= 1 << (k * n + r)
+            packed = packed_preimages(sa)
         bad, worst = [], 0
         for k, s in enumerate(delta[p]):
             mask = above.get(s)
@@ -352,13 +351,12 @@ def _violations(oa: OrderedAutomaton):
             yield f"finals not upward closed: {name(p)}<={name(q)}, {name(q)} not final"
 
 
-def validate(oa: OrderedAutomaton, limit: int | None = None) -> list[str]:
-    """Check every ordered-automaton axiom; return one message per violation,
-    only the first limit of them if limit is given.
+def validate(oa: OrderedAutomaton) -> list[str]:
+    """Check every ordered-automaton axiom; return one message per violation.
 
     Violations are data, not errors: an empty list means the instance is valid.
     """
-    return list(islice(_violations(oa), limit))
+    return list(_violations(oa))
 
 
 def accepts(oa: OrderedAutomaton, w: str) -> bool:
@@ -548,21 +546,17 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         key = key.strip()
         if key == "order":
             parts = rest.split()
-            if len(parts) == 3 and parts[1] == "<=" and parts[0].isdecimal() and parts[2].isdecimal():
-                try:
-                    order_pairs.append((int(parts[0]), int(parts[2]), lineno))
+            if len(parts) == 3 and parts[1] == "<=":
+                p, q = _decimal(parts[0]), _decimal(parts[2])
+                if p is not None and q is not None:
+                    order_pairs.append((p, q, lineno))
                     continue
-                except ValueError:  # more digits than int() converts
-                    pass
             fail(f"order wants 'p <= q', got {rest.strip()!r}", lineno)
         elif key == "trans":
             parts = rest.split()
-            if len(parts) == 3 and parts[0].isdecimal() and parts[2].isdecimal():
-                try:
-                    src, dst = int(parts[0]), int(parts[2])
-                except ValueError:  # more digits than int() converts
-                    pass
-                else:
+            if len(parts) == 3:
+                src, dst = _decimal(parts[0]), _decimal(parts[2])
+                if src is not None and dst is not None:
                     sym = parts[1]
                     if (src, sym) in trans:
                         fail(f"duplicate transition for ({src}, {sym})", lineno)
@@ -638,7 +632,7 @@ def parse_automaton(text: str) -> OrderedAutomaton:
     oa = OrderedAutomaton(
         OrderedSemiautomaton(Semiautomaton(alphabet, tuple(rows)), StateOrder(tuple(up))), initial, finals
     )
-    violations = validate(oa, VIOLATION_LIMIT + 1)
+    violations = list(islice(_violations(oa), VIOLATION_LIMIT + 1))
     if violations:
         shown = "; ".join(violations[:VIOLATION_LIMIT])
         if len(violations) > VIOLATION_LIMIT:

@@ -23,6 +23,7 @@ from .core import (
     StateOrder,
     bits,
     explore,
+    packed_preimages,
 )
 
 
@@ -49,14 +50,13 @@ def preorder(oa: OrderedAutomaton) -> StateOrder:
     width = len(sa.alphabet)
     everything = (1 << n) - 1
     # preds[q][k]: the states that letter k sends to q; packed[q] holds the
-    # same sets as one mask, letter k in bits k*n to k*n + n - 1, so the
-    # preimage of a set of columns under every letter costs one OR per column
+    # same sets as one mask, so the preimage of a set of columns under every
+    # letter costs one OR per column
     preds = [[[] for _ in range(width)] for _ in range(n)]
-    packed = [0] * n
     for p, row in enumerate(sa.delta):
         for k, q in enumerate(row):
             preds[q][k].append(p)
-            packed[q] |= 1 << (k * n + p)
+    packed = packed_preimages(sa)
 
     rel = _initial_relation(oa)
     pending = [everything ^ row for row in rel]

@@ -19,6 +19,15 @@ from orda.core import (
 AB = Alphabet(("a", "b"))
 
 
+def order_from_pairs(n: int, pairs) -> StateOrder:
+    """The relation holding exactly the given pairs plus reflexivity; a pair
+    out of range leaves a bit StateOrder refuses."""
+    rows = [1 << p for p in range(n)]
+    for p, q in pairs:
+        rows[p] |= 1 << q
+    return StateOrder(tuple(rows))
+
+
 def contains_a() -> OrderedAutomaton:
     """Words over {a, b} containing at least one a.
 
@@ -27,7 +36,7 @@ def contains_a() -> OrderedAutomaton:
     future of 1 (which is all words).
     """
     sa = Semiautomaton(AB, ((1, 0), (1, 1)))
-    order = StateOrder.from_pairs(2, [(0, 1)])
+    order = order_from_pairs(2, [(0, 1)])
     return OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, frozenset({1}))
 
 
@@ -39,7 +48,7 @@ def ab_star() -> OrderedAutomaton:
     are incomparable.
     """
     sa = Semiautomaton(AB, ((1, 2), (2, 0), (2, 2)))
-    order = StateOrder.from_pairs(3, [(2, 0), (2, 1)])
+    order = order_from_pairs(3, [(2, 0), (2, 1)])
     return OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, frozenset({0}))
 
 
@@ -79,5 +88,5 @@ def finite_two_words() -> OrderedAutomaton:
         (4, 4),  # dead
     )
     sa = Semiautomaton(AB, rows)
-    order = StateOrder.from_pairs(5, [(4, q) for q in range(4)])
+    order = order_from_pairs(5, [(4, q) for q in range(4)])
     return OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, frozenset({3}))

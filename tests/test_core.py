@@ -27,7 +27,7 @@ from orda.core import (
 from orda.core import VIOLATION_LIMIT
 from orda.errors import AlphabetError, OrdaError, ParseError, ResourceError
 
-from fixtures import contains_a, even_a, finite_two_words
+from fixtures import contains_a, even_a, finite_two_words, order_from_pairs
 from oracles import language, order_violations, words_up_to
 from orda.generate import random_automaton
 
@@ -92,7 +92,7 @@ def test_step_composes():
 
 
 def test_state_order_operations():
-    o = StateOrder.from_pairs(3, [(0, 1), (0, 2)])
+    o = order_from_pairs(3, [(0, 1), (0, 2)])
     assert o.leq(0, 1) and o.leq(0, 0) and not o.leq(1, 0)
     assert sorted(o.pairs()) == [(0, 1), (0, 2)]
     rev = o.reversed()
@@ -102,20 +102,20 @@ def test_state_order_operations():
     via_leq = StateOrder.from_leq(3, lambda p, q: p == q or (p == 0 and q > 0))
     assert via_leq == o
     with pytest.raises(OrdaError):
-        StateOrder.from_pairs(2, [(0, 5)])
+        order_from_pairs(2, [(0, 5)])
 
 
 def test_state_order_rows_are_bitmasks():
     o = StateOrder((0b011, 0b010, 0b110))  # bit q of row p: p <= q
     assert o.leq(0, 1) and o.leq(2, 1) and not o.leq(1, 0)
     assert list(o.pairs()) == [(0, 1), (2, 1)]
-    assert o == StateOrder.from_pairs(3, [(0, 1), (2, 1)])
+    assert o == order_from_pairs(3, [(0, 1), (2, 1)])
     for bad in ((0b100, 0b10), (0b1, -1)):
         with pytest.raises(OrdaError, match="at or above"):
             StateOrder(bad)
     # restrict renumbers by list position and drops states not listed
     assert o.restrict([2, 1]) == StateOrder((0b11, 0b10))
-    assert o.restrict([1, 0]) == StateOrder.from_pairs(2, [(1, 0)])
+    assert o.restrict([1, 0]) == order_from_pairs(2, [(1, 0)])
     # representatives: the smallest state related both ways
     quasi = StateOrder.from_leq(4, lambda p, q: p % 2 == q % 2 or q == 3)
     assert quasi.representatives() == (0, 1, 0, 1)
@@ -147,7 +147,7 @@ def test_validate_reports_each_axiom():
 
     # 0 <= 1 but 0.a = 1 and 1.a = 0 are incomparable under the same order
     sa_swap = Semiautomaton(ab, ((1,), (0,)))
-    chain = StateOrder.from_pairs(2, [(0, 1)])
+    chain = order_from_pairs(2, [(0, 1)])
     msgs = validate(OrderedAutomaton(OrderedSemiautomaton(sa_swap, chain), 0, frozenset({1})))
     assert any(m.startswith("compatibility: 0<=1") for m in msgs)
 

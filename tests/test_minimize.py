@@ -25,7 +25,7 @@ from orda.minimize import (
     reachable_part,
 )
 
-from fixtures import ab_star, contains_a, even_a, finite_two_words
+from fixtures import ab_star, contains_a, even_a, finite_two_words, order_from_pairs
 from oracles import bounded_preorder, language, residual_included, words_up_to
 
 A = Alphabet(("a",))
@@ -223,7 +223,7 @@ def test_isomorphism_ignores_unreachable_states():
     # add an unreachable copy of state 0
     sa = Semiautomaton(AB, ((1, 0), (1, 1), (1, 2)))
     padded = OrderedAutomaton(
-        OrderedSemiautomaton(sa, StateOrder.from_pairs(3, [(0, 1)])), 0, frozenset({1})
+        OrderedSemiautomaton(sa, order_from_pairs(3, [(0, 1)])), 0, frozenset({1})
     )
     assert isomorphic(padded, oa)
     assert isomorphic(oa, padded)
