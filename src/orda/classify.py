@@ -162,9 +162,7 @@ def _locally_confluent(sa: Semiautomaton) -> Verdict:
 def is_pt_semiautomaton(sa: Semiautomaton) -> Verdict:
     """Acyclic and confluent; the automaton side of piecewise testability."""
     acyclic = is_acyclic(sa)
-    if not acyclic.holds:
-        return acyclic
-    return is_confluent(sa)
+    return is_confluent(sa) if acyclic else acyclic
 
 
 def has_extensive_actions(osa: OrderedSemiautomaton) -> Verdict:
@@ -435,17 +433,11 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
     star_free = is_counter_free(sa)
     r_trivial = is_acyclic(sa)
     # every verdict that reads confluence needs acyclicity first
-    confluent = is_confluent(sa) if r_trivial.holds else None
-    if not r_trivial.holds:
-        pt = r_trivial
-    elif not confluent.holds:
-        pt = confluent
-    else:
-        pt = Verdict(True)
+    pt = is_confluent(sa) if r_trivial else r_trivial
     positive_pt = has_extensive_actions(osa)
     strongly = is_strongly_acyclic(sa)
 
-    if strongly.holds and confluent.holds:
+    if strongly.holds and pt.holds:
         f = _follower(sa, minimal.initial)
         # every state is reachable from the initial one, so f is the follower of
         # them all, and the order condition is f <= q at every state q
@@ -457,7 +449,7 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
             finite = Verdict(True, (f, order_ok))
             cofinite = Verdict(False, ("follower not final", f))
     else:
-        blocker = strongly if not strongly.holds else confluent
+        blocker = strongly if not strongly.holds else pt
         finite = Verdict(False, blocker.witness)
         cofinite = Verdict(False, blocker.witness)
     synchronizing = is_synchronizing(sa)

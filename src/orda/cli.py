@@ -219,6 +219,8 @@ def run_oracle(seed: int, count: int, max_states: int = 4) -> tuple[list[str], s
 def cmd_oracle(args) -> int:
     if args.max_states < 1:
         raise OrdaError("--max-states must be positive")
+    if args.count < 0:
+        raise OrdaError("--count must not be negative")
     mismatches, summary = run_oracle(args.seed, args.count, args.max_states)
     for line in mismatches:
         print(line)

@@ -28,7 +28,7 @@ from .core import (
     transitivity_failures,
 )
 from .errors import AlphabetError, CompatibilityError, OrdaError, ParseError, ResourceError
-from .minimize import isomorphic, minimize_with_map
+from .minimize import minimize_with_map
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,7 @@ def quotient_by_precongruence(
     return quotient, SemiautomatonHom(osa, quotient, mapping)
 
 
-def union_via_product_embedding(
-    osas: list[OrderedSemiautomaton], cap: int = 1_000_000
-) -> tuple[OrderedSemiautomaton, SemiautomatonHom]:
+def union_via_product_embedding(osas: list[OrderedSemiautomaton]) -> tuple[OrderedSemiautomaton, SemiautomatonHom]:
     """Product with a trivial factor, projected onto the disjoint union.
 
     The map (q_1, ..., q_n, j) -> component j, state q_j is a surjective
@@ -314,7 +312,7 @@ def union_via_product_embedding(
         raise OrdaError("empty family")
     alphabet = _same_alphabet(osas)
     n = len(osas)
-    big = product(list(osas) + [trivial(n, alphabet)], cap=cap)
+    big = product(list(osas) + [trivial(n, alphabet)])
     uni = disjoint_union(osas)
     sizes = [o.state_count for o in osas] + [n]
     offsets = [0]
@@ -350,35 +348,40 @@ def recognized_languages(
     """Minimal automata of every language the semiautomaton can recognize.
 
     Ranges over all initial states and all upward-closed final sets,
-    deduplicated up to isomorphism.  Returns (automata, truncated); the flag
-    is set when the cap cut the enumeration short.
+    deduplicated up to isomorphism: minimize_with_map numbers states
+    canonically, so two of its results are isomorphic exactly when their
+    transitions, finals and order rows are equal.  Returns (automata,
+    truncated); the flag is set when the cap cut the enumeration short.
     """
     kept: list[OrderedAutomaton] = []
+    seen = set()
     for i in range(osa.state_count):
         for finals in _upward_closed_sets(osa.order):
             minimal = minimize_with_map(OrderedAutomaton(osa, i, finals))[1]
-            if any(isomorphic(minimal, k) for k in kept):
+            key = minimal.sa.delta, minimal.finals, minimal.order.up
+            if key in seen:
                 continue
             if len(kept) >= cap:
                 return kept, True
+            seen.add(key)
             kept.append(minimal)
     return kept, False
 
 
-def product_intersection(oas: list[OrderedAutomaton], cap: int = 1_000_000) -> OrderedAutomaton:
+def product_intersection(oas: list[OrderedAutomaton]) -> OrderedAutomaton:
     """Product automaton accepting the intersection: final iff every component is."""
-    return _product_automaton(oas, want_all=True, cap=cap)
+    return _product_automaton(oas, want_all=True)
 
 
-def product_union(oas: list[OrderedAutomaton], cap: int = 1_000_000) -> OrderedAutomaton:
+def product_union(oas: list[OrderedAutomaton]) -> OrderedAutomaton:
     """Product automaton accepting the union: final iff some component is."""
-    return _product_automaton(oas, want_all=False, cap=cap)
+    return _product_automaton(oas, want_all=False)
 
 
-def _product_automaton(oas: list[OrderedAutomaton], want_all: bool, cap: int) -> OrderedAutomaton:
+def _product_automaton(oas: list[OrderedAutomaton], want_all: bool) -> OrderedAutomaton:
     if not oas:
         raise OrdaError("empty family")
-    osa = product([oa.osa for oa in oas], cap=cap)
+    osa = product([oa.osa for oa in oas])
     sizes = [oa.state_count for oa in oas]
     finals = []
     for i, t in enumerate(cartesian(*(range(s) for s in sizes))):
@@ -409,11 +412,15 @@ def reconstruction_product_embedding(
     pos = {orig: i for i, orig in enumerate(reach)}
     components: list[OrderedAutomaton] = []
     maps: list[tuple[int, ...]] = []
+    seen = set()
     for finals in _upward_closed_sets(osa.order):
         _, minimal, mapping = minimize_with_map(OrderedAutomaton(osa, q0, finals))
         phi = tuple(mapping[pos[q]] for q in range(n))
-        if any(isomorphic(minimal, c) for c in components):
+        # equal exactly when isomorphic, see recognized_languages
+        key = minimal.sa.delta, minimal.finals, minimal.order.up
+        if key in seen:
             continue
+        seen.add(key)
         components.append(minimal)
         maps.append(phi)
 

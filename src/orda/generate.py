@@ -19,18 +19,7 @@ from .core import (
     StateOrder,
     compatibility_failures,
 )
-from .languages import (
-    EMPTY,
-    EPS,
-    Regex,
-    cat,
-    compl,
-    inter,
-    star,
-    sym,
-    union,
-    word_regex,
-)
+from .languages import EMPTY, EPS, Regex, cat, compl, inter, star, sym, union
 from .minimize import minimize_ordered
 
 _ORDER_TRIES = 50
@@ -117,29 +106,3 @@ def random_regex(rng: random.Random, alphabet: Alphabet, depth: int = 4) -> Rege
     if roll < 0.95:
         return compl(random_regex(rng, alphabet, depth - 1))
     return sym(rng.choice(alphabet.symbols))
-
-
-def random_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> str:
-    return "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, max_len)))
-
-
-def random_finite_language(
-    rng: random.Random,
-    alphabet: Alphabet,
-    max_words: int = 20,
-    max_len: int = 5,
-) -> frozenset[str]:
-    count = rng.randint(1, max_words)
-    return frozenset(random_word(rng, alphabet, max_len) for _ in range(count))
-
-
-def random_prefix_testable_regex(rng: random.Random, alphabet: Alphabet) -> Regex:
-    """Union of a finite language and one or two u.A* blocks."""
-    sigma = union([sym(a) for a in alphabet.symbols])
-    parts = []
-    for _ in range(rng.randint(1, 2)):
-        u = random_word(rng, alphabet, 3)
-        parts.append(cat(word_regex(u), star(sigma)))
-    for _ in range(rng.randint(0, 5)):
-        parts.append(word_regex(random_word(rng, alphabet, 4)))
-    return union(parts)

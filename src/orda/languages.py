@@ -10,15 +10,15 @@ argument that keeps the set of iterated derivatives finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Alphabet,
     OrderedAutomaton,
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    bits,
     explore,
+    packed_preimages,
     path_word,
 )
 from .errors import AlphabetError, ParseError, ResourceError
@@ -210,10 +210,8 @@ def nullable(r: Regex) -> bool:
     raise TypeError(f"not a regex: {r!r}")
 
 
-def derivative(r: Regex, a: str, alphabet: Alphabet | None = None) -> Regex:
+def derivative(r: Regex, a: str) -> Regex:
     """The left derivative a^-1 L(r), in ACI normal form."""
-    if alphabet is not None and a not in alphabet:
-        raise AlphabetError(f"symbol {a!r} not in alphabet")
     return _derivative(r, a, {})
 
 
@@ -454,80 +452,46 @@ def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = 10000) -> Orde
     )
 
 
-def canonical_ordered_automaton(r: Regex, alphabet: Alphabet, cap: int = 10000) -> OrderedAutomaton:
+def canonical_ordered_automaton(r: Regex, alphabet: Alphabet) -> OrderedAutomaton:
     """Minimal ordered automaton of L(r): states are the residuals, ordered by inclusion."""
-    return minimize_ordered(derivative_automaton(r, alphabet, cap))
+    return minimize_ordered(derivative_automaton(r, alphabet))
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton; exists only as input to subset construction."""
+def reverse_subsets(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
+    """Accessible subset automaton of the reversal of oa, ordered by inclusion.
 
-    alphabet: Alphabet
-    moves: tuple[tuple[frozenset[int], ...], ...]  # moves[q][k] = successor set
-    initials: frozenset[int]
-    finals: frozenset[int]
+    The reversal runs oa's arrows backwards, from its finals to its initial
+    state, and recognizes the mirror language.  A subset is a mask of oa's
+    states and is named by its members; cap bounds the subsets.
+    """
+    n = oa.state_count
+    width = len(oa.alphabet)
+    full = (1 << n) - 1
+    packed = packed_preimages(oa.sa)
 
-    def __post_init__(self):
-        n = len(self.moves)
-        width = len(self.alphabet)
-        for q, row in enumerate(self.moves):
-            if len(row) != width:
-                raise ParseError(f"nfa state {q}: expected {width} move sets")
-            for targets in row:
-                for r in targets:
-                    if not 0 <= r < n:
-                        raise ParseError(f"nfa state {q}: target {r} out of range")
-        for q in self.initials | self.finals:
-            if not 0 <= q < n:
-                raise ParseError(f"nfa state {q} out of range")
+    def predecessors(subset):
+        pre = 0
+        for q in bits(subset):
+            pre |= packed[q]
+        return ((pre >> (k * n)) & full for k in range(width))
 
-    @property
-    def state_count(self) -> int:
-        return len(self.moves)
-
-
-def subset_construction(n: Nfa, cap: int = 10000) -> OrderedAutomaton:
-    """Accessible subset DFA, ordered by set inclusion on the reachable subsets."""
-    width = len(n.alphabet)
-    subsets, rows = explore(
-        frozenset(n.initials),
-        lambda cur: (frozenset().union(*(n.moves[q][k] for q in cur)) for k in range(width)),
-        cap,
-        "subset construction",
-    )
+    start = sum(1 << q for q in oa.finals)
+    subsets, rows = explore(start, predecessors, cap, "subset construction")
     # up[i] is the set of subsets containing every member of subset i
-    containing = [0] * len(n.moves)
+    containing = [0] * n
     for i, s in enumerate(subsets):
-        for q in s:
+        for q in bits(s):
             containing[q] |= 1 << i
     up = []
     for s in subsets:
         mask = (1 << len(subsets)) - 1
-        for q in s:
+        for q in bits(s):
             mask &= containing[q]
         up.append(mask)
-    finals = frozenset(i for i, s in enumerate(subsets) if s & n.finals)
-    names = tuple("{" + ",".join(str(q) for q in sorted(s)) + "}" for s in subsets)
-    sa = Semiautomaton(n.alphabet, tuple(rows), names)
+    finals = frozenset(i for i, s in enumerate(subsets) if s >> oa.initial & 1)
+    names = tuple("{" + ",".join(map(str, bits(s))) + "}" for s in subsets)
+    sa = Semiautomaton(oa.alphabet, tuple(rows), names)
     return OrderedAutomaton(OrderedSemiautomaton(sa, StateOrder(tuple(up))), 0, finals)
-
-
-def reverse(oa: OrderedAutomaton) -> Nfa:
-    """Arrow-reversed NFA: initial and final sets swap; recognizes the mirror language."""
-    sa = oa.sa
-    n = sa.state_count
-    width = len(sa.alphabet)
-    moves = [[set() for _ in range(width)] for _ in range(n)]
-    for q in range(n):
-        for k in range(width):
-            moves[sa.delta[q][k]][k].add(q)
-    return Nfa(
-        sa.alphabet,
-        tuple(tuple(frozenset(targets) for targets in row) for row in moves),
-        frozenset(oa.finals),
-        frozenset({oa.initial}),
-    )
 
 
 def brzozowski_minimize(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
@@ -537,7 +501,7 @@ def brzozowski_minimize(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutoma
     makes the final inclusion order coincide with residual inclusion; cap
     bounds the states of each.
     """
-    return subset_construction(reverse(subset_construction(reverse(oa), cap)), cap)
+    return reverse_subsets(reverse_subsets(oa, cap), cap)
 
 
 def language_inclusion(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> tuple[bool, str | None]:
@@ -569,9 +533,13 @@ def to_regex(oa: OrderedAutomaton) -> Regex:
     """Language-equivalent regex by state elimination (oracle support).
 
     Deterministic: ties in the elimination-cost heuristic break on state index.
-    Raises ResourceError once the result would nest deeper than
-    REGEX_DEPTH_LIMIT, which parse_regex could not read back.
+    Refuses what parse_regex could not read back: an alphabet holding a
+    reserved character (AlphabetError), or a result nesting deeper than
+    REGEX_DEPTH_LIMIT (ResourceError, raised once it would).
     """
+    for a in oa.alphabet:
+        if a in RESERVED:
+            raise AlphabetError(f"symbol {a!r} is a regex operator, so a regex over it could not be read back")
     n = oa.state_count
     start, end = n, n + 1
     succ: list[dict[int, Regex]] = [{} for _ in range(n + 2)]  # succ[i][j]: the edge i -> j

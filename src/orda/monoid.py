@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .core import OrderedSemiautomaton, Semiautomaton, sccs
-from .errors import AlphabetError, ResourceError
+from .errors import ResourceError
 
 
 class TransitionMonoid:
@@ -108,18 +108,6 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
         pass
     generators = dict(zip(osa.sa.alphabet, right[0]))
     return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
-
-
-def element_of_word(tm: TransitionMonoid, w: str) -> int:
-    """Fold the word through the generator map."""
-    column = tm._column
-    out = tm.identity
-    for a in w:
-        k = column.get(a)
-        if k is None:
-            raise AlphabetError(f"symbol {a!r} not in alphabet")
-        out = tm.right[out][k]
-    return out
 
 
 def _omega_data(tm: TransitionMonoid, m: int) -> tuple[int, int]:

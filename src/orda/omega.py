@@ -21,6 +21,10 @@ from .errors import OrdaError, ParseError, ResourceError
 from .monoid import TransitionMonoid, build, omega_exponent, omega_power
 
 CATEGORIES = ("all", "ne", "lp", "surj", "lm")
+# check refuses a category whose substitution space has more tuples than this
+SUBSTITUTION_CAP = 10_000_000
+# length_set refuses a lasso with more distinct layer sets than this
+LENGTH_SET_CAP = 100_000
 
 
 class OmegaTerm:
@@ -256,7 +260,7 @@ def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
     return out
 
 
-def length_set(tm: TransitionMonoid, cap: int = 100_000) -> list[dict[int, tuple[int, str]]]:
+def length_set(tm: TransitionMonoid) -> list[dict[int, tuple[int, str]]]:
     """The elements acting as words of each length, with least such words.
 
     Layer 0 is {1} and layer L+1 is layer L times every letter, until a layer
@@ -280,18 +284,12 @@ def length_set(tm: TransitionMonoid, cap: int = 100_000) -> list[dict[int, tuple
         subset = frozenset(layer)
         if subset in seen:
             return layers
-        if len(seen) >= cap:
-            raise ResourceError(f"length-set lasso exceeded {cap} subsets")
+        if len(seen) >= LENGTH_SET_CAP:
+            raise ResourceError(f"length-set lasso exceeded {LENGTH_SET_CAP} subsets")
         seen.add(subset)
 
 
-def valid_substitutions(
-    tm: TransitionMonoid,
-    names: tuple[str, ...],
-    category: str,
-    alphabet: Alphabet,
-    cap: int = 10_000_000,
-):
+def valid_substitutions(tm: TransitionMonoid, names: tuple[str, ...], category: str, alphabet: Alphabet):
     """Stream the admissible substitutions of a category, deterministically.
 
     Each is a pair (elements, spell): the element tuple, and one function per
@@ -308,23 +306,23 @@ def valid_substitutions(
     n = len(tm)
     least = tm.witnesses.__getitem__
     if category == "all":
-        _guard(n**k, cap)
+        _guard(n**k)
         yield from zip(cartesian(range(n), repeat=k), repeat((least,) * k))
     elif category == "ne":
         realizable = nonempty_realizable(tm)  # element -> least non-empty word
-        _guard(len(realizable) ** k, cap)
+        _guard(len(realizable) ** k)
         yield from zip(cartesian(sorted(realizable), repeat=k), repeat((realizable.__getitem__,) * k))
     elif category == "lp":
         letter: dict[int, str] = {}  # generator -> first letter acting as it
         for a in alphabet.symbols:
             letter.setdefault(tm.generators[a], a)
-        _guard(len(letter) ** k, cap)
+        _guard(len(letter) ** k)
         yield from zip(cartesian(letter, repeat=k), repeat((letter.__getitem__,) * k))
     elif category == "surj":
         width = len(alphabet)
         if k < width:
             return
-        _guard(perm(k, width) * n ** (k - width), cap)
+        _guard(perm(k, width) * n ** (k - width))
         pins = [((tm.generators[a],), {tm.generators[a]: a}.__getitem__) for a in alphabet.symbols]
         for chosen in permutations(range(k), width):  # the slot of each letter
             domains, spell = [range(n)] * k, [least] * k
@@ -332,7 +330,7 @@ def valid_substitutions(
                 domains[slot], spell[slot] = domain, speller
             yield from zip(cartesian(*domains), repeat(tuple(spell)))
     elif category == "lm":
-        _guard(n**k, cap)
+        _guard(n**k)
         layers = length_set(tm)
         lengths = [0] * n  # bit L set when the element has a word of length L
         for L, layer in enumerate(layers):
@@ -354,9 +352,9 @@ def spell_substitution(names: tuple[str, ...], elements: tuple[int, ...], spell)
     return Substitution(names, elements, tuple(f(e) for f, e in zip(spell, elements)))
 
 
-def _guard(count: int, cap: int):
-    if count > cap:
-        raise ResourceError(f"substitution space of {count} tuples exceeds cap {cap}")
+def _guard(count: int):
+    if count > SUBSTITUTION_CAP:
+        raise ResourceError(f"substitution space of {count} tuples exceeds cap {SUBSTITUTION_CAP}")
 
 
 def _program(query: OmegaQuery, names: tuple[str, ...]) -> tuple[list[tuple[int, int | None]], int, int]:
@@ -394,12 +392,7 @@ def _program(query: OmegaQuery, names: tuple[str, ...]) -> tuple[list[tuple[int,
     return list(slot_of), left, right
 
 
-def check(
-    osa: OrderedSemiautomaton,
-    query: OmegaQuery,
-    substitution_cap: int = 10_000_000,
-    monoid_cap: int = 1_000_000,
-) -> Verdict:
+def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_000) -> Verdict:
     """Decide the query; counterexample = (substitution, state), replayable.
 
     Both sides run as one program (see _program) on each element tuple, and
@@ -415,7 +408,7 @@ def check(
     want_leq = query.relation == "<="
     order = osa.order
     any_substitution = False
-    for elements, spell in valid_substitutions(tm, names, query.category, osa.alphabet, substitution_cap):
+    for elements, spell in valid_substitutions(tm, names, query.category, osa.alphabet):
         any_substitution = True
         slots = [*elements, identity]
         for a, b in steps:
@@ -463,7 +456,7 @@ class CatalogSummary:
     j_trivial: Verdict
 
 
-def check_identity_catalog(sa: Semiautomaton, monoid_cap: int = 1_000_000) -> CatalogSummary:
+def check_identity_catalog(sa: Semiautomaton) -> CatalogSummary:
     """Run the classical identities on the discretely ordered semiautomaton.
 
     x^w x == x^w characterizes aperiodicity, (x y)^w x == (x y)^w
@@ -471,10 +464,10 @@ def check_identity_catalog(sa: Semiautomaton, monoid_cap: int = 1_000_000) -> Ca
     results mirror the monoid oracles.
     """
     osa = OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
-    ap = check(osa, parse_query("x^w x == x^w @all"), monoid_cap=monoid_cap)
-    r = check(osa, parse_query("(x y)^w x == (x y)^w @all"), monoid_cap=monoid_cap)
+    ap = check(osa, parse_query("x^w x == x^w @all"))
+    r = check(osa, parse_query("(x y)^w x == (x y)^w @all"))
     if r.holds:
-        j2 = check(osa, parse_query("y (x y)^w == (x y)^w @all"), monoid_cap=monoid_cap)
+        j2 = check(osa, parse_query("y (x y)^w == (x y)^w @all"))
         j = j2 if not j2.holds else Verdict(True)
     else:
         j = r

@@ -1,12 +1,16 @@
-"""Small hand-built automata used across the test suite.
+"""Small hand-built automata and test-only helpers used across the test suite.
 
 Each language fixture is already in canonical form: states are the
 distinct left quotients of the language and the order is inclusion of
 the accepted futures.  cerny() has no order or accepting structure; it
-is the classical slowly-synchronizing family.
+is the classical slowly-synchronizing family.  The helpers at the end
+look up a word in a transition monoid and draw seeded random words,
+finite languages and prefix-testable regexes.
 """
 
 from __future__ import annotations
+
+import random
 
 from orda.core import (
     Alphabet,
@@ -15,6 +19,9 @@ from orda.core import (
     Semiautomaton,
     StateOrder,
 )
+from orda.errors import AlphabetError
+from orda.languages import Regex, cat, star, sym, union, word_regex
+from orda.monoid import TransitionMonoid
 
 AB = Alphabet(("a", "b"))
 
@@ -90,3 +97,41 @@ def finite_two_words() -> OrderedAutomaton:
     sa = Semiautomaton(AB, rows)
     order = order_from_pairs(5, [(4, q) for q in range(4)])
     return OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, frozenset({3}))
+
+
+def element_of_word(tm: TransitionMonoid, w: str) -> int:
+    """Fold the word through the generator map."""
+    column = tm._column
+    out = tm.identity
+    for a in w:
+        k = column.get(a)
+        if k is None:
+            raise AlphabetError(f"symbol {a!r} not in alphabet")
+        out = tm.right[out][k]
+    return out
+
+
+def random_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> str:
+    return "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, max_len)))
+
+
+def random_finite_language(
+    rng: random.Random,
+    alphabet: Alphabet,
+    max_words: int = 20,
+    max_len: int = 5,
+) -> frozenset[str]:
+    count = rng.randint(1, max_words)
+    return frozenset(random_word(rng, alphabet, max_len) for _ in range(count))
+
+
+def random_prefix_testable_regex(rng: random.Random, alphabet: Alphabet) -> Regex:
+    """Union of a finite language and one or two u.A* blocks."""
+    sigma = union([sym(a) for a in alphabet.symbols])
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        u = random_word(rng, alphabet, 3)
+        parts.append(cat(word_regex(u), star(sigma)))
+    for _ in range(rng.randint(0, 5)):
+        parts.append(word_regex(random_word(rng, alphabet, 4)))
+    return union(parts)

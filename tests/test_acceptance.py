@@ -32,13 +32,7 @@ from orda.constructions import (
     union_via_product_embedding,
 )
 from orda.core import Alphabet, OrderedAutomaton, accepts, reachable_states, step
-from orda.generate import (
-    random_automaton,
-    random_finite_language,
-    random_minimal_automaton,
-    random_prefix_testable_regex,
-    random_semiautomaton,
-)
+from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.languages import (
     brzozowski_minimize,
     canonical_ordered_automaton,
@@ -62,7 +56,7 @@ from orda.omega import (
     term_variables,
 )
 
-from fixtures import AB, cerny, even_a
+from fixtures import AB, cerny, even_a, random_finite_language, random_prefix_testable_regex
 from oracles import (
     _action,
     _read_query,

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import io
+import random
 import time
 import tracemalloc
 
@@ -8,10 +9,11 @@ import pytest
 
 from orda import cli
 from orda.classify import N_EXTENSIVE_LIMIT, Verdict
-from orda.core import format_automaton, parse_automaton
+from orda.core import Alphabet, format_automaton, parse_automaton
+from orda.generate import random_minimal_automaton
 from orda.languages import REGEX_DEPTH_LIMIT, parse_regex, regex_matches
 from orda.minimize import isomorphic, minimize_ordered
-from orda.omega import QUERY_DEPTH_LIMIT
+from orda.omega import QUERY_DEPTH_LIMIT, SUBSTITUTION_CAP
 
 from fixtures import contains_a, even_a, finite_two_words
 from oracles import words_up_to
@@ -263,6 +265,16 @@ def test_check_category_handling(tmp_path, capsys):
     assert code == 2 and "category" in err
 
 
+def test_check_refuses_a_substitution_space_past_its_cap(tmp_path, capsys):
+    # 5 states, a 246-element monoid: three variables over @all give 246**3 tuples
+    oa = random_minimal_automaton(random.Random(17), 6, Alphabet(("a", "b")))
+    path = write_fixture(tmp_path, oa)
+    code, out, err = run(capsys, ["check", path, "x y z <= z y x @all"])
+    assert code == 2 and out == ""
+    assert err == f"error: substitution space of 14886936 tuples exceeds cap {SUBSTITUTION_CAP}\n"
+    assert SUBSTITUTION_CAP == 10_000_000
+
+
 def test_convert_automaton_is_identity(tmp_path, capsys):
     source = format_automaton(finite_two_words())
     path = tmp_path / "fin.txt"
@@ -341,6 +353,12 @@ def test_convert_to_regex_refuses_what_parse_regex_cannot_read(tmp_path, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"REGEX_DEPTH_LIMIT = {REGEX_DEPTH_LIMIT}" in err
     assert err.count("\n") == 1
+    # a reserved character as a symbol: '**a(*|a)*' would read back as an error
+    path.write_text("alphabet: a *\nstates: 2\ninitial: 0\nfinals: 1\n"
+                    "trans: 0 a 1\ntrans: 0 * 0\ntrans: 1 a 1\ntrans: 1 * 1\n")
+    code, out, err = run(capsys, ["convert", str(path), "--to", "regex"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: symbol '*' ") and err.count("\n") == 1
 
 
 def test_convert_to_regex_of_a_1200_state_chain_fails_fast(tmp_path, capsys):
@@ -370,6 +388,12 @@ def test_oracle_sweep(capsys):
     assert out == "checked 25 instances, 0 mismatches\n"
     code, out, _ = run(capsys, ["oracle", "--count", "0"])
     assert code == 0 and out == "checked 0 instances, 0 mismatches\n"
+
+
+def test_oracle_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, ["oracle", "--count", "-3"])
+    assert code == 2 and out == ""
+    assert err == "error: --count must not be negative\n"
 
 
 def test_oracle_detects_disagreement(monkeypatch):

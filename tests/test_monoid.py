@@ -12,7 +12,6 @@ from orda.generate import random_minimal_automaton
 from orda.minimize import minimize_ordered
 from orda.monoid import (
     build,
-    element_of_word,
     is_aperiodic,
     is_j_trivial,
     is_r_trivial,
@@ -22,7 +21,7 @@ from orda.monoid import (
     satisfies_one_leq_x,
 )
 
-from fixtures import ab_star, cerny, contains_a, even_a
+from fixtures import ab_star, cerny, contains_a, element_of_word, even_a
 from oracles import (
     aperiodic_brute,
     compose as compose_brute,

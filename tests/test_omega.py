@@ -6,10 +6,11 @@ import time
 
 import pytest
 
+from orda import omega
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, step
-from orda.errors import ParseError
+from orda.errors import ParseError, ResourceError
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
-from orda.monoid import TransitionMonoid, build as build_monoid, element_of_word, omega_power
+from orda.monoid import TransitionMonoid, build as build_monoid, omega_power
 from orda.omega import (
     CATEGORIES,
     Concat,
@@ -31,7 +32,7 @@ from orda.omega import (
     valid_substitutions,
 )
 
-from fixtures import AB, ab_star, contains_a, even_a
+from fixtures import AB, ab_star, contains_a, element_of_word, even_a
 from oracles import (
     _action,
     _read_query,
@@ -218,6 +219,14 @@ def test_length_set_matches_enumeration():
             layer = k if k <= last else mu + (k - mu) % (last - mu)
             for m in range(len(tm)):
                 assert (m in layers[layer]) == (m in by_length[k]), (m, k)
+
+
+def test_length_set_refuses_a_lasso_past_its_cap(monkeypatch):
+    tm = build_monoid(contains_a().osa)  # layers {1}, {1, a}, {1, a}
+    assert len(length_set(tm)) == 3
+    monkeypatch.setattr(omega, "LENGTH_SET_CAP", 1)
+    with pytest.raises(ResourceError, match="length-set lasso exceeded 1 subsets"):
+        length_set(tm)
 
 
 def test_word_of_length():
