@@ -129,6 +129,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.cap_monoid < 1:
+        raise OrdaError("--cap-monoid must be positive")
     oa = _load(args, canonical=True)
     text = args.query
     if args.category and "@" not in text:

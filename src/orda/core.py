@@ -114,6 +114,57 @@ def bits(mask: int):
         mask ^= low
 
 
+# unions keeps memoizing until its memo holds about this many bytes; past
+# that it still answers, walking the bytes it has not memoized
+UNION_MEMO_BYTES = 16 << 20
+
+# a mask with at most this many set bits is walked bit by bit
+_FEW_BITS = 8
+
+# the set bit positions of each byte value
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def unions(table):
+    """union(mask): the OR of table[q] over the set bits q of mask.
+
+    A mask with more than a few set bits is read a byte at a time, and the
+    union for each (byte position, byte value) met is memoized, in the
+    manner of the "Four Russians" of Arlazarov, Dinic, Kronrod & Faradzev
+    (1970).  The memo lives as long as the returned function and stops
+    taking entries at about UNION_MEMO_BYTES.
+    """
+    width = (len(table) + 7) // 8
+    memo = {}
+    room = UNION_MEMO_BYTES
+
+    def union(mask):
+        nonlocal room
+        out = 0
+        if mask.bit_count() <= _FEW_BITS:
+            while mask:
+                low = mask & -mask
+                out |= table[low.bit_length() - 1]
+                mask ^= low
+            return out
+        for i, byte in enumerate(mask.to_bytes(width, "little")):
+            if byte:
+                key = i << 8 | byte
+                part = memo.get(key)
+                if part is None:
+                    part, base = 0, i << 3
+                    for j in _BYTE_BITS[byte]:
+                        part |= table[base + j]
+                    if room > 0:
+                        memo[key] = part
+                        # a dict slot and its key, and the value at 4 bytes per 30 bits
+                        room -= 100 + part.bit_length() * 2 // 15
+                out |= part
+        return out
+
+    return union
+
+
 @dataclass(frozen=True)
 class StateOrder:
     """Relation on states as bitmask rows; bit q of up[p] means p <= q.
@@ -156,13 +207,8 @@ class StateOrder:
         bit = [0] * self.size  # old state -> its new bit, 0 if not listed
         for i, s in enumerate(states):
             bit[s] = 1 << i
-        rows = []
-        for s in states:
-            row = 0
-            for t in bits(self.up[s]):
-                row |= bit[t]
-            rows.append(row)
-        return StateOrder(tuple(rows))
+        union, up = unions(bit), self.up
+        return StateOrder(tuple(union(up[s]) for s in states))
 
     def representatives(self) -> tuple[int, ...]:
         """rep[p] is the first state whose row equals p's.
@@ -267,10 +313,11 @@ def antisymmetry_failures(order: StateOrder):
 def transitivity_failures(order: StateOrder):
     """Triples (p, q, r) with p <= q and q <= r but not p <= r."""
     up = order.up
+    union = unions(up)
     for p, row in enumerate(up):
         outside = ~row
-        for q in bits(row):
-            if up[q] & outside:  # row p holds all of row q in the common case
+        if union(row) & outside:  # row p holds the rows of all its q in the common case
+            for q in bits(row):
                 for r in bits(up[q] & outside):
                     yield p, q, r
 
@@ -297,22 +344,19 @@ def compatibility_failures(sa: Semiautomaton, order: StateOrder):
     """
     up, delta = order.up, sa.delta
     n = len(up)
-    packed = None
+    union = None
     above = {}
     for p, row in enumerate(up):
         others = row & ~(1 << p)
         if not others:
             continue
-        if packed is None:
-            packed = packed_preimages(sa)
+        if union is None:
+            union = unions(packed_preimages(sa))
         bad, worst = [], 0
         for k, s in enumerate(delta[p]):
             mask = above.get(s)
             if mask is None:
-                mask = 0
-                for t in bits(up[s]):
-                    mask |= packed[t]
-                above[s] = mask
+                mask = above[s] = union(up[s])
             columns = others & ~(mask >> k * n)
             bad.append(columns)
             worst |= columns
@@ -389,11 +433,6 @@ def quotient_right(oa: OrderedAutomaton, v: str) -> OrderedAutomaton:
 def dual(osa: OrderedSemiautomaton) -> OrderedSemiautomaton:
     """Same transitions, reversed order."""
     return OrderedSemiautomaton(osa.sa, osa.order.reversed())
-
-
-def discrete(sa: Semiautomaton) -> OrderedSemiautomaton:
-    """Equip with the equality order."""
-    return OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
 
 
 def explore(start, successors, cap=None, what=None):

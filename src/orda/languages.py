@@ -20,6 +20,7 @@ from .core import (
     explore,
     packed_preimages,
     path_word,
+    unions,
 )
 from .errors import AlphabetError, ParseError, ResourceError
 from .minimize import minimize_ordered
@@ -467,12 +468,10 @@ def reverse_subsets(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
     n = oa.state_count
     width = len(oa.alphabet)
     full = (1 << n) - 1
-    packed = packed_preimages(oa.sa)
+    union = unions(packed_preimages(oa.sa))
 
     def predecessors(subset):
-        pre = 0
-        for q in bits(subset):
-            pre |= packed[q]
+        pre = union(subset)
         return ((pre >> (k * n)) & full for k in range(width))
 
     start = sum(1 << q for q in oa.finals)

@@ -24,6 +24,7 @@ from .core import (
     bits,
     explore,
     packed_preimages,
+    unions,
 )
 
 
@@ -49,28 +50,24 @@ def preorder(oa: OrderedAutomaton) -> StateOrder:
     n = sa.state_count
     width = len(sa.alphabet)
     everything = (1 << n) - 1
-    # preds[q][k]: the states that letter k sends to q; packed[q] holds the
-    # same sets as one mask, so the preimage of a set of columns under every
-    # letter costs one OR per column
+    # preds[q][k]: the states that letter k sends to q; the packed preimages
+    # hold the same sets as one mask per q, so the preimage of a set of
+    # columns under every letter is their union
     preds = [[[] for _ in range(width)] for _ in range(n)]
     for p, row in enumerate(sa.delta):
         for k, q in enumerate(row):
             preds[q][k].append(p)
-    packed = packed_preimages(sa)
+    union = unions(packed_preimages(sa))
 
     rel = _initial_relation(oa)
     pending = [everything ^ row for row in rel]
     queue = deque(p for p in range(n) if pending[p])
     while queue:
         p = queue.popleft()
-        union, rest = 0, pending[p]
+        lost = union(pending[p])
         pending[p] = 0
-        while rest:
-            low = rest & -rest
-            union |= packed[low.bit_length() - 1]
-            rest ^= low
         for k, rs in enumerate(preds[p]):
-            mask = union >> k * n & everything
+            mask = lost >> k * n & everything
             if not mask:
                 continue
             for r in rs:

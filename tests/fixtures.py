@@ -35,6 +35,11 @@ def order_from_pairs(n: int, pairs) -> StateOrder:
     return StateOrder(tuple(rows))
 
 
+def discrete(sa: Semiautomaton) -> OrderedSemiautomaton:
+    """Equip with the equality order."""
+    return OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
+
+
 def contains_a() -> OrderedAutomaton:
     """Words over {a, b} containing at least one a.
 

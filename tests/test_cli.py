@@ -396,6 +396,13 @@ def test_oracle_rejects_a_negative_count(capsys):
     assert err == "error: --count must not be negative\n"
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_check_rejects_a_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, ["check", "--regex", "a*b", "x y == y x @all", "--cap-monoid", cap])
+    assert code == 2 and out == ""
+    assert err == "error: --cap-monoid must be positive\n"
+
+
 def test_oracle_detects_disagreement(monkeypatch):
     real = cli.is_acyclic
     monkeypatch.setattr(cli, "is_acyclic", lambda sa: Verdict(not real(sa).holds))

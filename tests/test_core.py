@@ -4,7 +4,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from orda import core
 from orda.core import (
     Alphabet,
     OrderedAutomaton,
@@ -22,14 +25,16 @@ from orda.core import (
     quotient_right,
     reachable_states,
     step,
+    unions,
     validate,
 )
 from orda.core import VIOLATION_LIMIT
 from orda.errors import AlphabetError, OrdaError, ParseError, ResourceError
 
-from fixtures import contains_a, even_a, finite_two_words, order_from_pairs
+from fixtures import contains_a, discrete, even_a, finite_two_words, order_from_pairs
 from oracles import language, order_violations, words_up_to
 from orda.generate import random_automaton
+from orda.minimize import preorder
 
 
 def test_alphabet_basics():
@@ -303,6 +308,60 @@ def test_representatives_name_rho_classes_of_quasiorders():
         order = StateOrder.from_leq(n, lambda p, q: rel[p][q])
         want = tuple(min(q for q in range(n) if rel[p][q] and rel[q][p]) for p in range(n))
         assert order.representatives() == want
+
+
+def plain_or(table, mask):
+    out = 0
+    for q, row in enumerate(table):
+        if mask >> q & 1:
+            out |= row
+    return out
+
+
+@given(st.data())
+def test_unions_is_the_plain_or(data):
+    n = data.draw(st.integers(0, 40))
+    # rows as wide as packed preimages over three letters, zero rows included
+    table = data.draw(st.lists(st.just(0) | st.integers(0, (1 << 3 * n) - 1), min_size=n, max_size=n))
+    union = unions(table)
+    # repeated masks read the memo filled by the first
+    for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)) * 2:
+        assert union(mask) == plain_or(table, mask)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 17])
+def test_unions_edge_masks(n):
+    # 8 states fill one byte, 9 leave the top byte partial
+    rng = random.Random(n)
+    table = [rng.getrandbits(2 * n) if q % 3 else 0 for q in range(n)]
+    union = unions(table)
+    few = core._FEW_BITS
+    masks = [0, 1, 1 << n - 1, (1 << n) - 1, (1 << min(n, few)) - 1, (1 << min(n, few + 1)) - 1]
+    masks += [sum(1 << q for q in rng.sample(range(n), min(n, k))) for k in (few - 1, few, few + 1, few + 2)]
+    for mask in masks * 2:
+        assert union(mask) == plain_or(table, mask)
+
+
+def test_no_memo_budget_changes_no_result(monkeypatch):
+    # 60 states: dense chain rows take the byte path, whose memo the budget stops
+    rng = random.Random(64)
+    abc = Alphabet(("a", "b", "c"))
+    chain = chain_automaton(rng, 60, abc)
+    up = list(chain.order.up)
+    up[0] ^= 1 << 1 if up[0] >> 1 & 1 else 1 << 2  # transitivity and compatibility fail
+    flipped = OrderedAutomaton(OrderedSemiautomaton(chain.sa, StateOrder(tuple(up))), 0, chain.finals)
+    random_dfa = OrderedAutomaton(discrete(Semiautomaton(abc, tuple(
+        tuple(rng.randrange(60) for _ in abc) for _ in range(60)))), 0, frozenset(rng.sample(range(60), 30)))
+    inputs = [chain, flipped, random_dfa]
+    keep = rng.sample(range(60), 40)
+
+    def results():
+        return [(preorder(oa), oa.order.restrict(keep), validate(oa)) for oa in inputs]
+
+    memoized = results()
+    assert any(v for _, _, v in memoized)
+    monkeypatch.setattr(core, "UNION_MEMO_BYTES", 0)
+    assert results() == memoized
 
 
 def test_parse_errors_carry_line_numbers():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from orda.classify import is_counter_free
-from orda.core import Alphabet, Semiautomaton, discrete
+from orda.core import Alphabet, Semiautomaton
 from orda.errors import AlphabetError, ResourceError
 from orda.generate import random_minimal_automaton
 from orda.minimize import minimize_ordered
@@ -21,7 +21,7 @@ from orda.monoid import (
     satisfies_one_leq_x,
 )
 
-from fixtures import ab_star, cerny, contains_a, element_of_word, even_a
+from fixtures import ab_star, cerny, contains_a, discrete, element_of_word, even_a
 from oracles import (
     aperiodic_brute,
     compose as compose_brute,
