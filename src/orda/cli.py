@@ -149,19 +149,24 @@ def cmd_check(args) -> int:
     return 1
 
 
+def _dot_text(text: str) -> str:
+    """text escaped for the inside of a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot(oa: OrderedAutomaton) -> str:
     sa = oa.sa
     lines = ["digraph automaton {", "  rankdir=LR;", '  __init [shape=point, label=""];']
     for q in range(sa.state_count):
         shape = "doublecircle" if q in oa.finals else "circle"
-        lines.append(f'  q{q} [shape={shape}, label="{sa.state_name(q)}"];')
+        lines.append(f'  q{q} [shape={shape}, label="{_dot_text(sa.state_name(q))}"];')
     lines.append(f"  __init -> q{oa.initial};")
     for q in range(sa.state_count):
         targets: dict[int, list[str]] = {}
         for k, a in enumerate(sa.alphabet):
             targets.setdefault(sa.delta[q][k], []).append(a)
         for dst in sorted(targets):
-            label = ",".join(targets[dst])
+            label = _dot_text(",".join(targets[dst]))
             lines.append(f'  q{q} -> q{dst} [label="{label}"];')
     for p, q in oa.order.pairs():
         lines.append(f'  q{p} -> q{q} [style=dashed, arrowhead=empty, label="<="];')

@@ -294,7 +294,7 @@ def quotient_by_precongruence(
     width = len(sa.alphabet)
     rows = tuple(tuple(mapping[sa.delta[r][k]] for k in range(width)) for r in reps)
     if sa.names is not None:
-        groups = [[sa.names[q] for q in range(n) if rep[q] == r] for r in reps]
+        groups = [[sa.state_name(q) for q in range(n) if rep[q] == r] for r in reps]
         names = tuple("+".join(g) for g in groups)
     else:
         names = None

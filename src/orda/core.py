@@ -61,7 +61,7 @@ class Semiautomaton:
 
     alphabet: Alphabet
     delta: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = None
+    names: tuple | None = None  # display objects, shown as str(name)
 
     def __post_init__(self):
         n = len(self.delta)
@@ -95,7 +95,7 @@ class Semiautomaton:
         return len(self.delta)
 
     def state_name(self, q: int) -> str:
-        return self.names[q] if self.names is not None else str(q)
+        return str(self.names[q]) if self.names is not None else str(q)
 
     def restrict(self, states) -> "Semiautomaton":
         """The rows of the given distinct, action-closed states, renumbered by

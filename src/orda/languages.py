@@ -32,20 +32,26 @@ class Regex:
     """Structural AST node; subclasses carry their children.
 
     Each node caches a structural key (nested tuples) used for hashing,
-    equality, and the deterministic ordering of union elements.
+    equality, and the deterministic ordering of union elements, and whether
+    its language holds the empty word (`nullable`, read off its children's
+    when it is built).  str(node) is its printed form.
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "nullable")
 
-    def _seal(self, key):
+    def _seal(self, key, nullable: bool):
         self._key = key
         self._hash = hash(key)
+        self.nullable = nullable
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Regex) and self._key == other._key)
+
+    def __str__(self):
+        return format_regex(self)
 
     def __repr__(self):
         return f"<regex {format_regex(self)!r}>"
@@ -55,14 +61,14 @@ class Empty(Regex):
     __slots__ = ()
 
     def __init__(self):
-        self._seal(("empty",))
+        self._seal(("empty",), False)
 
 
 class Eps(Regex):
     __slots__ = ()
 
     def __init__(self):
-        self._seal(("eps",))
+        self._seal(("eps",), True)
 
 
 class Sym(Regex):
@@ -70,7 +76,7 @@ class Sym(Regex):
 
     def __init__(self, symbol: str):
         self.symbol = symbol
-        self._seal(("sym", symbol))
+        self._seal(("sym", symbol), False)
 
 
 class Cat(Regex):
@@ -79,7 +85,7 @@ class Cat(Regex):
     def __init__(self, left: Regex, right: Regex):
         self.left = left
         self.right = right
-        self._seal(("cat", left._key, right._key))
+        self._seal(("cat", left._key, right._key), left.nullable and right.nullable)
 
 
 class Star(Regex):
@@ -87,7 +93,7 @@ class Star(Regex):
 
     def __init__(self, inner: Regex):
         self.inner = inner
-        self._seal(("star", inner._key))
+        self._seal(("star", inner._key), True)
 
 
 class Union(Regex):
@@ -95,7 +101,7 @@ class Union(Regex):
 
     def __init__(self, parts: tuple):
         self.parts = parts
-        self._seal(("union",) + tuple(p._key for p in parts))
+        self._seal(("union",) + tuple(p._key for p in parts), any(p.nullable for p in parts))
 
 
 class Inter(Regex):
@@ -104,7 +110,7 @@ class Inter(Regex):
     def __init__(self, left: Regex, right: Regex):
         self.left = left
         self.right = right
-        self._seal(("inter", left._key, right._key))
+        self._seal(("inter", left._key, right._key), left.nullable and right.nullable)
 
 
 class Compl(Regex):
@@ -112,7 +118,7 @@ class Compl(Regex):
 
     def __init__(self, inner: Regex):
         self.inner = inner
-        self._seal(("compl", inner._key))
+        self._seal(("compl", inner._key), not inner.nullable)
 
 
 EMPTY = Empty()
@@ -194,61 +200,58 @@ def normalize(r: Regex) -> Regex:
     raise TypeError(f"not a regex: {r!r}")
 
 
-def nullable(r: Regex) -> bool:
-    """True iff the empty word belongs to the language of r."""
-    if isinstance(r, (Empty, Sym)):
-        return False
-    if isinstance(r, (Eps, Star)):
-        return True
-    if isinstance(r, Cat):
-        return nullable(r.left) and nullable(r.right)
-    if isinstance(r, Union):
-        return any(nullable(p) for p in r.parts)
-    if isinstance(r, Inter):
-        return nullable(r.left) and nullable(r.right)
-    if isinstance(r, Compl):
-        return not nullable(r.inner)
-    raise TypeError(f"not a regex: {r!r}")
+def derivatives(alphabet):
+    """step(r): the left derivatives a^-1 L(r), one per letter a of alphabet
+    in its order, in ACI normal form.
+
+    step memoizes its answer per node for as long as it is kept, so a caller
+    keeps it for one walk only.
+    """
+    symbols = tuple(alphabet)
+    nothing = (EMPTY,) * len(symbols)
+    memo: dict = {}
+
+    def step(r: Regex) -> tuple:
+        out = memo.get(r)
+        if out is not None:
+            return out
+        if isinstance(r, Sym):
+            out = tuple(EPS if a == r.symbol else EMPTY for a in symbols)
+        elif isinstance(r, Cat):
+            right = r.right
+            out = tuple(cat(d, right) for d in step(r.left))
+            if r.left.nullable:
+                out = tuple(union(pair) for pair in zip(out, step(right)))
+        elif isinstance(r, Union):
+            out = tuple(union(ds) for ds in zip(*map(step, r.parts)))
+        elif isinstance(r, Star):
+            out = tuple(cat(d, r) for d in step(r.inner))
+        elif isinstance(r, (Empty, Eps)):
+            out = nothing
+        elif isinstance(r, Inter):
+            out = tuple(inter(x, y) for x, y in zip(step(r.left), step(r.right)))
+        elif isinstance(r, Compl):
+            out = tuple(compl(d) for d in step(r.inner))
+        else:
+            raise TypeError(f"not a regex: {r!r}")
+        memo[r] = out
+        return out
+
+    return step
 
 
 def derivative(r: Regex, a: str) -> Regex:
     """The left derivative a^-1 L(r), in ACI normal form."""
-    return _derivative(r, a, {})
-
-
-def _derivative(r: Regex, a: str, memo: dict) -> Regex:
-    key = (r, a)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(r, (Empty, Eps)):
-        out = EMPTY
-    elif isinstance(r, Sym):
-        out = EPS if r.symbol == a else EMPTY
-    elif isinstance(r, Cat):
-        out = cat(_derivative(r.left, a, memo), r.right)
-        if nullable(r.left):
-            out = union((out, _derivative(r.right, a, memo)))
-    elif isinstance(r, Star):
-        out = cat(_derivative(r.inner, a, memo), r)
-    elif isinstance(r, Union):
-        out = union(_derivative(p, a, memo) for p in r.parts)
-    elif isinstance(r, Inter):
-        out = inter(_derivative(r.left, a, memo), _derivative(r.right, a, memo))
-    elif isinstance(r, Compl):
-        out = compl(_derivative(r.inner, a, memo))
-    else:
-        raise TypeError(f"not a regex: {r!r}")
-    memo[key] = out
-    return out
+    return derivatives((a,))(r)[0]
 
 
 def regex_matches(r: Regex, w: str) -> bool:
     """Word membership by iterated derivative plus nullable, straight on the AST."""
-    memo: dict = {}
+    index = {a: k for k, a in enumerate(dict.fromkeys(w))}  # w's letters, first seen first
+    step = derivatives(index)
     for a in w:
-        r = _derivative(r, a, memo)
-    return nullable(r)
+        r = step(r)[index[a]]
+    return r.nullable
 
 
 def _as_alphabet(alphabet) -> Alphabet:
@@ -439,15 +442,12 @@ def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = 10000) -> Orde
 
     Syntactically distinct normal forms may denote the same language, so no
     order is claimed here; the inclusion order appears after minimization.
+    Each state's name is its regex, printed only when the name is shown.
     """
     alphabet = _as_alphabet(alphabet)
-    memo: dict = {}
-    states, rows = explore(
-        normalize(r), lambda s: (_derivative(s, a, memo) for a in alphabet), cap, "derivative automaton"
-    )
-    finals = frozenset(i for i, s in enumerate(states) if nullable(s))
-    names = tuple(format_regex(s) for s in states)
-    sa = Semiautomaton(alphabet, tuple(rows), names)
+    states, rows = explore(normalize(r), derivatives(alphabet), cap, "derivative automaton")
+    finals = frozenset(i for i, s in enumerate(states) if s.nullable)
+    sa = Semiautomaton(alphabet, tuple(rows), tuple(states))
     return OrderedAutomaton(
         OrderedSemiautomaton(sa, StateOrder.discrete(len(states))), 0, finals
     )

@@ -382,6 +382,59 @@ def test_convert_to_dot(tmp_path, capsys):
     assert "  __init -> q0;" in out
 
 
+def test_convert_regex_to_dot_is_pinned(capsys):
+    code, out, err = run(capsys, ["convert", "--regex", "!(a*b)&(ab|ba)*", "--to", "dot"])
+    assert (code, err) == (0, "")
+    assert out == """\
+digraph automaton {
+  rankdir=LR;
+  __init [shape=point, label=""];
+  q0 [shape=doublecircle, label="!(a*b)&(ab|ba)*"];
+  q1 [shape=circle, label="!(a*b)&b(ab|ba)*"];
+  q2 [shape=circle, label="!_&a(ab|ba)*"];
+  q3 [shape=circle, label="#"];
+  q4 [shape=circle, label="!_&(ab|ba)*"];
+  q5 [shape=doublecircle, label="!#&(ab|ba)*"];
+  q6 [shape=circle, label="!#&b(ab|ba)*"];
+  q7 [shape=circle, label="!#&a(ab|ba)*"];
+  __init -> q0;
+  q0 -> q1 [label="a"];
+  q0 -> q2 [label="b"];
+  q1 -> q3 [label="a"];
+  q1 -> q4 [label="b"];
+  q2 -> q3 [label="b"];
+  q2 -> q5 [label="a"];
+  q3 -> q3 [label="a,b"];
+  q4 -> q6 [label="a"];
+  q4 -> q7 [label="b"];
+  q5 -> q6 [label="a"];
+  q5 -> q7 [label="b"];
+  q6 -> q3 [label="a"];
+  q6 -> q5 [label="b"];
+  q7 -> q3 [label="b"];
+  q7 -> q5 [label="a"];
+}
+"""
+
+
+def test_convert_to_dot_escapes_quotes_and_backslashes(capsys):
+    # '"' and '\\' are symbols; inside a DOT string they read as \" and \\
+    code, out, _ = run(capsys, ["convert", "--regex", 'a"b', "--to", "dot"])
+    assert code == 0
+    assert '  q0 [shape=circle, label="a\\"b"];' in out
+    assert '  q0 -> q1 [label="\\",b"];' in out
+    assert '  q2 -> q3 [label="\\""];' in out
+    code, out, _ = run(capsys, ["convert", "--regex", 'a\\b|"', "--to", "dot"])
+    assert code == 0
+    assert '  q0 [shape=circle, label="a\\\\b|\\""];' in out
+    assert '  q0 -> q2 [label="\\\\,b"];' in out
+    # every label is one DOT string: its quotes are the two that delimit it
+    for line in out.splitlines():
+        for label in line.split("label=")[1:]:
+            body = label[1:label.rindex('"')]
+            assert '"' not in body.replace('\\\\', "").replace('\\"', "")
+
+
 def test_oracle_sweep(capsys):
     code, out, _ = run(capsys, ["oracle", "--seed", "42", "--count", "25"])
     assert code == 0

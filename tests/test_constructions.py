@@ -39,8 +39,8 @@ from orda.core import (
 )
 from orda.errors import AlphabetError, CompatibilityError, OrdaError, ParseError, ResourceError
 from orda.generate import random_automaton
-from orda.minimize import isomorphic, minimize_ordered, minimize_with_map, preorder
-from orda.languages import enumerate_words
+from orda.minimize import isomorphic, minimize_ordered, minimize_with_map, preorder, reachable_part
+from orda.languages import derivative_automaton, enumerate_words, parse_regex
 
 from fixtures import ab_star, contains_a, even_a, finite_two_words
 from oracles import language, precongruence_errors, words_up_to
@@ -220,6 +220,33 @@ def test_quotient_by_preorder_reproduces_minimization():
             frozenset(hom.map[q] for q in part.finals),
         )
         assert isomorphic(rebuilt, minimal)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        (
+            "(a|b)*a(a|b)|b*",
+            ["(a|b)*a(a|b)|b*", "((a|b)*a|_)(a|b)", "((a|b)*a|_)(a|b)|_", "(a|b)*a(a|b)|_", "(a|b)*a(a|b)"],
+        ),
+        (
+            "!(a*b)&(ab|ba)*",
+            [
+                "!(a*b)&(ab|ba)*", "!(a*b)&b(ab|ba)*", "!_&a(ab|ba)*+!#&a(ab|ba)*", "#",
+                "!_&(ab|ba)*", "!#&(ab|ba)*", "!#&b(ab|ba)*",
+            ],
+        ),
+        (
+            "(a|b)*b(a|b)*|a*",
+            ["(a|b)*b(a|b)*|a*+((a|b)*b|_)(a|b)*+(a|b)*b(a|b)*|(a|b)*+((a|b)*b|_)(a|b)*|(a|b)*"],
+        ),
+    ],
+)
+def test_quotient_of_a_derivative_automaton_joins_printed_regexes(text, names):
+    # a class's name is its members' printed regexes, joined by "+"
+    part = reachable_part(derivative_automaton(parse_regex(text, AB), AB))
+    quotient, _ = quotient_by_precongruence(part.osa, preorder(part))
+    assert [quotient.sa.state_name(q) for q in range(quotient.state_count)] == names
 
 
 def test_quotient_rejects_bad_relations():

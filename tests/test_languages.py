@@ -29,7 +29,6 @@ from orda.languages import (
     format_regex,
     inter,
     language_inclusion,
-    nullable,
     parse_regex,
     regex_matches,
     reverse_subsets,
@@ -66,11 +65,11 @@ def test_smart_constructors_normalize():
 
 def test_nullable():
     a = sym("a")
-    assert nullable(EPS) and nullable(star(a)) and not nullable(a) and not nullable(EMPTY)
-    assert nullable(cat(star(a), star(a)))
-    assert not nullable(cat(a, star(a)))
-    assert nullable(compl(a)) and not nullable(compl(EPS))
-    assert nullable(inter(EPS, star(a)))
+    assert EPS.nullable and star(a).nullable and not a.nullable and not EMPTY.nullable
+    assert cat(star(a), star(a)).nullable
+    assert not cat(a, star(a)).nullable
+    assert compl(a).nullable and not compl(EPS).nullable
+    assert inter(EPS, star(a)).nullable
 
 
 def test_derivative_against_membership():
@@ -88,6 +87,36 @@ def test_regex_matches_on_random_instances():
         oa = derivative_automaton(r, AB)
         for w in words_up_to(AB, 4):
             assert regex_matches(r, w) == accepts(oa, w)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        (
+            "(a|b)*a(a|b)|b*",
+            ["(a|b)*a(a|b)|b*", "((a|b)*a|_)(a|b)", "((a|b)*a|_)(a|b)|_", "(a|b)*a(a|b)|_", "(a|b)*a(a|b)"],
+        ),
+        (
+            "!(a*b)&(ab|ba)*",
+            [
+                "!(a*b)&(ab|ba)*", "!(a*b)&b(ab|ba)*", "!_&a(ab|ba)*", "#",
+                "!_&(ab|ba)*", "!#&(ab|ba)*", "!#&b(ab|ba)*", "!#&a(ab|ba)*",
+            ],
+        ),
+        (
+            "(!a|b)*&a*b",
+            [
+                "(!a|b)*&a*b", "!_(!a|b)*&a*b", "(!#|_)(!a|b)*&_", "!#(!a|b)*&a*b",
+                "!#(!a|b)*&_", "#", "(!#(!a|b)*|!_(!a|b)*)&a*b", "(!#(!a|b)*|(!#|_)(!a|b)*)&_",
+            ],
+        ),
+    ],
+)
+def test_derivative_automaton_names_are_the_printed_states(text, names):
+    # the states, their numbering and their printed regexes, as pinned
+    oa = derivative_automaton(parse_regex(text, AB), AB)
+    assert [oa.sa.state_name(q) for q in range(oa.state_count)] == names
+    assert all(parse_regex(name, AB) == oa.sa.names[q] for q, name in enumerate(names))
 
 
 def test_parse_precedence():
