@@ -14,6 +14,7 @@ the inputs and the seed, never on timing.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import random
 import sys
@@ -31,7 +32,7 @@ from .core import (
     format_automaton,
     parse_automaton,
 )
-from .errors import OrdaError, ParseError
+from .errors import OrdaError, ParseError, ResourceError
 from .generate import random_automaton, random_minimal_automaton
 from .languages import (
     RESERVED,
@@ -76,7 +77,8 @@ def _load(args, canonical: bool = False) -> OrderedAutomaton:
 
 
 def _read_text(path: str) -> str:
-    """File or stdin ('-') contents, decoded as UTF-8; a bad byte is a ParseError."""
+    """File or stdin ('-') contents, decoded as UTF-8 after a leading byte-order
+    mark, if any, is dropped; a bad byte is a ParseError."""
     if path != "-":
         with open(path, "rb") as f:
             data = f.read()
@@ -84,6 +86,7 @@ def _read_text(path: str) -> str:
         data = sys.stdin.buffer.read()
     else:
         return sys.stdin.read()  # a text stand-in such as io.StringIO
+    data = data.removeprefix(codecs.BOM_UTF8)  # so the error offsets below index data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -191,35 +194,42 @@ _AB = Alphabet(("a", "b"))
 def run_oracle(seed: int, count: int, max_states: int = 4) -> tuple[list[str], str]:
     """Differential sweep: every classifier against its independent oracle.
 
-    Returns (mismatch lines, summary line).
+    An instance that meets a resource cap keeps the comparisons made before
+    it and is counted in the summary.  Returns (mismatch lines, summary line).
     """
     rng = random.Random(seed)
     mismatches: list[str] = []
+    stopped = 0
 
     def compare(i: int, name: str, claimed: bool, oracle: bool) -> None:
         if claimed != oracle:
             mismatches.append(f"instance {i}: {name}: claimed={claimed} oracle={oracle}")
 
     for i in range(count):
-        oa = random_automaton(rng, max_states, _AB, ordered=True)
-        minimal = minimize_ordered(oa)
-        compare(i, "minimize_vs_double_reversal", True, isomorphic(minimal, brzozowski_minimize(oa)))
-        compare(i, "minimize_vs_derivatives", True,
-                isomorphic(minimal, canonical_ordered_automaton(to_regex(oa), oa.alphabet)))
-        compare(i, "refinement_vs_fixpoint", True, preorder(oa) == preorder_naive(oa))
+        try:
+            oa = random_automaton(rng, max_states, _AB, ordered=True)
+            minimal = minimize_ordered(oa)
+            compare(i, "minimize_vs_double_reversal", True, isomorphic(minimal, brzozowski_minimize(oa)))
+            compare(i, "minimize_vs_derivatives", True,
+                    isomorphic(minimal, canonical_ordered_automaton(to_regex(oa), oa.alphabet)))
+            compare(i, "refinement_vs_fixpoint", True, preorder(oa) == preorder_naive(oa))
 
-        dfa = random_minimal_automaton(rng, max_states, _AB)
-        tm = build(dfa.osa)
-        compare(i, "counter_free", is_counter_free(dfa.sa).holds, is_aperiodic(tm)[0])
-        compare(i, "acyclic", is_acyclic(dfa.sa).holds, is_r_trivial(tm)[0])
-        compare(i, "piecewise", is_pt_semiautomaton(dfa.sa).holds, is_j_trivial(tm)[0])
-        compare(i, "extensive", has_extensive_actions(dfa.osa).holds, satisfies_one_leq_x(tm)[0])
-        catalog = check_identity_catalog(dfa.sa)
-        compare(i, "catalog_aperiodic", catalog.aperiodic.holds, is_aperiodic(tm)[0])
-        compare(i, "catalog_r_trivial", catalog.r_trivial.holds, is_r_trivial(tm)[0])
-        compare(i, "catalog_j_trivial", catalog.j_trivial.holds, is_j_trivial(tm)[0])
+            dfa = random_minimal_automaton(rng, max_states, _AB)
+            tm = build(dfa.osa)
+            compare(i, "counter_free", is_counter_free(dfa.sa).holds, is_aperiodic(tm)[0])
+            compare(i, "acyclic", is_acyclic(dfa.sa).holds, is_r_trivial(tm)[0])
+            compare(i, "piecewise", is_pt_semiautomaton(dfa.sa).holds, is_j_trivial(tm)[0])
+            compare(i, "extensive", has_extensive_actions(dfa.osa).holds, satisfies_one_leq_x(tm)[0])
+            catalog = check_identity_catalog(dfa.sa)
+            compare(i, "catalog_aperiodic", catalog.aperiodic.holds, is_aperiodic(tm)[0])
+            compare(i, "catalog_r_trivial", catalog.r_trivial.holds, is_r_trivial(tm)[0])
+            compare(i, "catalog_j_trivial", catalog.j_trivial.holds, is_j_trivial(tm)[0])
+        except ResourceError:
+            stopped += 1
 
     summary = f"checked {count} instances, {len(mismatches)} mismatches"
+    if stopped:
+        summary += f", {stopped} stopped at a cap"
     return mismatches, summary
 
 

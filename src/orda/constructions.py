@@ -51,19 +51,8 @@ class LetterSubstitution:
                 if c not in self.target:
                     raise AlphabetError(f"image of {b!r} uses {c!r} outside the target alphabet")
 
-    @classmethod
-    def from_map(cls, source: Alphabet, target: Alphabet, mapping: dict) -> "LetterSubstitution":
-        try:
-            images = tuple(mapping[b] for b in source)
-        except KeyError as e:
-            raise AlphabetError(f"no image for source symbol {e.args[0]!r}") from None
-        return cls(source, target, images)
-
     def word(self, b: str) -> str:
         return self.images[self.source.index(b)]
-
-    def apply(self, w: str) -> str:
-        return "".join(self.word(b) for b in w)
 
 
 def parse_substitution(text: str, target: Alphabet | None = None) -> LetterSubstitution:

@@ -35,10 +35,6 @@ class Alphabet:
             position[s] = len(position)
         object.__setattr__(self, "_position", position)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Alphabet":
-        return cls(tuple(text))
-
     def index(self, symbol: str) -> int:
         try:
             return self._position[symbol]
@@ -76,19 +72,6 @@ class Semiautomaton:
                     raise OrdaError(f"state {q}: transition target {r} out of range")
         if self.names is not None and len(self.names) != n:
             raise OrdaError("names table length differs from state count")
-
-    @classmethod
-    def from_map(cls, alphabet: Alphabet, state_count: int, moves: dict, names=None) -> "Semiautomaton":
-        """Build from a {(state, symbol): state} dict; every pair must be present."""
-        rows = []
-        for q in range(state_count):
-            row = []
-            for a in alphabet:
-                if (q, a) not in moves:
-                    raise OrdaError(f"missing transition for ({q}, {a!r})")
-                row.append(moves[(q, a)])
-            rows.append(tuple(row))
-        return cls(alphabet, tuple(rows), tuple(names) if names is not None else None)
 
     @property
     def state_count(self) -> int:
@@ -223,10 +206,6 @@ class StateOrder:
     @classmethod
     def discrete(cls, n: int) -> "StateOrder":
         return cls(tuple(1 << p for p in range(n)))
-
-    @classmethod
-    def from_leq(cls, n: int, leq) -> "StateOrder":
-        return cls(tuple(sum(1 << q for q in range(n) if leq(p, q)) for p in range(n)))
 
 
 @dataclass(frozen=True)

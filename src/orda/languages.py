@@ -4,8 +4,8 @@ The regex AST supports the extended operators (intersection, complement)
 because derivatives handle them uniformly and the cofinite/prefix-testable
 test inputs need complements.  Union is kept in ACI normal form (flattened,
 sorted, deduplicated) and the empty-language/empty-word simplifications are
-applied by the smart constructors below; this is the classical similarity
-argument that keeps the set of iterated derivatives finite.
+applied by the smart constructors below, the only normalizer; this similarity
+argument keeps the set of iterated derivatives finite.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ RESERVED = frozenset("|&*!()#_")
 class Regex:
     """Structural AST node; subclasses carry their children.
 
-    Each node caches a structural key (nested tuples) used for hashing,
-    equality, and the deterministic ordering of union elements, and whether
+    Each node caches a structural key, its tag followed by its children such
+    as ("cat", left, right), hashed once from the children's cached hashes and
+    used for equality and the deterministic order of union parts; and whether
     its language holds the empty word (`nullable`, read off its children's
     when it is built).  str(node) is its printed form.
     """
@@ -48,7 +49,10 @@ class Regex:
         return self._hash
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Regex) and self._key == other._key)
+        return self is other or (isinstance(other, Regex) and self._hash == other._hash and self._key == other._key)
+
+    def __lt__(self, other):
+        return self._key < other._key
 
     def __str__(self):
         return format_regex(self)
@@ -85,7 +89,7 @@ class Cat(Regex):
     def __init__(self, left: Regex, right: Regex):
         self.left = left
         self.right = right
-        self._seal(("cat", left._key, right._key), left.nullable and right.nullable)
+        self._seal(("cat", left, right), left.nullable and right.nullable)
 
 
 class Star(Regex):
@@ -93,7 +97,7 @@ class Star(Regex):
 
     def __init__(self, inner: Regex):
         self.inner = inner
-        self._seal(("star", inner._key), True)
+        self._seal(("star", inner), True)
 
 
 class Union(Regex):
@@ -101,7 +105,7 @@ class Union(Regex):
 
     def __init__(self, parts: tuple):
         self.parts = parts
-        self._seal(("union",) + tuple(p._key for p in parts), any(p.nullable for p in parts))
+        self._seal(("union", *parts), any(p.nullable for p in parts))
 
 
 class Inter(Regex):
@@ -110,7 +114,7 @@ class Inter(Regex):
     def __init__(self, left: Regex, right: Regex):
         self.left = left
         self.right = right
-        self._seal(("inter", left._key, right._key), left.nullable and right.nullable)
+        self._seal(("inter", left, right), left.nullable and right.nullable)
 
 
 class Compl(Regex):
@@ -118,7 +122,7 @@ class Compl(Regex):
 
     def __init__(self, inner: Regex):
         self.inner = inner
-        self._seal(("compl", inner._key), not inner.nullable)
+        self._seal(("compl", inner), not inner.nullable)
 
 
 EMPTY = Empty()
@@ -152,8 +156,7 @@ def union(parts) -> Regex:
             flat.extend(p.parts)
         elif not isinstance(p, Empty):
             flat.append(p)
-    dedup = {p._key: p for p in flat}
-    items = tuple(dedup[k] for k in sorted(dedup))
+    items = tuple(sorted(dict.fromkeys(flat)))
     if not items:
         return EMPTY
     if len(items) == 1:
@@ -181,23 +184,6 @@ def word_regex(w: str) -> Regex:
 
 def finite_language_regex(words) -> Regex:
     return union(word_regex(w) for w in words)
-
-
-def normalize(r: Regex) -> Regex:
-    """Rebuild bottom-up through the smart constructors; idempotent."""
-    if isinstance(r, (Empty, Eps, Sym)):
-        return r
-    if isinstance(r, Cat):
-        return cat(normalize(r.left), normalize(r.right))
-    if isinstance(r, Star):
-        return star(normalize(r.inner))
-    if isinstance(r, Union):
-        return union(normalize(p) for p in r.parts)
-    if isinstance(r, Inter):
-        return inter(normalize(r.left), normalize(r.right))
-    if isinstance(r, Compl):
-        return compl(normalize(r.inner))
-    raise TypeError(f"not a regex: {r!r}")
 
 
 def derivatives(alphabet):
@@ -440,12 +426,13 @@ def format_regex(r: Regex) -> str:
 def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = 10000) -> OrderedAutomaton:
     """DFA over the ACI-normal-form derivatives reachable from r; discrete order.
 
-    Syntactically distinct normal forms may denote the same language, so no
-    order is claimed here; the inclusion order appears after minimization.
-    Each state's name is its regex, printed only when the name is shown.
+    r is taken as given: the smart constructors and parse_regex build only
+    normal forms.  Syntactically distinct normal forms may denote the same
+    language, so no order is claimed here; the inclusion order appears after
+    minimization.  Each state's name is its regex, printed only when shown.
     """
     alphabet = _as_alphabet(alphabet)
-    states, rows = explore(normalize(r), derivatives(alphabet), cap, "derivative automaton")
+    states, rows = explore(r, derivatives(alphabet), cap, "derivative automaton")
     finals = frozenset(i for i, s in enumerate(states) if s.nullable)
     sa = Semiautomaton(alphabet, tuple(rows), tuple(states))
     return OrderedAutomaton(

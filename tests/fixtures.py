@@ -5,7 +5,8 @@ distinct left quotients of the language and the order is inclusion of
 the accepted futures.  cerny() has no order or accepting structure; it
 is the classical slowly-synchronizing family.  The helpers at the end
 look up a word in a transition monoid and draw seeded random words,
-finite languages and prefix-testable regexes.
+finite languages and prefix-testable regexes, and build automata, orders
+and letter substitutions from dicts and predicates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from orda.core import (
     Semiautomaton,
     StateOrder,
 )
-from orda.errors import AlphabetError
+from orda.constructions import LetterSubstitution
+from orda.errors import AlphabetError, OrdaError
 from orda.languages import Regex, cat, star, sym, union, word_regex
 from orda.monoid import TransitionMonoid
 
@@ -33,6 +35,35 @@ def order_from_pairs(n: int, pairs) -> StateOrder:
     for p, q in pairs:
         rows[p] |= 1 << q
     return StateOrder(tuple(rows))
+
+
+def order_from_leq(n: int, leq) -> StateOrder:
+    return StateOrder(tuple(sum(1 << q for q in range(n) if leq(p, q)) for p in range(n)))
+
+
+def semiautomaton_from_map(alphabet: Alphabet, state_count: int, moves: dict, names=None) -> Semiautomaton:
+    """Build from a {(state, symbol): state} dict; every pair must be present."""
+    rows = []
+    for q in range(state_count):
+        row = []
+        for a in alphabet:
+            if (q, a) not in moves:
+                raise OrdaError(f"missing transition for ({q}, {a!r})")
+            row.append(moves[(q, a)])
+        rows.append(tuple(row))
+    return Semiautomaton(alphabet, tuple(rows), tuple(names) if names is not None else None)
+
+
+def substitution_from_map(source: Alphabet, target: Alphabet, mapping: dict) -> LetterSubstitution:
+    try:
+        images = tuple(mapping[b] for b in source)
+    except KeyError as e:
+        raise AlphabetError(f"no image for source symbol {e.args[0]!r}") from None
+    return LetterSubstitution(source, target, images)
+
+
+def apply_substitution(f: LetterSubstitution, w: str) -> str:
+    return "".join(f.word(b) for b in w)
 
 
 def discrete(sa: Semiautomaton) -> OrderedSemiautomaton:

@@ -22,7 +22,6 @@ from orda.classify import (
     is_weakly_confluent,
 )
 from orda.constructions import (
-    LetterSubstitution,
     f_rename,
     product_intersection,
     product_union,
@@ -56,7 +55,15 @@ from orda.omega import (
     term_variables,
 )
 
-from fixtures import AB, cerny, even_a, random_finite_language, random_prefix_testable_regex
+from fixtures import (
+    AB,
+    apply_substitution,
+    cerny,
+    even_a,
+    random_finite_language,
+    random_prefix_testable_regex,
+    substitution_from_map,
+)
 from oracles import (
     _action,
     _read_query,
@@ -237,11 +244,11 @@ def test_criterion_09_construction_lemmas():
                 s: "".join(rng.choice(AB.symbols) for _ in range(rng.randint(0, 2)))
                 for s in XY.symbols
             }
-        f = LetterSubstitution.from_map(XY, AB, images)
+        f = substitution_from_map(XY, AB, images)
         oa = random_automaton(rng, 4, AB, ordered=True)
         renamed = OrderedAutomaton(f_rename(oa.osa, f), oa.initial, oa.finals)
         for w in words_up_to(XY, 6):
-            assert accepts(renamed, w) == accepts(oa, f.apply(w))
+            assert accepts(renamed, w) == accepts(oa, apply_substitution(f, w))
 
     one_generated = 0
     for _ in range(100):

@@ -105,6 +105,26 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == MINIMAL_CONTAINS_A
 
 
+def test_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch):
+    plain = write_fixture(tmp_path, finite_two_words())
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "input.txt").read_bytes())
+    expected = run(capsys, ["minimize", plain])
+    assert expected[0] == 0
+    assert run(capsys, ["minimize", str(marked)]) == expected
+
+    class BinaryStdin:
+        buffer = io.BytesIO(marked.read_bytes())
+
+    monkeypatch.setattr("sys.stdin", BinaryStdin())
+    assert run(capsys, ["minimize", "-"]) == expected
+
+    # a bad byte after the mark is reported where it is
+    marked.write_bytes(b"\xef\xbb\xbfalphabet: a b\nstates: 1\ninitial: 0 \xff\n")
+    code, out, err = run(capsys, ["minimize", str(marked)])
+    assert (code, out, err) == (2, "", "error: input is not UTF-8: byte 0xff (line 3)\n")
+
+
 def test_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("alphabet: a b\nstates: x\n")
@@ -463,6 +483,24 @@ def test_oracle_detects_disagreement(monkeypatch):
     assert len(mismatches) == 10
     assert all("acyclic" in line for line in mismatches)
     assert summary == "checked 10 instances, 10 mismatches"
+
+
+def test_oracle_counts_an_instance_stopped_at_a_cap(capsys, monkeypatch):
+    # instance 1's DFA has a 3320-element monoid, so the identity catalog's
+    # two-variable query exceeds the substitution cap
+    assert cli.run_oracle(1, 2, 6) == ([], "checked 2 instances, 0 mismatches, 1 stopped at a cap")
+    code, out, err = run(capsys, ["oracle", "--seed", "1", "--count", "2", "--max-states", "6"])
+    assert (code, out, err) == (0, "checked 2 instances, 0 mismatches, 1 stopped at a cap\n", "")
+
+    # the comparisons made before the cap stay in the report
+    real = cli.is_acyclic
+    monkeypatch.setattr(cli, "is_acyclic", lambda sa: Verdict(not real(sa).holds))
+    mismatches, summary = cli.run_oracle(1, 2, 6)
+    assert [line.split(":")[0] for line in mismatches] == ["instance 0", "instance 1"]
+    assert all("acyclic" in line for line in mismatches)
+    assert summary == "checked 2 instances, 2 mismatches, 1 stopped at a cap"
+    code, _, _ = run(capsys, ["oracle", "--seed", "1", "--count", "2", "--max-states", "6"])
+    assert code == 1
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -42,7 +42,15 @@ from orda.generate import random_automaton
 from orda.minimize import isomorphic, minimize_ordered, minimize_with_map, preorder, reachable_part
 from orda.languages import derivative_automaton, enumerate_words, parse_regex
 
-from fixtures import ab_star, contains_a, even_a, finite_two_words
+from fixtures import (
+    ab_star,
+    apply_substitution,
+    contains_a,
+    even_a,
+    finite_two_words,
+    order_from_leq,
+    substitution_from_map,
+)
 from oracles import language, precongruence_errors, words_up_to
 
 AB = Alphabet(("a", "b"))
@@ -50,11 +58,11 @@ XY = Alphabet(("x", "y"))
 
 
 def test_letter_substitution_basics():
-    f = LetterSubstitution.from_map(XY, AB, {"x": "ab", "y": ""})
+    f = substitution_from_map(XY, AB, {"x": "ab", "y": ""})
     assert f.word("x") == "ab" and f.word("y") == ""
-    assert f.apply("xyx") == "abab"
+    assert apply_substitution(f, "xyx") == "abab"
     with pytest.raises(AlphabetError):
-        LetterSubstitution.from_map(XY, AB, {"x": "ab"})
+        substitution_from_map(XY, AB, {"x": "ab"})
     with pytest.raises(AlphabetError):
         LetterSubstitution(XY, AB, ("az", ""))
 
@@ -83,7 +91,7 @@ def test_f_rename_recognizes_preimages():
         renamed = OrderedAutomaton(f_rename(fx.osa, f), fx.initial, fx.finals)
         assert validate(renamed) == []
         for w in words_up_to(f.source, 5):
-            assert accepts(renamed, w) == accepts(fx, f.apply(w))
+            assert accepts(renamed, w) == accepts(fx, apply_substitution(f, w))
     with pytest.raises(AlphabetError):
         f_rename(even_a().osa, f)
 
@@ -138,7 +146,7 @@ def test_product_order_matches_componentwise_reference():
         osas = [random_automaton(rng, 4, AB, ordered=True).osa for _ in range(rng.randint(2, 3))]
         prod = product(osas)
         states = list(itertools.product(*(range(o.state_count) for o in osas)))
-        expect = StateOrder.from_leq(
+        expect = order_from_leq(
             len(states),
             lambda i, j: all(o.order.leq(p, q) for o, p, q in zip(osas, states[i], states[j])),
         )
@@ -149,7 +157,7 @@ def test_product_of_two_40_state_chains_takes_under_a_second():
     n = 40
     chain = OrderedSemiautomaton(
         Semiautomaton(AB, tuple((min(q + 1, n - 1), q) for q in range(n))),
-        StateOrder.from_leq(n, lambda p, q: p <= q),
+        order_from_leq(n, lambda p, q: p <= q),
     )
     start = time.perf_counter()
     prod = product([chain, chain])
@@ -253,13 +261,13 @@ def test_quotient_rejects_bad_relations():
     osa = contains_a().osa
     n = 2
     def rel_from(pairs):
-        return StateOrder.from_leq(n, lambda p, q: (p, q) in pairs or p == q)
+        return order_from_leq(n, lambda p, q: (p, q) in pairs or p == q)
 
     # misses the state order 0 <= 1
     with pytest.raises(CompatibilityError, match="state order not contained"):
         quotient_by_precongruence(osa, rel_from(set()))
     # not reflexive
-    broken = StateOrder.from_leq(2, lambda p, q: q == 1)
+    broken = order_from_leq(2, lambda p, q: q == 1)
     with pytest.raises(CompatibilityError, match="not reflexive"):
         quotient_by_precongruence(osa, broken)
     # relates 1 to 0, but actions break it: 1.b = 1 while 0.b = 0 needs (1, 0) again -- fine;
@@ -279,7 +287,7 @@ def test_quotient_transitivity_guard():
         (False, False, True),
     )
     with pytest.raises(CompatibilityError, match="not transitive"):
-        quotient_by_precongruence(osa, StateOrder.from_leq(3, lambda p, q: rows[p][q]))
+        quotient_by_precongruence(osa, order_from_leq(3, lambda p, q: rows[p][q]))
 
 
 def test_quotient_raises_the_reference_first_error():
@@ -300,7 +308,7 @@ def test_quotient_raises_the_reference_first_error():
                 rel[p][p] = False
         order = [[oa.order.leq(p, q) for q in range(n)] for p in range(n)]
         want = precongruence_errors(oa.sa, order, rel)
-        relation = StateOrder.from_leq(n, lambda p, q: rel[p][q])
+        relation = order_from_leq(n, lambda p, q: rel[p][q])
         if want:
             with pytest.raises(CompatibilityError) as info:
                 quotient_by_precongruence(oa.osa, relation)
@@ -375,7 +383,7 @@ def test_upward_closed_sets_are_streamed():
 
     rng = random.Random(101)
     orders = [StateOrder.discrete(n) for n in range(5)]
-    orders += [StateOrder.from_leq(n, lambda p, q: p <= q) for n in range(1, 6)]  # chains: n + 1 up-sets
+    orders += [order_from_leq(n, lambda p, q: p <= q) for n in range(1, 6)]  # chains: n + 1 up-sets
     orders += [random_automaton(rng, 6, AB, ordered=True).order for _ in range(20)]
     for order in orders:
         assert sum(1 for _ in _upward_closed_sets(order)) == brute_count(order)

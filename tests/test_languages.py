@@ -63,6 +63,42 @@ def test_smart_constructors_normalize():
     assert isinstance(ss, Star) and ss.inner == star(a)
 
 
+def rebuild(r):
+    """r rebuilt bottom-up through the smart constructors."""
+    if isinstance(r, Cat):
+        return cat(rebuild(r.left), rebuild(r.right))
+    if isinstance(r, Star):
+        return star(rebuild(r.inner))
+    if isinstance(r, Union):
+        return union(rebuild(p) for p in r.parts)
+    if isinstance(r, Inter):
+        return inter(rebuild(r.left), rebuild(r.right))
+    if isinstance(r, Compl):
+        return compl(rebuild(r.inner))
+    return r
+
+
+def test_constructed_and_parsed_regexes_are_already_normal():
+    # derivative_automaton explores from its input as given, which relies on this
+    rng = random.Random(11)
+    for seed in range(300):
+        alphabet = Alphabet(tuple("abcd"[: 1 + seed % 4]))
+        r = random_regex(rng, alphabet, 1 + seed % 6)
+        again = parse_regex(format_regex(r), alphabet)
+        assert again == r
+        assert rebuild(r) == r and rebuild(again) == again
+
+
+def test_keys_order_union_parts_by_tag_then_children():
+    a, b = sym("a"), sym("b")
+    parts = [star(b), cat(b, a), sym("b"), cat(a, b), union([a, b]), a, compl(a)]
+    assert union(parts).parts == (cat(a, b), cat(b, a), compl(a), star(b), a, b)
+    assert cat(a, b) < cat(b, a) < compl(a) < star(b) < sym("a") < sym("b")
+    assert not cat(a, b) < cat(a, b)
+    assert cat(a, b) == cat(sym("a"), sym("b")) and hash(cat(a, b)) == hash(cat(sym("a"), sym("b")))
+    assert cat(a, b) != cat(b, a) and star(a) != compl(a)
+
+
 def test_nullable():
     a = sym("a")
     assert EPS.nullable and star(a).nullable and not a.nullable and not EMPTY.nullable

@@ -25,7 +25,7 @@ from orda.minimize import (
     reachable_part,
 )
 
-from fixtures import ab_star, contains_a, even_a, finite_two_words, order_from_pairs
+from fixtures import ab_star, contains_a, even_a, finite_two_words, order_from_leq, order_from_pairs
 from oracles import bounded_preorder, language, residual_included, words_up_to
 
 A = Alphabet(("a",))
@@ -188,7 +188,7 @@ def test_isomorphism_finds_the_relabeling():
     delta = tuple(
         tuple(perm[sa.delta[inv[p]][k]] for k in range(2)) for p in range(5)
     )
-    order = StateOrder.from_leq(5, lambda p, q: oa.order.leq(inv[p], inv[q]))
+    order = order_from_leq(5, lambda p, q: oa.order.leq(inv[p], inv[q]))
     shuffled = OrderedAutomaton(
         OrderedSemiautomaton(Semiautomaton(AB, delta), order),
         perm[oa.initial],

@@ -50,6 +50,9 @@ def test_every_top_level_definition_is_referenced():
     # A top-level def or class of the package counts only when orda.__all__,
     # the CLI or bench/ reach it, directly or through the package's other
     # definitions; one that only tests name is test code living in src/orda.
+    # So does a method or property of a package class other than a dunder:
+    # it counts only when reached code or bench/ names it as an attribute,
+    # such as `order.restrict`, which reaches every method named restrict.
     package = sorted(Path(orda.__file__).parent.glob("*.py"))
     bench = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
     assert package and bench
@@ -64,24 +67,41 @@ def test_every_top_level_definition_is_referenced():
         return isinstance(node, ast.Attribute) and node.attr in modules and is_module(node.value)
 
     def names(node):
+        """The top-level names node mentions, and ".m" for each method m it names."""
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 yield sub.id
-            elif isinstance(sub, ast.Attribute) and is_module(sub.value):
-                yield sub.attr
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr if is_module(sub.value) else "." + sub.attr
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 # "omega.length_set" in bench/tracing.py names length_set
                 parts = sub.value.split(".")
                 if all(part.isidentifier() for part in parts):
                     yield parts[-1]
 
+    def is_dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
     roots = set(orda.__all__)
-    uses = {}  # top-level name -> the names its definitions mention
-    defined = []
+    uses = {}  # top-level name or ".method" -> the names its definitions mention
+    defined = []  # (file, shown name, graph node)
     for path in package:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined.append((path.name, stmt.name, stmt.name))
+                class_uses = uses.setdefault(stmt.name, set())
+                for node in stmt.bases + stmt.decorator_list:
+                    class_uses.update(names(node))
+                for item in stmt.body:
+                    # dunders run implicitly, so they count with their class
+                    if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
+                        defined.append((path.name, f"{stmt.name}.{item.name}", "." + item.name))
+                        uses.setdefault("." + item.name, set()).update(names(item))
+                    else:
+                        class_uses.update(names(item))
+                continue
+            if isinstance(stmt, ast.FunctionDef):
+                defined.append((path.name, stmt.name, stmt.name))
                 owners = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -102,5 +122,5 @@ def test_every_top_level_definition_is_referenced():
         if name not in reached:
             reached.add(name)
             todo.extend(uses.get(name, ()))
-    unused = [f"{file}: {name}" for file, name in defined if name not in reached]
+    unused = [f"{file}: {shown}" for file, shown, node in defined if node not in reached]
     assert not unused, unused
