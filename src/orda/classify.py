@@ -144,19 +144,58 @@ def _locally_confluent(sa: Semiautomaton) -> Verdict:
     """Confluence of an acyclic semiautomaton: q.a and q.b merge under a word
     over {a, b}, for every state q and letters a < b (Klima & Polak, DLT 2013).
 
-    One merge table per letter pair, built on first use; counterexample (q, a, b).
+    Each branch pair is decided by _merges, a forward search with one memo
+    per letter pair, so a pair of states is decided at most once per letter
+    pair; counterexample (q, a, b), the first in state then letter order.
     """
     symbols = sa.alphabet.symbols
-    table = cache(partial(_merge_table, sa))  # letter pair -> its merge table
-    for q, row in enumerate(sa.delta):
+    delta = sa.delta
+    memos: dict[tuple[int, int], dict[tuple[int, int], bool]] = {}
+    for q, row in enumerate(delta):
         for i, p1 in enumerate(row):
             for j in range(i + 1, len(row)):
                 p2 = row[j]
                 if p1 == p2:
                     continue
-                if (p1, p2) not in table(1 << i | 1 << j):
+                memo = memos.setdefault((i, j), {})
+                if not _merges(delta, i, j, memo, (p1, p2) if p1 < p2 else (p2, p1)):
                     return Verdict(False, (q, symbols[i], symbols[j]))
     return Verdict(True)
+
+
+def _merges(delta, i: int, j: int, memo: dict[tuple[int, int], bool], pair: tuple[int, int]) -> bool:
+    """Whether a word over the letters at positions i and j sends the states
+    of pair, p < q, to one state; delta must be acyclic.
+
+    Iterative depth-first search forward over the pairs p < q.  The stack is
+    a path of pairs, each the successor of the one below it, so a merge found
+    at the top holds for the whole stack.  A pair reads False in memo while it
+    is on the stack: on acyclic input a cycle of pairs is a self-loop, since
+    both of its state walks stay inside one singleton component, so that
+    never hides a merge.
+    """
+    if pair in memo:
+        return memo[pair]
+    memo[pair] = False
+    stack = [pair]
+    while stack:
+        p, q = stack[-1]
+        unseen = None
+        for k in (i, j):
+            x, y = delta[p][k], delta[q][k]
+            if x > y:
+                x, y = y, x
+            if x == y or memo.get((x, y)):
+                memo.update(dict.fromkeys(stack, True))
+                return True
+            if unseen is None and (x, y) not in memo:
+                unseen = (x, y)
+        if unseen is None:
+            stack.pop()
+        else:
+            memo[unseen] = False
+            stack.append(unseen)
+    return False
 
 
 def is_pt_semiautomaton(sa: Semiautomaton) -> Verdict:
@@ -311,11 +350,16 @@ def is_strongly_acyclic(sa: Semiautomaton) -> Verdict:
     """Every state lying on a cycle is absorbing.
 
     Counterexample (q, u, a): q.u = q yet q.a != q, either from a cycle
-    through two states as is_acyclic reports it, or from a self-loop.
+    through two states as is_acyclic reports it, or from a self-loop, as
+    _loops_absorbing finds it once acyclicity holds.
     """
     acyclic = is_acyclic(sa)
-    if not acyclic.holds:
-        return acyclic
+    return _loops_absorbing(sa) if acyclic else acyclic
+
+
+def _loops_absorbing(sa: Semiautomaton) -> Verdict:
+    """Strong acyclicity of an acyclic semiautomaton, whose only cycles are
+    self-loops: a state fixed by one letter is fixed by every letter."""
     width = len(sa.alphabet)
     for q in range(sa.state_count):
         loops = [k for k in range(width) if sa.delta[q][k] == q]
@@ -430,12 +474,14 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
     sa = minimal.sa
     osa = minimal.osa
 
-    star_free = is_counter_free(sa)
     r_trivial = is_acyclic(sa)
+    # a cycle of an acyclic automaton is a self-loop, so q.u^n = q forces
+    # q.u = q: it is counter-free with no monoid closure
+    star_free = Verdict(True) if r_trivial else is_counter_free(sa)
+    strongly = _loops_absorbing(sa) if r_trivial else is_strongly_acyclic(sa)
     # every verdict that reads confluence needs acyclicity first
     pt = is_confluent(sa) if r_trivial else r_trivial
     positive_pt = has_extensive_actions(osa)
-    strongly = is_strongly_acyclic(sa)
 
     if strongly.holds and pt.holds:
         f = _follower(sa, minimal.initial)

@@ -401,7 +401,11 @@ def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_
     for ==.  A category admitting no substitution at all yields a vacuous
     pass, flagged as such.
     """
-    tm = build(osa, monoid_cap)
+    return _check(osa, build(osa, monoid_cap), query)
+
+
+def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid, query: OmegaQuery) -> Verdict:
+    """check on the already built transition monoid tm of osa."""
     names = tuple(sorted(term_variables(query.left) | term_variables(query.right)))
     steps, left, right = _program(query, names)
     compose, identity = tm.compose, tm.identity
@@ -461,13 +465,14 @@ def check_identity_catalog(sa: Semiautomaton) -> CatalogSummary:
 
     x^w x == x^w characterizes aperiodicity, (x y)^w x == (x y)^w
     R-triviality, and adding y (x y)^w == (x y)^w gives J-triviality; the
-    results mirror the monoid oracles.
+    results mirror the monoid oracles.  The monoid is built once for all of them.
     """
     osa = OrderedSemiautomaton(sa, StateOrder.discrete(sa.state_count))
-    ap = check(osa, parse_query("x^w x == x^w @all"))
-    r = check(osa, parse_query("(x y)^w x == (x y)^w @all"))
+    tm = build(osa)
+    ap = _check(osa, tm, parse_query("x^w x == x^w @all"))
+    r = _check(osa, tm, parse_query("(x y)^w x == (x y)^w @all"))
     if r.holds:
-        j2 = check(osa, parse_query("y (x y)^w == (x y)^w @all"))
+        j2 = _check(osa, tm, parse_query("y (x y)^w == (x y)^w @all"))
         j = j2 if not j2.holds else Verdict(True)
     else:
         j = r

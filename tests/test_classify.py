@@ -6,6 +6,7 @@ import time
 import pytest
 
 from orda.classify import (
+    Verdict,
     classify_language,
     has_extensive_actions,
     has_n_extensive_actions,
@@ -20,10 +21,11 @@ from orda.classify import (
     is_weakly_confluent,
     main_follower,
 )
-from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, step
+from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, step
 from orda.errors import OrdaError, ResourceError
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.languages import canonical_ordered_automaton, parse_regex
+from orda.minimize import minimize_with_map
 from orda.monoid import build as build_monoid
 
 from fixtures import AB, ab_star, cerny, contains_a, even_a, finite_two_words
@@ -33,6 +35,7 @@ from oracles import (
     j_trivial_brute,
     joinable,
     lemma8_check,
+    merge_word_brute,
     n_extensive_brute,
     r_trivial_brute,
     synchronizing_brute,
@@ -202,6 +205,65 @@ def test_confluence_on_a_wide_acyclic_chain():
     forked = ((1,) + (0,) * 8 + (8,),) + chain[1:] + ((8,) * 10,)
     v = is_confluent(Semiautomaton(alphabet, forked))
     assert not v.holds and v.witness == (0, "a", "j")
+
+
+def restricted_to(sa: Semiautomaton, i: int, j: int) -> Semiautomaton:
+    """The two-letter semiautomaton of the letters at positions i and j."""
+    symbols = sa.alphabet.symbols
+    return Semiautomaton(Alphabet((symbols[i], symbols[j])), tuple((row[i], row[j]) for row in sa.delta))
+
+
+def local_confluence_reference(sa: Semiautomaton) -> tuple[bool, object]:
+    """(False, first (q, a, b) whose branches no word over {a, b} merges), or (True, None)."""
+    symbols = sa.alphabet.symbols
+    for q, row in enumerate(sa.delta):
+        for i in range(len(row)):
+            for j in range(i + 1, len(row)):
+                if merge_word_brute(restricted_to(sa, i, j), row[i], row[j]) is None:
+                    return False, (q, symbols[i], symbols[j])
+    return True, None
+
+
+def acyclic_semiautomata(rng: random.Random):
+    """Seeded acyclic semiautomata of three shapes, 360 of each."""
+    kept = 0
+    while kept < 360:  # rejection-sampled
+        sa = random_semiautomaton(rng, 6, Alphabet(tuple("abc"[: rng.randint(1, 3)])))
+        if is_acyclic(sa).holds:
+            kept += 1
+            yield sa
+    for _ in range(360):  # upper-triangular, then relabelled
+        n, width = rng.randint(1, 9), rng.randint(1, 5)
+        label = rng.sample(range(n), n)
+        rows = [None] * n
+        for q in range(n):
+            rows[label[q]] = tuple(label[rng.randrange(q, n)] for _ in range(width))
+        yield Semiautomaton(Alphabet(tuple("abcde"[:width])), tuple(rows))
+    for _ in range(360):  # chains: each letter stays or moves a step or two up
+        n, width = rng.randint(2, 60), rng.randint(2, 4)
+        rows = tuple(tuple(min(q + rng.choice((0, 0, 1, 1, 2)), n - 1) for _ in range(width)) for q in range(n))
+        yield Semiautomaton(Alphabet(tuple("abcd"[:width])), rows)
+
+
+def test_local_confluence_matches_the_two_letter_reference():
+    checked = confluent = 0
+    for sa in acyclic_semiautomata(random.Random(37)):
+        v = is_confluent(sa)
+        assert (v.holds, v.witness) == local_confluence_reference(sa)
+        checked += 1
+        confluent += v.holds
+    assert checked >= 1000
+    assert 100 < confluent < checked - 100
+
+
+def test_local_confluence_on_a_long_chain_is_fast():
+    # the minimal automaton of {a^1000} over {a, b}: a climbs, b falls into the sink 1001
+    n = 1000
+    sa = Semiautomaton(AB, tuple((min(q + 1, n + 1), n + 1) for q in range(n + 2)))
+    start = time.perf_counter()
+    v = is_confluent(sa)
+    assert time.perf_counter() - start < 0.5
+    assert v.holds
 
 
 def test_pt_semiautomaton_combines_both():
@@ -418,6 +480,65 @@ def test_classify_language_decides_confluence_once(monkeypatch):
     assert len(calls) == 1
     assert report.finite.holds
     assert report.finite.witness == (main_follower(report.minimal.sa, 0), True)
+
+
+def test_classify_language_reads_acyclic_verdicts_off_acyclicity(monkeypatch):
+    import orda.classify
+
+    real_strongly = orda.classify.is_strongly_acyclic
+
+    def refuse(*args):
+        raise AssertionError("called on acyclic input")
+
+    monkeypatch.setattr(orda.classify, "is_counter_free", refuse)
+    monkeypatch.setattr(orda.classify, "is_strongly_acyclic", refuse)
+    rng = random.Random(59)
+    acyclic = 0
+    for oa in [contains_a(), finite_two_words()] + [random_automaton(rng, 6, AB) for _ in range(150)]:
+        sa = minimize_with_map(oa)[1].sa
+        if not is_acyclic(sa).holds:
+            continue
+        acyclic += 1
+        report = classify_language(oa)
+        assert report.star_free == Verdict(True)
+        assert aperiodic_brute(transformations(report.minimal.sa))
+        assert report.prefix_testable == real_strongly(report.minimal.sa)
+    assert acyclic > 30
+
+
+def test_classify_language_judges_cyclic_input_in_full(monkeypatch):
+    import orda.classify
+
+    calls = []
+    for name in ("is_counter_free", "is_strongly_acyclic"):
+        real = getattr(orda.classify, name)
+        monkeypatch.setattr(orda.classify, name, lambda sa, real=real, name=name: calls.append(name) or real(sa))
+    rng = random.Random(61)
+    cyclic = 0
+    for oa in [even_a(), ab_star()] + [random_automaton(rng, 6, AB) for _ in range(100)]:
+        calls.clear()
+        report = classify_language(oa)
+        if is_acyclic(report.minimal.sa).holds:
+            continue
+        cyclic += 1
+        assert calls == ["is_counter_free", "is_strongly_acyclic"]
+        assert report.star_free == is_counter_free(report.minimal.sa)
+        assert report.prefix_testable == is_strongly_acyclic(report.minimal.sa)
+    assert classify_language(even_a()).star_free.witness == (0, "a")
+    assert cyclic > 30
+
+
+def test_classify_language_on_a_catalan_semiautomaton_needs_no_monoid():
+    # letter i moves point i to i + 1: the monoid is Catalan(14) = 2 674 440
+    # elements, over the monoid cap, but the automaton is acyclic
+    n = 14
+    alphabet = Alphabet(tuple("abcdefghijklm"))
+    sa = Semiautomaton(alphabet, tuple(tuple(q + (q == i) for i in range(n - 1)) for q in range(n)))
+    oa = OrderedAutomaton(OrderedSemiautomaton(sa, StateOrder.discrete(n)), 0, frozenset({n - 1}))
+    report = classify_language(oa)
+    assert report.minimal.state_count == n
+    assert report.star_free.holds and report.r_trivial_language.holds
+    assert report.piecewise_testable.holds
 
 
 def test_classify_language_builds_one_full_alphabet_merge_table(monkeypatch):

@@ -453,6 +453,19 @@ def test_identity_catalog_matches_monoid_oracles():
             assert summary.j_trivial == summary.r_trivial
 
 
+def test_identity_catalog_builds_the_monoid_once(monkeypatch):
+    builds = []
+    monkeypatch.setattr(omega, "build", lambda osa, *cap: builds.append(osa) or build_monoid(osa, *cap))
+    rng = random.Random(1)
+    ran_j = 0
+    for _ in range(40):
+        summary = check_identity_catalog(random_minimal_automaton(rng, 6, AB).sa)
+        ran_j += summary.r_trivial.holds  # the J-triviality query runs only then
+        assert len(builds) == 1
+        builds.clear()
+    assert ran_j > 0
+
+
 def test_identity_catalog_fixture_values():
     good = check_identity_catalog(contains_a().sa)
     assert good.aperiodic.holds and good.r_trivial.holds and good.j_trivial.holds
