@@ -480,7 +480,7 @@ def classify_language(oa: OrderedAutomaton, ns=()) -> ClassificationReport:
     star_free = Verdict(True) if r_trivial else is_counter_free(sa)
     strongly = _loops_absorbing(sa) if r_trivial else is_strongly_acyclic(sa)
     # every verdict that reads confluence needs acyclicity first
-    pt = is_confluent(sa) if r_trivial else r_trivial
+    pt = _locally_confluent(sa) if r_trivial else r_trivial
     positive_pt = has_extensive_actions(osa)
 
     if strongly.holds and pt.holds:

@@ -18,7 +18,8 @@ from .errors import ResourceError
 class TransitionMonoid:
     """Closure of the letter actions under composition; immutable once built.
 
-    elements[i] is a transformation tuple t with q.w = t[q]; element 0 is the
+    elements[i] is a transformation t with q.w = t[q], packed by _pack: a
+    bytes of length |Q| up to 256 states, a tuple above; element 0 is the
     identity.  witnesses[i] is the length-lex least word acting as element i.
     generators maps each letter, in alphabet order, to its element, and
     right[i][k] is the element acting as w_i followed by the k-th of those
@@ -53,9 +54,24 @@ class TransitionMonoid:
         return i
 
 
-def _then(t: tuple):
-    """The map u -> t then u, that is, u -> tuple(u[t[q]] for q), as one
-    itemgetter call; a 1-state t gets a one-element tuple, not a bare int."""
+def _pack(states) -> bytes | tuple:
+    """The element with images q -> states[q]: a bytes up to 256 states, where a
+    product is one bytes.translate call and the hash is cached; a tuple above."""
+    return bytes(states) if len(states) <= 256 else tuple(states)
+
+
+def _operand(u: bytes | tuple) -> bytes | tuple:
+    """u as the right factor of a product: a packed u padded to the 256-byte
+    table bytes.translate reads, a tuple u as it is."""
+    return u.ljust(256, b"\0") if type(u) is bytes else u
+
+
+def _then(t: bytes | tuple):
+    """The map u -> t then u, that is, u -> (u[t[q]] for q), on u given by
+    _operand: t.translate for a packed t, one itemgetter call for a tuple t,
+    where a 1-state t gets a one-element tuple, not a bare int."""
+    if type(t) is bytes:
+        return t.translate
     if len(t) > 1:
         return itemgetter(*t)
     (q,) = t
@@ -71,8 +87,8 @@ def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right:
     shortest (then lexicographically least) witness; right[i] is complete once
     the search has moved past element i.
     """
-    columns = [tuple(row[k] for row in sa.delta) for k in range(len(sa.alphabet))]  # q -> q.a
-    identity = tuple(range(sa.state_count))
+    columns = [_operand(_pack([row[k] for row in sa.delta])) for k in range(len(sa.alphabet))]  # q -> q.a
+    identity = _pack(range(sa.state_count))
     elements.append(identity)
     witnesses.append("")
     index = {identity: 0}
@@ -82,7 +98,9 @@ def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right:
     # Numbered like core.explore, but inline: this is the hot loop of classify
     # and check, and explore would leave the witness words and the element
     # index to two more passes over the elements.  Each product is one call of
-    # the base element's itemgetter, made once per base, on a letter's column.
+    # the base element's _then, made once per base, on a letter's column: up
+    # to 256 states one bytes.translate, whose result caches its hash for both
+    # the index lookup and the insert.
     while pos < len(elements):
         act = _then(elements[pos])
         row = []
@@ -117,7 +135,7 @@ def _omega_data(tm: TransitionMonoid, m: int) -> tuple[int, int]:
     cached = tm._omega.get(m)
     if cached is None:
         power, n, t = m, 1, tm.elements[m]
-        while _then(t)(t) != t:
+        while _then(t)(_operand(t)) != t:
             power, n = tm.compose(power, m), n + 1
             t = tm.elements[power]
         cached = tm._omega[m] = (power, n)
@@ -134,7 +152,7 @@ def omega_exponent(tm: TransitionMonoid, m: int) -> int:
     return _omega_data(tm, m)[1]
 
 
-def nontrivial_cycle(t: tuple) -> int | None:
+def nontrivial_cycle(t: bytes | tuple) -> int | None:
     """Smallest state on the first cycle of length >= 2 that walks along q -> t[q]
     run into, starting from each state in increasing order; None if there is none."""
     walk = [-1] * len(t)  # the start whose walk first reached each state

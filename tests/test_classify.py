@@ -473,13 +473,28 @@ def test_classify_language_decides_confluence_once(monkeypatch):
     import orda.classify
 
     calls = []
-    real = orda.classify.is_confluent
-    monkeypatch.setattr(orda.classify, "is_confluent", lambda sa: calls.append(sa) or real(sa))
+    real = orda.classify._locally_confluent
+    # the language is finite, so the minimal automaton is acyclic and its
+    # confluence is the local condition
+    monkeypatch.setattr(orda.classify, "_locally_confluent", lambda sa: calls.append(sa) or real(sa))
     oa = canonical_ordered_automaton(parse_regex("ab" * 20, "ab"), "ab")
     report = classify_language(oa)
     assert len(calls) == 1
+    assert report.piecewise_testable == is_confluent(report.minimal.sa)
     assert report.finite.holds
     assert report.finite.witness == (main_follower(report.minimal.sa, 0), True)
+
+
+def test_classify_language_finds_strong_components_once_on_acyclic_input(monkeypatch):
+    import orda.classify
+
+    calls = []
+    real = orda.classify.sccs
+    monkeypatch.setattr(orda.classify, "sccs", lambda adj: calls.append(adj) or real(adj))
+    oa = canonical_ordered_automaton(parse_regex("ab" * 20, "ab"), "ab")
+    report = classify_language(oa)
+    assert report.r_trivial_language.holds and report.piecewise_testable.holds
+    assert len(calls) == 1  # is_acyclic's; confluence does not search again
 
 
 def test_classify_language_reads_acyclic_verdicts_off_acyclicity(monkeypatch):

@@ -37,15 +37,15 @@ AB = Alphabet(("a", "b"))
 def test_build_on_fixtures():
     tm = build(even_a().osa)
     assert len(tm) == 2
-    assert tm.elements[tm.identity] == (0, 1)
-    assert (1, 0) in tm.elements
+    assert tuple(tm.elements[tm.identity]) == (0, 1)
+    assert (1, 0) in map(tuple, tm.elements)
     assert tm.witnesses[tm.generators["a"]] == "a"
 
     tm = build(contains_a().osa)
     # b acts as the identity, a as the constant map onto the absorbing state
     assert len(tm) == 2
     assert tm.generators["b"] == tm.identity
-    assert tm.elements[tm.generators["a"]] == (1, 1)
+    assert tuple(tm.elements[tm.generators["a"]]) == (1, 1)
     assert tm.witnesses == ("", "a")
 
 
@@ -54,7 +54,7 @@ def test_elements_match_brute_enumeration():
     for _ in range(80):
         oa = random_minimal_automaton(rng, 4, AB)
         tm = build(oa.osa)
-        assert set(tm.elements) == set(transformations(oa.sa))
+        assert set(map(tuple, tm.elements)) == set(transformations(oa.sa))
 
 
 def test_witnesses_reproduce_their_elements():
@@ -73,7 +73,7 @@ def test_witnesses_are_length_lex_minimal():
     tm = build(discrete(cerny(3)))
     seen = transformations(cerny(3))
     for i, w in enumerate(tm.witnesses):
-        assert seen[tm.elements[i]] == w
+        assert seen[tuple(tm.elements[i])] == w
 
 
 def _reference_closure(sa: Semiautomaton):
@@ -105,19 +105,59 @@ def test_build_matches_the_reference_closure():
         sa = Semiautomaton(letters, tuple(tuple(rng.randrange(n) for _ in letters) for _ in range(n)))
         tm = build(discrete(sa))
         elements, witnesses, right, generators = _reference_closure(sa)
-        assert list(tm.elements) == elements
+        assert [tuple(t) for t in tm.elements] == elements
         assert list(tm.witnesses) == witnesses
         assert list(tm.right) == right
         assert tm.generators == generators
         for t in tm.elements:
-            assert type(t) is tuple and len(t) == n
+            assert type(t) is bytes and len(t) == n
             assert all(type(q) is int for q in t)
+
+
+def _shift_and_reset(n: int) -> Semiautomaton:
+    """q a q+1 mod n and q b 0: the n rotations and the n constant maps."""
+    return Semiautomaton(AB, tuple(((q + 1) % n, 0) for q in range(n)))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_elements_are_bytes_up_to_256_states_and_tuples_above(n):
+    sa = _shift_and_reset(n)
+    tm = build(discrete(sa))
+    packed = bytes if n <= 256 else tuple
+    assert all(type(t) is packed and len(t) == n for t in tm.elements)
+    elements, witnesses, right, generators = _reference_closure(sa)
+    assert len(tm) == 2 * n
+    assert [tuple(t) for t in tm.elements] == elements
+    assert list(tm.witnesses) == witnesses
+    assert list(tm.right) == right
+    assert tm.generators == generators
+    rng = random.Random(n)
+    for _ in range(200):
+        i = rng.randrange(len(tm))
+        j = rng.randrange(len(tm))
+        assert tuple(tm.elements[tm.compose(i, j)]) == compose_brute(elements[i], elements[j])
+    shift = tm.generators["a"]
+    assert (omega_power(tm, shift), omega_exponent(tm, shift)) == (tm.identity, n)
+    assert is_aperiodic(tm) == (False, shift) == (False, 1)
+
+
+def test_closure_memory_per_element():
+    osa = random_minimal_automaton(random.Random(24), 24, AB).osa
+    assert osa.state_count == 17
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="transition monoid exceeded 20000 elements"):
+            build(osa, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 260 * 20_000
 
 
 def test_one_state_monoid():
     sa = Semiautomaton(Alphabet(("a", "b")), ((0, 0),))
     tm = build(discrete(sa))
-    assert tm.elements == ((0,),)
+    assert tuple(map(tuple, tm.elements)) == ((0,),)
     assert tm.witnesses == ("",)
     assert tm.right == ((0, 0),)
     assert omega_power(tm, 0) == 0 and omega_exponent(tm, 0) == 1
@@ -150,7 +190,7 @@ def test_compose_matches_transformation_composition():
             i = rng.randrange(len(tm))
             j = rng.randrange(len(tm))
             expect = compose_brute(tm.elements[i], tm.elements[j])
-            assert tm.elements[tm.compose(i, j)] == expect
+            assert tuple(tm.elements[tm.compose(i, j)]) == expect
 
 
 def test_compose_without_memo():
@@ -207,7 +247,7 @@ def test_omega_power_properties():
             acc = tm.identity
             for i in range(1, n + 1):
                 acc = tm.compose(acc, m)
-                t = tm.elements[acc]
+                t = tuple(tm.elements[acc])
                 assert (compose_brute(t, t) == t) == (i == n), (m, i, n)
             assert acc == e
 
@@ -224,7 +264,7 @@ def test_triviality_oracles_match_brute_force():
     for _ in range(120):
         oa = random_minimal_automaton(rng, 4, AB)
         tm = build(oa.osa)
-        elems = list(tm.elements)
+        elems = [tuple(t) for t in tm.elements]  # the oracles work on tuples
         assert is_aperiodic(tm)[0] == aperiodic_brute(elems)
         assert is_r_trivial(tm)[0] == r_trivial_brute(elems)
         assert is_j_trivial(tm)[0] == j_trivial_brute(elems)
