@@ -45,7 +45,7 @@ from .languages import (
 )
 from .minimize import isomorphic, minimize_ordered, preorder, preorder_naive
 from .monoid import build, is_aperiodic, is_j_trivial, is_r_trivial, satisfies_one_leq_x
-from .omega import check, check_identity_catalog, counterexample_words, parse_query
+from .omega import check, check_identity_catalog, counterexample_words, letter_actions, parse_query
 
 
 def _infer_alphabet(regex_text: str, override: str | None) -> Alphabet:
@@ -144,7 +144,8 @@ def cmd_check(args) -> int:
         print("holds (vacuously: no admissible substitutions)" if verdict.vacuous else "holds")
         return 0
     s, p = verdict.witness
-    left, right = counterexample_words(build(oa.osa, args.cap_monoid), query, s)
+    letters = letter_actions(oa.osa, query)  # a check over letters built no monoid, and its words need none
+    left, right = counterexample_words(build(oa.osa, args.cap_monoid) if letters is None else letters, query, s)
     print(f"fails at state {p}")
     print(f"substitution: {s}")
     print(f"left word: {left!r}")

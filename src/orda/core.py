@@ -108,6 +108,14 @@ _FEW_BITS = 8
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
+def _positions(mask: int) -> list[int]:
+    """The positions bits(mask) yields for a nonzero mask, as one list read a
+    byte at a time from the byte of the lowest set bit."""
+    base = ((mask & -mask).bit_length() - 1) & ~7
+    data = (mask >> base).to_bytes((mask.bit_length() - base + 7) >> 3, "little")
+    return [base + (i << 3) + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
+
+
 def unions(table):
     """union(mask): the OR of table[q] over the set bits q of mask.
 
@@ -667,8 +675,10 @@ def format_automaton(oa: OrderedAutomaton) -> str:
         f"initial: {oa.initial}",
         "finals:" + "".join(f" {q}" for q in sorted(oa.finals)),
     ]
-    for p, q in oa.order.pairs():
-        lines.append(f"order: {p} <= {q}")
+    for p, row in enumerate(oa.order.up):  # the pairs of one row at a time, as pairs() yields them
+        above = row & ~(1 << p)
+        if above:
+            lines.extend(map(f"order: {p} <= ".__add__, map(str, _positions(above))))
     for q in range(sa.state_count):
         for k, a in enumerate(sa.alphabet):
             lines.append(f"trans: {q} {a} {sa.delta[q][k]}")

@@ -23,10 +23,12 @@ class TransitionMonoid:
     identity.  witnesses[i] is the length-lex least word acting as element i.
     generators maps each letter, in alphabet order, to its element, and
     right[i][k] is the element acting as w_i followed by the k-th of those
-    letters: the right Cayley graph.
+    letters: the right Cayley graph.  omega[i] is (the idempotent power of
+    element i, the least exponent n >= 1 giving it), found on first lookup
+    (see _Powers); the exponent realizes ^w on witness words.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "right", "order", "_column", "_omega")
+    __slots__ = ("elements", "witnesses", "generators", "right", "order", "omega", "_column")
 
     identity = 0
 
@@ -36,8 +38,8 @@ class TransitionMonoid:
         self.generators = generators
         self.right = right
         self.order = order
+        self.omega = _Powers(self.compose, elements.__getitem__)
         self._column = {a: k for k, a in enumerate(generators)}  # letter -> column of right
-        self._omega = {}
 
     def __len__(self):
         return len(self.elements)
@@ -78,6 +80,11 @@ def _then(t: bytes | tuple):
     return lambda u: (u[q],)
 
 
+def _letters(sa: Semiautomaton) -> list:
+    """Each letter's transformation q -> q.a, packed, in alphabet order."""
+    return [_pack([row[k] for row in sa.delta]) for k in range(len(sa.alphabet))]
+
+
 def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right: list):
     """Breadth-first closure of the letter actions, resumable (Froidure & Pin).
 
@@ -87,7 +94,7 @@ def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right:
     shortest (then lexicographically least) witness; right[i] is complete once
     the search has moved past element i.
     """
-    columns = [_operand(_pack([row[k] for row in sa.delta])) for k in range(len(sa.alphabet))]  # q -> q.a
+    columns = [_operand(t) for t in _letters(sa)]  # q -> q.a
     identity = _pack(range(sa.state_count))
     elements.append(identity)
     witnesses.append("")
@@ -128,28 +135,63 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
 
 
-def _omega_data(tm: TransitionMonoid, m: int) -> tuple[int, int]:
-    """(idempotent power of m, its exponent): multiply by m until the power's
+class _Powers(dict):
+    """value -> (idempotent power of the value, its exponent), each found on
+    its first lookup: the power is multiplied by the value until its
     transformation t satisfies t then t == t, which happens first at the
-    least n with m^n idempotent."""
-    cached = tm._omega.get(m)
-    if cached is None:
-        power, n, t = m, 1, tm.elements[m]
+    least exponent n >= 1 with an idempotent n-th power.  A lookup of a known
+    value is one dict lookup, with no Python call."""
+
+    __slots__ = ("_compose", "_transformation")
+
+    def __init__(self, compose, transformation):
+        super().__init__()
+        self._compose, self._transformation = compose, transformation
+
+    def __missing__(self, m):
+        power, n, t = m, 1, self._transformation(m)
         while _then(t)(_operand(t)) != t:
-            power, n = tm.compose(power, m), n + 1
-            t = tm.elements[power]
-        cached = tm._omega[m] = (power, n)
-    return cached
+            power, n = self._compose(power, m), n + 1
+            t = self._transformation(power)
+        self[m] = power, n
+        return power, n
+
+
+class LetterActions:
+    """The letters' actions without their closure: what a check needs whose
+    variables range over letters only.
+
+    elements, witnesses and generators are those of the built monoid cut to
+    the identity and the letters: element 0 is the identity, and each letter
+    whose action is new takes the next index, as closure numbers its first
+    row.  compose and omega act on packed transformations (see _pack), not on
+    element indices: a product is one _then call, and omega is a _Powers.
+    """
+
+    __slots__ = ("elements", "witnesses", "generators", "omega")
+
+    def __init__(self, sa: Semiautomaton):
+        identity = _pack(range(sa.state_count))
+        index = {identity: 0}
+        self.elements, self.witnesses, self.generators = [identity], [""], {}
+        for t, a in zip(_letters(sa), sa.alphabet.symbols):
+            i = self.generators[a] = index.setdefault(t, len(self.elements))
+            if i == len(self.elements):
+                self.elements.append(t)
+                self.witnesses.append(a)
+        self.omega = _Powers(self.compose, lambda t: t)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def compose(self, s: bytes | tuple, t: bytes | tuple) -> bytes | tuple:
+        """The transformation s, then t."""
+        return _then(s)(_operand(t))
 
 
 def omega_power(tm: TransitionMonoid, m: int) -> int:
     """The unique idempotent among the powers of m."""
-    return _omega_data(tm, m)[0]
-
-
-def omega_exponent(tm: TransitionMonoid, m: int) -> int:
-    """The least exponent n >= 1 with m^n idempotent; realizes ^w on witness words."""
-    return _omega_data(tm, m)[1]
+    return tm.omega[m][0]
 
 
 def nontrivial_cycle(t: bytes | tuple) -> int | None:

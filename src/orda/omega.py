@@ -18,7 +18,7 @@ from math import perm
 from .classify import Verdict
 from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word
 from .errors import OrdaError, ParseError, ResourceError
-from .monoid import TransitionMonoid, build, omega_exponent, omega_power
+from .monoid import LetterActions, TransitionMonoid, build
 
 CATEGORIES = ("all", "ne", "lp", "surj", "lm")
 # check refuses a category whose substitution space has more tuples than this
@@ -289,7 +289,7 @@ def length_set(tm: TransitionMonoid) -> list[dict[int, tuple[int, str]]]:
         seen.add(subset)
 
 
-def valid_substitutions(tm: TransitionMonoid, names: tuple[str, ...], category: str, alphabet: Alphabet):
+def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, ...], category: str, alphabet: Alphabet):
     """Stream the admissible substitutions of a category, deterministically.
 
     Each is a pair (elements, spell): the element tuple, and one function per
@@ -300,7 +300,9 @@ def valid_substitutions(tm: TransitionMonoid, names: tuple[str, ...], category: 
     injection of the alphabet into the variables pins each chosen variable to
     its letter, the rest range free as for all; fewer variables than letters
     means no substitution.  lm: element tuples realizable with one common word
-    length k >= 1, spelled by the least words of the least such k.
+    length k >= 1, spelled by the least words of the least such k.  lp, and
+    surj with no more variables than letters, range over the letters'
+    elements only, so tm may be the LetterActions of the semiautomaton there.
     """
     k = len(names)
     n = len(tm)
@@ -392,6 +394,17 @@ def _program(query: OmegaQuery, names: tuple[str, ...]) -> tuple[list[tuple[int,
     return list(slot_of), left, right
 
 
+def letter_actions(osa: OrderedSemiautomaton, query: OmegaQuery) -> LetterActions | None:
+    """The LetterActions the query runs on, when its variables range over
+    letters only: for lp, and for surj with no more variables than letters
+    (fewer admit no substitution); None when it needs the transition monoid."""
+    if query.category == "lp" or (
+        query.category == "surj" and len(term_variables(query.left) | term_variables(query.right)) <= len(osa.alphabet)
+    ):
+        return LetterActions(osa.sa)
+    return None
+
+
 def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_000) -> Verdict:
     """Decide the query; counterexample = (substitution, state), replayable.
 
@@ -399,27 +412,50 @@ def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_
     the Substitution with its words is built for the failing tuple only.
     Quantification over states uses the state order for <= and state equality
     for ==.  A category admitting no substitution at all yields a vacuous
-    pass, flagged as such.
+    pass, flagged as such.  A query over letters only (see letter_actions)
+    runs on the letters' transformations and never builds the monoid.
     """
-    return _check(osa, build(osa, monoid_cap), query)
+    letters = letter_actions(osa, query)
+    return _check(osa, build(osa, monoid_cap) if letters is None else letters, query)
 
 
-def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid, query: OmegaQuery) -> Verdict:
-    """check on the already built transition monoid tm of osa."""
+def _domain(tm: TransitionMonoid | LetterActions):
+    """The program's values over tm: (values of an element tuple, identity's
+    value, transformation of a value).  A value is an element index of a
+    TransitionMonoid or a packed transformation of LetterActions; either way
+    tm.compose multiplies two and tm.omega maps one to (idempotent power,
+    exponent)."""
+    if isinstance(tm, LetterActions):
+        packed = tm.elements.__getitem__
+        return (lambda elements: [*map(packed, elements)]), tm.elements[0], lambda t: t
+    return list, tm.identity, tm.elements.__getitem__
+
+
+def _run(steps, slots: list, identity, compose, omega) -> list:
+    """The program's slots (see _program): slots holds the variables' values,
+    and the identity's value and then each step's value are appended to it;
+    omega maps a value to (its idempotent power, the exponent)."""
+    slots.append(identity)
+    for a, b in steps:
+        slots.append(omega(slots[a])[0] if b is None else compose(slots[a], slots[b]))
+    return slots
+
+
+def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid | LetterActions, query: OmegaQuery) -> Verdict:
+    """check on tm: the built transition monoid of osa, or its LetterActions."""
     names = tuple(sorted(term_variables(query.left) | term_variables(query.right)))
     steps, left, right = _program(query, names)
-    compose, identity = tm.compose, tm.identity
+    values, identity, transformation = _domain(tm)
+    compose, omega = tm.compose, tm.omega.__getitem__
     want_leq = query.relation == "<="
     order = osa.order
     any_substitution = False
     for elements, spell in valid_substitutions(tm, names, query.category, osa.alphabet):
         any_substitution = True
-        slots = [*elements, identity]
-        for a, b in steps:
-            slots.append(omega_power(tm, slots[a]) if b is None else compose(slots[a], slots[b]))
+        slots = _run(steps, values(elements), identity, compose, omega)
         if slots[left] == slots[right]:
             continue
-        tl, tr = tm.elements[slots[left]], tm.elements[slots[right]]
+        tl, tr = transformation(slots[left]), transformation(slots[right])
         for p in range(osa.state_count):
             if not (order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]):
                 s = spell_substitution(names, elements, spell)
@@ -429,26 +465,27 @@ def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid, query: OmegaQuery) -
     return Verdict(True)
 
 
-def counterexample_words(tm: TransitionMonoid, query: OmegaQuery, s: Substitution) -> tuple[str, str]:
+def counterexample_words(tm: TransitionMonoid | LetterActions, query: OmegaQuery, s: Substitution) -> tuple[str, str]:
     """Concrete words for both sides under the substitution, for literal replay.
 
-    The query's program (see _program) runs once on s's elements with a word
-    beside each value: the variables start from s's witnesses and the identity
-    from the empty word, a product concatenates its two words, and an omega
-    power repeats its base word by the base's omega exponent.  So each word
-    acts as its value.
+    The query's program (see _program) runs once on s's elements, over the
+    values check used on tm (see _domain), with a word beside each value: the
+    variables start from s's witnesses and the identity from the empty word,
+    a product concatenates its two words, and an omega power repeats its base
+    word by the base's omega exponent.  So each word acts as its value.
     """
     steps, left, right = _program(query, s.names)
-    values = [*s.elements, tm.identity]
-    words = [*s.witnesses, ""]
-    for a, b in steps:
-        if b is None:
-            values.append(omega_power(tm, values[a]))
-            words.append(words[a] * omega_exponent(tm, values[a]))
-        else:
-            values.append(tm.compose(values[a], values[b]))
-            words.append(words[a] + words[b])
-    return words[left], words[right]
+    values, identity, _ = _domain(tm)
+
+    def compose(x, y):
+        return tm.compose(x[0], y[0]), x[1] + y[1]
+
+    def omega(x):
+        power, n = tm.omega[x[0]]
+        return (power, x[1] * n), n
+
+    slots = _run(steps, list(zip(values(s.elements), s.witnesses)), (identity, ""), compose, omega)
+    return slots[left][1], slots[right][1]
 
 
 @dataclass(frozen=True)

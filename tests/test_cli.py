@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 
+import ast
 import io
 import random
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from orda import cli
 from orda.classify import N_EXTENSIVE_LIMIT, Verdict
-from orda.core import Alphabet, format_automaton, parse_automaton
+from orda.core import Alphabet, format_automaton, parse_automaton, step
 from orda.generate import random_minimal_automaton
 from orda.languages import REGEX_DEPTH_LIMIT, parse_regex, regex_matches
 from orda.minimize import isomorphic, minimize_ordered
@@ -293,6 +294,27 @@ def test_check_refuses_a_substitution_space_past_its_cap(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == f"error: substitution space of 14886936 tuples exceeds cap {SUBSTITUTION_CAP}\n"
     assert SUBSTITUTION_CAP == 10_000_000
+
+
+def test_letter_checks_build_no_monoid(tmp_path, capsys):
+    # a 17-state minimal automaton whose monoid passes the default cap of 10**6
+    # elements: lp and pinned surj answer on the letters' actions, even when
+    # the cap admits no monoid at all, while @all still stops at the cap
+    oa = random_minimal_automaton(random.Random(24), 24, Alphabet(("a", "b")))
+    assert oa.state_count == 17
+    path = write_fixture(tmp_path, oa)
+    for query in ("x^w x == x^w @lp", "x y == y x @lp", "x^w <= x^w x @lp"):
+        code, out, err = run(capsys, ["check", path, query, "--cap-monoid", "1"])
+        assert code == 1 and err == "", query
+        failing, _, left, right = out.splitlines()
+        p = int(failing.removeprefix("fails at state "))
+        left, right = (ast.literal_eval(line.partition(": ")[2]) for line in (left, right))
+        ends = [step(oa.sa, p, word) for word in (left, right)]
+        assert (oa.order.leq(*ends) if "<=" in query else ends[0] == ends[1]) is False, query
+    code, out, err = run(capsys, ["check", path, "x == 1 @surj", "--cap-monoid", "1"])
+    assert (code, out, err) == (0, "holds (vacuously: no admissible substitutions)\n", "")
+    code, out, err = run(capsys, ["check", path, "x^w x == x^w @all", "--cap-monoid", "1"])
+    assert (code, out, err) == (2, "", "error: transition monoid exceeded 1 elements\n")
 
 
 def test_convert_automaton_is_identity(tmp_path, capsys):

@@ -229,6 +229,19 @@ def test_format_parse_round_trip():
         assert language(back, 4) == language(oa, 4)
 
 
+def test_format_prints_the_order_pairs_in_pairs_order():
+    # the order is printed a row at a time; the lines are those of pairs(),
+    # on sparse rows, dense rows and rows whose bits lie bytes apart
+    rng = random.Random(7)
+    for n in (1, 2, 9, 17, 70, 300):
+        sa = Semiautomaton(Alphabet(("a",)), tuple((q,) for q in range(n)))  # every order is compatible
+        for density in (0.0, 0.02, 0.5, 1.0):
+            up = tuple(1 << p | sum(1 << q for q in range(n) if q != p and rng.random() < density) for p in range(n))
+            oa = OrderedAutomaton(OrderedSemiautomaton(sa, StateOrder(up)), 0, frozenset())
+            lines = [line for line in format_automaton(oa).splitlines() if line.startswith("order:")]
+            assert lines == [f"order: {p} <= {q}" for p, q in oa.order.pairs()]
+
+
 def test_parse_tolerates_comments_and_defaults_to_discrete():
     text = """
     # two states over one letter

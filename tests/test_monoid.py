@@ -16,7 +16,6 @@ from orda.monoid import (
     is_j_trivial,
     is_r_trivial,
     leq,
-    omega_exponent,
     omega_power,
     satisfies_one_leq_x,
 )
@@ -137,7 +136,7 @@ def test_elements_are_bytes_up_to_256_states_and_tuples_above(n):
         j = rng.randrange(len(tm))
         assert tuple(tm.elements[tm.compose(i, j)]) == compose_brute(elements[i], elements[j])
     shift = tm.generators["a"]
-    assert (omega_power(tm, shift), omega_exponent(tm, shift)) == (tm.identity, n)
+    assert (omega_power(tm, shift), tm.omega[shift][1]) == (tm.identity, n)
     assert is_aperiodic(tm) == (False, shift) == (False, 1)
 
 
@@ -160,7 +159,7 @@ def test_one_state_monoid():
     assert tuple(map(tuple, tm.elements)) == ((0,),)
     assert tm.witnesses == ("",)
     assert tm.right == ((0, 0),)
-    assert omega_power(tm, 0) == 0 and omega_exponent(tm, 0) == 1
+    assert omega_power(tm, 0) == 0 and tm.omega[0][1] == 1
     assert is_counter_free(sa).holds
 
 
@@ -169,10 +168,10 @@ def test_omega_power_of_a_cyclic_shift():
     tm = build(discrete(shift))
     assert len(tm) == 7
     a = tm.generators["a"]
-    assert omega_exponent(tm, a) == 7
+    assert tm.omega[a][1] == 7
     assert omega_power(tm, a) == tm.identity
     for m in range(1, 7):  # every non-identity power of a 7-cycle generates the group
-        assert omega_exponent(tm, m) == 7 and omega_power(tm, m) == tm.identity
+        assert tm.omega[m][1] == 7 and omega_power(tm, m) == tm.identity
 
 
 def _catalan(n: int) -> Semiautomaton:
@@ -230,16 +229,16 @@ def test_omega_power_properties():
     tm = build(even_a().osa)
     swap = tm.generators["a"]
     assert omega_power(tm, swap) == tm.identity
-    assert omega_exponent(tm, swap) == 2
+    assert tm.omega[swap][1] == 2
     assert omega_power(tm, tm.identity) == tm.identity
-    assert omega_exponent(tm, tm.identity) == 1
+    assert tm.omega[tm.identity][1] == 1
 
     rng = random.Random(41)
     for _ in range(60):
         tm = build(random_minimal_automaton(rng, 5, AB).osa)
         for m in range(len(tm)):
             e = omega_power(tm, m)
-            n = omega_exponent(tm, m)
+            n = tm.omega[m][1]
             assert tm.compose(e, e) == e  # idempotent
             assert n >= 1
             # m^n computed by hand equals the reported idempotent, and n is the
@@ -268,6 +267,19 @@ def test_triviality_oracles_match_brute_force():
         assert is_aperiodic(tm)[0] == aperiodic_brute(elems)
         assert is_r_trivial(tm)[0] == r_trivial_brute(elems)
         assert is_j_trivial(tm)[0] == j_trivial_brute(elems)
+
+
+def test_j_trivial_oracle_matches_the_cubic_definition():
+    # j_trivial_brute unions right ideals; here each MxM is composed directly,
+    # on monoids of at most 3**3 elements
+    rng = random.Random(61)
+    answers = []
+    for _ in range(200):
+        elems = list(transformations(random_minimal_automaton(rng, 3, AB).sa))
+        ideals = {frozenset(compose_brute(compose_brute(u, x), v) for u in elems for v in elems) for x in elems}
+        answers.append(len(ideals) == len(elems))
+        assert j_trivial_brute(elems) == answers[-1]
+    assert 0 < sum(answers) < len(answers)
 
 
 def _green_regimes(rng, count):

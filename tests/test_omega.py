@@ -9,8 +9,8 @@ import pytest
 from orda import omega
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, step
 from orda.errors import ParseError, ResourceError
-from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
-from orda.monoid import TransitionMonoid, build as build_monoid, omega_power
+from orda.generate import random_automaton, random_compatible_order, random_minimal_automaton, random_semiautomaton
+from orda.monoid import LetterActions, TransitionMonoid, build as build_monoid, omega_power
 from orda.omega import (
     CATEGORIES,
     Concat,
@@ -25,6 +25,7 @@ from orda.omega import (
     format_query,
     format_term,
     length_set,
+    letter_actions,
     nonempty_realizable,
     parse_query,
     spell_substitution,
@@ -363,6 +364,107 @@ def test_check_computes_a_shared_subterm_once(monkeypatch):
     monkeypatch.setattr(TransitionMonoid, "compose", counting)
     assert check(osa, parse_query("(x y)^w x == (x y)^w @all")).holds
     assert calls == 399
+
+
+def test_letter_check_computes_a_shared_subterm_once(monkeypatch):
+    # the letter twin of the test above, on the same semiautomaton: the three
+    # letters are distinct idempotents, so lp runs all 9 tuples, with one
+    # product x y and one product (x y)^w x each, plus one product each to
+    # raise b a and c b to their idempotent squares (c a acts as a c, and the
+    # other values of x y are idempotent); (x y)^w is taken once
+    maps = [[q + (q == i) for q in range(4)] for i in range(3)]
+    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(4)))
+    osa = OrderedSemiautomaton(sa, StateOrder.discrete(4))
+    calls = 0
+    compose = LetterActions.compose
+
+    def counting(letters, s, t):
+        nonlocal calls
+        calls += 1
+        return compose(letters, s, t)
+
+    monkeypatch.setattr(LetterActions, "compose", counting)
+    monkeypatch.setattr(omega, "build", None)  # a letter check builds no monoid
+    assert check(osa, parse_query("(x y)^w x == (x y)^w @lp")).holds
+    assert calls == 20
+
+
+def _letter_catalog_cases(rng, count):
+    """count ordered semiautomata of 1-6 states over 1-3 letters, where a letter
+    may act as the identity or as an earlier letter does."""
+    for _ in range(count):
+        n, width = rng.randint(1, 6), rng.randint(1, 3)
+        columns = []
+        for _ in range(width):
+            roll = rng.random()
+            if roll < 0.2:
+                columns.append(tuple(range(n)))
+            elif roll < 0.4 and columns:
+                columns.append(rng.choice(columns))
+            else:
+                columns.append(tuple(rng.randrange(n) for _ in range(n)))
+        sa = Semiautomaton(Alphabet(tuple("abc"[:width])), tuple(zip(*columns)))
+        yield OrderedSemiautomaton(sa, random_compatible_order(rng, sa))
+
+
+def test_letter_checks_match_the_monoid(monkeypatch):
+    # lp, and surj with no more variables than letters, run on LetterActions:
+    # the verdict, the substitution and the counterexample words must be those
+    # of the built monoid; surj with more variables than letters builds it
+    templates = (
+        "x^w x == x^w",
+        "x^w <= x^w x",
+        "1 <= x",
+        "x y == y x",
+        "x^w y x^w <= x^w",
+        "(x y)^w x == (x y)^w",
+        "x y z <= z y x",
+        "(x y z)^w x == (x y z)^w",
+    )
+    catalog = [parse_query(f"{t} @{cat}") for t in templates for cat in ("lp", "surj")]
+    builds = []
+    monkeypatch.setattr(omega, "build", lambda osa, *cap: builds.append(osa) or build_monoid(osa, *cap))
+    rng = random.Random(97)
+    seen = {"identity letter": 0, "alike letters": 0, "fewer": 0, "equal": 0, "more": 0, "fails": 0}
+    for osa in _letter_catalog_cases(rng, 500):
+        tm = build_monoid(osa)
+        seen["identity letter"] += tm.identity in tm.generators.values()
+        seen["alike letters"] += len(set(tm.generators.values())) < len(osa.alphabet)
+        for q in catalog:
+            k, width = len(all_names(q)), len(osa.alphabet)
+            letters = letter_actions(osa, q)
+            assert (letters is None) == (q.category == "surj" and k > width), format_query(q)
+            if letters is None and len(tm) ** (k - width) > 2000:
+                continue
+            seen["fewer" if k < width else "equal" if k == width else "more"] += q.category == "surj"
+            builds.clear()
+            got, want = check(osa, q), omega._check(osa, tm, q)
+            assert len(builds) == (letters is None)
+            assert (got.holds, got.vacuous, got.witness) == (want.holds, want.vacuous, want.witness), format_query(q)
+            if not got.holds:
+                seen["fails"] += 1
+                s, _ = got.witness
+                words = counterexample_words(tm, q, s)
+                assert counterexample_words(letters or tm, q, s) == words
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_letter_checks_on_tuples_above_256_states(n):
+    # above 256 states a transformation is a tuple, and a letter product an
+    # itemgetter call: a shifts q to q + 1 mod n, b resets every state to 0
+    sa = Semiautomaton(AB, tuple(((q + 1) % n, 0) for q in range(n)))
+    osa = OrderedSemiautomaton(sa, StateOrder.discrete(n))
+    letters, tm = LetterActions(sa), build_monoid(osa)
+    assert [type(t) for t in letters.elements] == [bytes if n <= 256 else tuple] * 3
+    assert letters.omega[letters.elements[1]] == (letters.elements[0], n)
+    for text in ("x^w x == x^w @lp", "x y == y x @lp", "y x^w == y @surj", "x^w <= x^w y @surj"):
+        q = parse_query(text)
+        got, want = check(osa, q), omega._check(osa, tm, q)
+        assert (got.holds, got.witness) == (want.holds, want.witness), text
+        if not got.holds:
+            s = got.witness[0]
+            assert counterexample_words(letters, q, s) == counterexample_words(tm, q, s), text
 
 
 def test_check_tells_equality_from_order():
