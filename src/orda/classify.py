@@ -67,7 +67,7 @@ def is_counter_free(sa: Semiautomaton, cap: int = 1_000_000) -> Verdict:
     definition directly.  Only an aperiodic monoid is enumerated in full.
     """
     elements, witnesses = [], []
-    for m in closure(sa, cap, elements, witnesses, []):
+    for m in closure(sa, cap, elements, witnesses, [], {}):
         q = nontrivial_cycle(elements[m])
         if q is not None:
             return Verdict(False, (q, witnesses[m]))

@@ -20,26 +20,27 @@ class TransitionMonoid:
 
     elements[i] is a transformation t with q.w = t[q], packed by _pack: a
     bytes of length |Q| up to 256 states, a tuple above; element 0 is the
-    identity.  witnesses[i] is the length-lex least word acting as element i.
+    identity, and index maps each transformation back to its element.
+    witnesses[i] is the length-lex least word acting as element i.
     generators maps each letter, in alphabet order, to its element, and
     right[i][k] is the element acting as w_i followed by the k-th of those
-    letters: the right Cayley graph.  omega[i] is (the idempotent power of
-    element i, the least exponent n >= 1 giving it), found on first lookup
-    (see _Powers); the exponent realizes ^w on witness words.
+    letters: the right Cayley graph.  omega[t] is (the idempotent power of
+    transformation t, the least exponent n >= 1 giving it), found on first
+    lookup (see _Powers); the exponent realizes ^w on witness words.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "right", "order", "omega", "_column")
+    __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega")
 
     identity = 0
 
-    def __init__(self, elements, witnesses, generators, right, order):
+    def __init__(self, elements, witnesses, generators, right, order, index):
         self.elements = elements
         self.witnesses = witnesses
         self.generators = generators
         self.right = right
         self.order = order
-        self.omega = _Powers(self.compose, elements.__getitem__)
-        self._column = {a: k for k, a in enumerate(generators)}  # letter -> column of right
+        self.index = index
+        self.omega = _Powers()
 
     def __len__(self):
         return len(self.elements)
@@ -48,12 +49,8 @@ class TransitionMonoid:
         return f"<transition monoid, {len(self.elements)} elements>"
 
     def compose(self, i: int, j: int) -> int:
-        """Element acting as w_i followed by w_j: the end of w_j's path from i
-        in the right Cayley graph (Froidure & Pin)."""
-        right, column = self.right, self._column
-        for a in self.witnesses[j]:
-            i = right[i][column[a]]
-        return i
+        """Element acting as w_i followed by w_j."""
+        return self.index[then(self.elements[i], self.elements[j])]
 
 
 def _pack(states) -> bytes | tuple:
@@ -80,25 +77,33 @@ def _then(t: bytes | tuple):
     return lambda u: (u[q],)
 
 
+def then(s: bytes | tuple, t: bytes | tuple) -> bytes | tuple:
+    """The transformation s, then t, on packed transformations (see _pack)."""
+    if type(s) is bytes:
+        return s.translate(t.ljust(256, b"\0"))
+    return _then(s)(t)
+
+
 def _letters(sa: Semiautomaton) -> list:
     """Each letter's transformation q -> q.a, packed, in alphabet order."""
     return [_pack([row[k] for row in sa.delta]) for k in range(len(sa.alphabet))]
 
 
-def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right: list):
+def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right: list, index: dict):
     """Breadth-first closure of the letter actions, resumable (Froidure & Pin).
 
-    Fills the three lists in place and yields each new element's index as it
-    is found, so a caller can stop at any element.  Elements are discovered in
-    length-lex order of their witness words, so every element carries its
-    shortest (then lexicographically least) witness; right[i] is complete once
-    the search has moved past element i.
+    Fills the three lists and the index (transformation -> element) in place
+    and yields each new element's index as it is found, so a caller can stop
+    at any element.  Elements are discovered in length-lex order of their
+    witness words, so every element carries its shortest (then
+    lexicographically least) witness; right[i] is complete once the search
+    has moved past element i.
     """
     columns = [_operand(t) for t in _letters(sa)]  # q -> q.a
     identity = _pack(range(sa.state_count))
     elements.append(identity)
     witnesses.append("")
-    index = {identity: 0}
+    index[identity] = 0
     yield 0
     letters = list(zip(columns, sa.alphabet.symbols))
     pos = 0
@@ -128,32 +133,27 @@ def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right:
 
 def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     """Transition monoid: the closure of the letter actions, run to the end."""
-    elements, witnesses, right = [], [], []
-    for _ in closure(osa.sa, cap, elements, witnesses, right):
+    elements, witnesses, right, index = [], [], [], {}
+    for _ in closure(osa.sa, cap, elements, witnesses, right, index):
         pass
     generators = dict(zip(osa.sa.alphabet, right[0]))
-    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order)
+    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order, index)
 
 
 class _Powers(dict):
-    """value -> (idempotent power of the value, its exponent), each found on
-    its first lookup: the power is multiplied by the value until its
-    transformation t satisfies t then t == t, which happens first at the
-    least exponent n >= 1 with an idempotent n-th power.  A lookup of a known
-    value is one dict lookup, with no Python call."""
+    """transformation t -> (idempotent power of t, its exponent), found on the
+    first lookup of t: the power is multiplied by t until it satisfies
+    power then power == power, which happens first at the least exponent
+    n >= 1 with an idempotent n-th power.  A lookup of a known t is one dict
+    lookup, with no Python call."""
 
-    __slots__ = ("_compose", "_transformation")
+    __slots__ = ()
 
-    def __init__(self, compose, transformation):
-        super().__init__()
-        self._compose, self._transformation = compose, transformation
-
-    def __missing__(self, m):
-        power, n, t = m, 1, self._transformation(m)
-        while _then(t)(_operand(t)) != t:
-            power, n = self._compose(power, m), n + 1
-            t = self._transformation(power)
-        self[m] = power, n
+    def __missing__(self, t):
+        power, n = t, 1
+        while _then(power)(_operand(power)) != power:
+            power, n = then(power, t), n + 1
+        self[t] = power, n
         return power, n
 
 
@@ -164,8 +164,7 @@ class LetterActions:
     elements, witnesses and generators are those of the built monoid cut to
     the identity and the letters: element 0 is the identity, and each letter
     whose action is new takes the next index, as closure numbers its first
-    row.  compose and omega act on packed transformations (see _pack), not on
-    element indices: a product is one _then call, and omega is a _Powers.
+    row.  omega is a _Powers, as for TransitionMonoid.
     """
 
     __slots__ = ("elements", "witnesses", "generators", "omega")
@@ -179,19 +178,15 @@ class LetterActions:
             if i == len(self.elements):
                 self.elements.append(t)
                 self.witnesses.append(a)
-        self.omega = _Powers(self.compose, lambda t: t)
+        self.omega = _Powers()
 
     def __len__(self):
         return len(self.elements)
 
-    def compose(self, s: bytes | tuple, t: bytes | tuple) -> bytes | tuple:
-        """The transformation s, then t."""
-        return _then(s)(_operand(t))
-
 
 def omega_power(tm: TransitionMonoid, m: int) -> int:
     """The unique idempotent among the powers of m."""
-    return tm.omega[m][0]
+    return tm.index[tm.omega[tm.elements[m]][0]]
 
 
 def nontrivial_cycle(t: bytes | tuple) -> int | None:

@@ -18,7 +18,7 @@ from math import perm
 from .classify import Verdict
 from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word
 from .errors import OrdaError, ParseError, ResourceError
-from .monoid import LetterActions, TransitionMonoid, build
+from .monoid import LetterActions, TransitionMonoid, build, then
 
 CATEGORIES = ("all", "ne", "lp", "surj", "lm")
 # check refuses a category whose substitution space has more tuples than this
@@ -408,33 +408,23 @@ def letter_actions(osa: OrderedSemiautomaton, query: OmegaQuery) -> LetterAction
 def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_000) -> Verdict:
     """Decide the query; counterexample = (substitution, state), replayable.
 
-    Both sides run as one program (see _program) on each element tuple, and
-    the Substitution with its words is built for the failing tuple only.
-    Quantification over states uses the state order for <= and state equality
-    for ==.  A category admitting no substitution at all yields a vacuous
-    pass, flagged as such.  A query over letters only (see letter_actions)
-    runs on the letters' transformations and never builds the monoid.
+    Both sides run as one program (see _program) on the transformations of
+    each element tuple, and the Substitution with its words is built for the
+    failing tuple only.  Quantification over states uses the state order for
+    <= and state equality for ==.  A category admitting no substitution at
+    all yields a vacuous pass, flagged as such.  A query over letters only
+    (see letter_actions) runs on the letters' transformations and never
+    builds the monoid.
     """
     letters = letter_actions(osa, query)
     return _check(osa, build(osa, monoid_cap) if letters is None else letters, query)
 
 
-def _domain(tm: TransitionMonoid | LetterActions):
-    """The program's values over tm: (values of an element tuple, identity's
-    value, transformation of a value).  A value is an element index of a
-    TransitionMonoid or a packed transformation of LetterActions; either way
-    tm.compose multiplies two and tm.omega maps one to (idempotent power,
-    exponent)."""
-    if isinstance(tm, LetterActions):
-        packed = tm.elements.__getitem__
-        return (lambda elements: [*map(packed, elements)]), tm.elements[0], lambda t: t
-    return list, tm.identity, tm.elements.__getitem__
-
-
 def _run(steps, slots: list, identity, compose, omega) -> list:
     """The program's slots (see _program): slots holds the variables' values,
     and the identity's value and then each step's value are appended to it;
-    omega maps a value to (its idempotent power, the exponent)."""
+    compose multiplies two values, and omega maps a value to (its idempotent
+    power, the exponent)."""
     slots.append(identity)
     for a, b in steps:
         slots.append(omega(slots[a])[0] if b is None else compose(slots[a], slots[b]))
@@ -445,17 +435,16 @@ def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid | LetterActions, quer
     """check on tm: the built transition monoid of osa, or its LetterActions."""
     names = tuple(sorted(term_variables(query.left) | term_variables(query.right)))
     steps, left, right = _program(query, names)
-    values, identity, transformation = _domain(tm)
-    compose, omega = tm.compose, tm.omega.__getitem__
+    packed, identity, omega = tm.elements.__getitem__, tm.elements[0], tm.omega.__getitem__
     want_leq = query.relation == "<="
     order = osa.order
     any_substitution = False
     for elements, spell in valid_substitutions(tm, names, query.category, osa.alphabet):
         any_substitution = True
-        slots = _run(steps, values(elements), identity, compose, omega)
-        if slots[left] == slots[right]:
+        slots = _run(steps, [*map(packed, elements)], identity, then, omega)
+        tl, tr = slots[left], slots[right]
+        if tl == tr:
             continue
-        tl, tr = transformation(slots[left]), transformation(slots[right])
         for p in range(osa.state_count):
             if not (order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]):
                 s = spell_substitution(names, elements, spell)
@@ -468,23 +457,23 @@ def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid | LetterActions, quer
 def counterexample_words(tm: TransitionMonoid | LetterActions, query: OmegaQuery, s: Substitution) -> tuple[str, str]:
     """Concrete words for both sides under the substitution, for literal replay.
 
-    The query's program (see _program) runs once on s's elements, over the
-    values check used on tm (see _domain), with a word beside each value: the
-    variables start from s's witnesses and the identity from the empty word,
-    a product concatenates its two words, and an omega power repeats its base
-    word by the base's omega exponent.  So each word acts as its value.
+    The query's program (see _program) runs once on the transformations of
+    s's elements, as in check, with a word beside each value: the variables
+    start from s's witnesses and the identity from the empty word, a product
+    concatenates its two words, and an omega power repeats its base word by
+    the base's omega exponent.  So each word acts as its value.
     """
     steps, left, right = _program(query, s.names)
-    values, identity, _ = _domain(tm)
 
     def compose(x, y):
-        return tm.compose(x[0], y[0]), x[1] + y[1]
+        return then(x[0], y[0]), x[1] + y[1]
 
     def omega(x):
         power, n = tm.omega[x[0]]
         return (power, x[1] * n), n
 
-    slots = _run(steps, list(zip(values(s.elements), s.witnesses)), (identity, ""), compose, omega)
+    values = [(tm.elements[e], w) for e, w in zip(s.elements, s.witnesses)]
+    slots = _run(steps, values, (tm.elements[0], ""), compose, omega)
     return slots[left][1], slots[right][1]
 
 

@@ -136,8 +136,9 @@ def finite_two_words() -> OrderedAutomaton:
 
 
 def element_of_word(tm: TransitionMonoid, w: str) -> int:
-    """Fold the word through the generator map."""
-    column = tm._column
+    """Fold the word through the right Cayley graph, whose columns follow the
+    letters of the generator map in alphabet order."""
+    column = {a: k for k, a in enumerate(tm.generators)}
     out = tm.identity
     for a in w:
         k = column.get(a)

@@ -136,7 +136,7 @@ def test_elements_are_bytes_up_to_256_states_and_tuples_above(n):
         j = rng.randrange(len(tm))
         assert tuple(tm.elements[tm.compose(i, j)]) == compose_brute(elements[i], elements[j])
     shift = tm.generators["a"]
-    assert (omega_power(tm, shift), tm.omega[shift][1]) == (tm.identity, n)
+    assert (omega_power(tm, shift), tm.omega[tm.elements[shift]][1]) == (tm.identity, n)
     assert is_aperiodic(tm) == (False, shift) == (False, 1)
 
 
@@ -159,7 +159,7 @@ def test_one_state_monoid():
     assert tuple(map(tuple, tm.elements)) == ((0,),)
     assert tm.witnesses == ("",)
     assert tm.right == ((0, 0),)
-    assert omega_power(tm, 0) == 0 and tm.omega[0][1] == 1
+    assert omega_power(tm, 0) == 0 and tm.omega[tm.elements[0]][1] == 1
     assert is_counter_free(sa).holds
 
 
@@ -168,10 +168,10 @@ def test_omega_power_of_a_cyclic_shift():
     tm = build(discrete(shift))
     assert len(tm) == 7
     a = tm.generators["a"]
-    assert tm.omega[a][1] == 7
+    assert tm.omega[tm.elements[a]][1] == 7
     assert omega_power(tm, a) == tm.identity
     for m in range(1, 7):  # every non-identity power of a 7-cycle generates the group
-        assert tm.omega[m][1] == 7 and omega_power(tm, m) == tm.identity
+        assert tm.omega[tm.elements[m]][1] == 7 and omega_power(tm, m) == tm.identity
 
 
 def _catalan(n: int) -> Semiautomaton:
@@ -229,16 +229,16 @@ def test_omega_power_properties():
     tm = build(even_a().osa)
     swap = tm.generators["a"]
     assert omega_power(tm, swap) == tm.identity
-    assert tm.omega[swap][1] == 2
+    assert tm.omega[tm.elements[swap]][1] == 2
     assert omega_power(tm, tm.identity) == tm.identity
-    assert tm.omega[tm.identity][1] == 1
+    assert tm.omega[tm.elements[tm.identity]][1] == 1
 
     rng = random.Random(41)
     for _ in range(60):
         tm = build(random_minimal_automaton(rng, 5, AB).osa)
         for m in range(len(tm)):
             e = omega_power(tm, m)
-            n = tm.omega[m][1]
+            n = tm.omega[tm.elements[m]][1]
             assert tm.compose(e, e) == e  # idempotent
             assert n >= 1
             # m^n computed by hand equals the reported idempotent, and n is the

@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from orda import omega
+from orda import monoid, omega
 from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, step
 from orda.errors import ParseError, ResourceError
 from orda.generate import random_automaton, random_compatible_order, random_minimal_automaton, random_semiautomaton
-from orda.monoid import LetterActions, TransitionMonoid, build as build_monoid, omega_power
+from orda.monoid import LetterActions, build as build_monoid, omega_power
 from orda.omega import (
     CATEGORIES,
     Concat,
@@ -345,25 +345,36 @@ def test_check_finds_replayable_counterexamples():
     assert not ab_star().order.leq(step(ab_star().sa, p, lw), step(ab_star().sa, p, rw))
 
 
+def _counting_products(monkeypatch):
+    # every product of a check, omega powers included, is one call of
+    # monoid.then; the returned list holds the running count
+    calls = [0]
+    then = monoid.then
+
+    def counting(s, t):
+        calls[0] += 1
+        return then(s, t)
+
+    monkeypatch.setattr(monoid, "then", counting)
+    monkeypatch.setattr(omega, "then", counting)
+    return calls
+
+
+def _catalan_on_four_points():
+    maps = [[q + (q == i) for q in range(4)] for i in range(3)]
+    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(4)))
+    return OrderedSemiautomaton(sa, StateOrder.discrete(4))
+
+
 def test_check_computes_a_shared_subterm_once(monkeypatch):
     # the 14-element Catalan monoid on 4 points is J-trivial, so all 196 tuples
     # run: one product x y and one product (x y)^w x each, plus the 7 products
     # that raise the distinct x y to their idempotent powers (an idempotent
     # x y takes none); (x y)^w is taken once
-    maps = [[q + (q == i) for q in range(4)] for i in range(3)]
-    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(4)))
-    osa = OrderedSemiautomaton(sa, StateOrder.discrete(4))
-    calls = 0
-    compose = TransitionMonoid.compose
-
-    def counting(tm, i, j):
-        nonlocal calls
-        calls += 1
-        return compose(tm, i, j)
-
-    monkeypatch.setattr(TransitionMonoid, "compose", counting)
+    osa = _catalan_on_four_points()
+    calls = _counting_products(monkeypatch)
     assert check(osa, parse_query("(x y)^w x == (x y)^w @all")).holds
-    assert calls == 399
+    assert calls[0] == 399
 
 
 def test_letter_check_computes_a_shared_subterm_once(monkeypatch):
@@ -372,21 +383,11 @@ def test_letter_check_computes_a_shared_subterm_once(monkeypatch):
     # product x y and one product (x y)^w x each, plus one product each to
     # raise b a and c b to their idempotent squares (c a acts as a c, and the
     # other values of x y are idempotent); (x y)^w is taken once
-    maps = [[q + (q == i) for q in range(4)] for i in range(3)]
-    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(4)))
-    osa = OrderedSemiautomaton(sa, StateOrder.discrete(4))
-    calls = 0
-    compose = LetterActions.compose
-
-    def counting(letters, s, t):
-        nonlocal calls
-        calls += 1
-        return compose(letters, s, t)
-
-    monkeypatch.setattr(LetterActions, "compose", counting)
+    osa = _catalan_on_four_points()
+    calls = _counting_products(monkeypatch)
     monkeypatch.setattr(omega, "build", None)  # a letter check builds no monoid
     assert check(osa, parse_query("(x y)^w x == (x y)^w @lp")).holds
-    assert calls == 20
+    assert calls[0] == 20
 
 
 def _letter_catalog_cases(rng, count):
@@ -465,6 +466,26 @@ def test_letter_checks_on_tuples_above_256_states(n):
         if not got.holds:
             s = got.witness[0]
             assert counterexample_words(letters, q, s) == counterexample_words(tm, q, s), text
+
+
+@pytest.mark.parametrize("n", [255, 257])
+def test_checks_with_long_witnesses_on_a_cyclic_shift(n):
+    # the cyclic group Z_n: element i is a^i, so witnesses run up to n - 1
+    # letters; elements are bytes at 255 states and tuples at 257
+    sa = Semiautomaton(Alphabet(("a",)), tuple(((q + 1) % n,) for q in range(n)))
+    osa = OrderedSemiautomaton(sa, StateOrder.discrete(n))
+    tm = build_monoid(osa)
+    assert len(tm) == n and type(tm.elements[1]) is (bytes if n <= 256 else tuple)
+    assert check(osa, parse_query("x y == y x @all")).holds
+    for text in ("x^w x^w == x^w x @all", "1 <= x @all"):
+        q = parse_query(text)
+        got, want = check(osa, q), check_brute(osa, text)
+        assert not got.holds and not want.holds, text
+        s, p = got.witness
+        assert (s.names, s.elements, s.witnesses, p) == want.witness, text
+        lw, rw = counterexample_words(tm, q, s)
+        # the order is discrete, so <= fails exactly where == does
+        assert step(sa, p, lw) != step(sa, p, rw), text
 
 
 def test_check_tells_equality_from_order():
