@@ -10,8 +10,9 @@ table used only for rendering.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .errors import AlphabetError, OrdaError, ParseError, ResourceError
 
@@ -539,6 +540,26 @@ def sccs(adj) -> list[list[int]]:
 VIOLATION_LIMIT = 20
 
 
+# A run of up to _RUN_LINES canonical order or trans lines (ASCII indices of
+# at most 9 digits, single spaces, each line ended by "\n" or "\r\n") is
+# read in bulk; the lines between runs are read one at a time.  The bound
+# keeps the tokens of one run small.
+_RUN_LINES = 1024
+_RUNS = re.compile(
+    rf"(?m)^(?:(?P<order>(?:order: [0-9]{{1,9}} <= [0-9]{{1,9}}\r?\n){{1,{_RUN_LINES}}})"
+    rf"|(?P<trans>(?:trans: [0-9]{{1,9}} [^\s#] [0-9]{{1,9}}\r?\n){{1,{_RUN_LINES}}}))"
+)
+
+
+class _Indices(dict):
+    """Memo of int(token) for the index tokens of runs: most tokens repeat,
+    and a lookup costs a fraction of int()."""
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
+
+
 def _decimal(token: str) -> int | None:
     """Value of a token of decimal digits; None for anything else, also for more
     digits than int() converts."""
@@ -550,19 +571,80 @@ def _decimal(token: str) -> int | None:
         return None
 
 
+def _chunks(text: str):
+    """(kind, line number, what) in line order: kind "order" or "trans" and
+    the match for each run of _RUNS, which starts on that line, and kind None
+    and the line for each line between runs."""
+    done = end = 0  # lines and characters before the gap
+    for run in _RUNS.finditer(text):
+        start = run.start()
+        for done, line in enumerate(text[end:start].splitlines(), done + 1):
+            yield None, done, line
+        yield run.lastgroup, done + 1, run
+        done += text.count("\n", start, run.end())
+        end = run.end()
+    for done, line in enumerate(text[end:].splitlines(), done + 1):
+        yield None, done, line
+
+
+def _add_transitions(trans: dict, run: str, lineno: int, index) -> None:
+    """Add a run of trans lines, the first on line lineno, to parse_automaton's
+    trans.  A transition given twice fails with the line that repeats it."""
+    tokens = run.split()
+    keys = [*zip(map(index, tokens[1::4]), tokens[2::4])]
+    lines = dict(zip(keys, zip(map(index, tokens[3::4]), count(lineno))))
+    if len(lines) < len(keys) or not lines.keys().isdisjoint(trans):
+        for lineno, key in enumerate(keys, lineno):
+            if key in trans:
+                raise ParseError("duplicate transition for ({}, {})".format(*key), line=lineno)
+            trans[key] = None
+    trans.update(lines)
+
+
+def _order_rows(orders, state_count: int, index) -> tuple[int, ...]:
+    """The order's bit rows from parse_automaton's orders, (first line, a
+    run's match or the pair of one line) in line order; the first pair out of
+    range fails with its line."""
+    up = [1 << p for p in range(state_count)]
+    for lineno, run in orders:
+        if isinstance(run, tuple):  # one line read on its own
+            p, q = run
+            if p >= state_count or q >= state_count:
+                raise ParseError(f"order pair ({p}, {q}) out of range", line=lineno)
+            up[p] |= 1 << q
+            continue
+        tokens = run[0].split()
+        ps, qs = [*map(index, tokens[1::4])], [*map(index, tokens[3::4])]
+        if max(ps) >= state_count or max(qs) >= state_count:
+            for lineno, p, q in zip(count(lineno), ps, qs):
+                if p >= state_count or q >= state_count:
+                    raise ParseError(f"order pair ({p}, {q}) out of range", line=lineno)
+        for p, q in zip(ps, qs):
+            up[p] |= 1 << q
+    return tuple(up)
+
+
 def parse_automaton(text: str) -> OrderedAutomaton:
     alphabet = None
     state_count = None
-    initial = None
-    finals = None
-    order_pairs = []
-    trans = {}
+    initial = initial_line = None
+    finals = finals_line = None
+    orders = []  # (first line, a run's match or the pair of one line)
+    trans = {}  # (state, symbol) -> (target, line)
+    index = _Indices().__getitem__  # the value of a run's index token
 
     def fail(msg, lineno):
         raise ParseError(msg, line=lineno)
 
-    # one branch per key, the frequent ones first; a malformed line fails in its branch
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a run in bulk; any other line by one branch per key, the frequent ones
+    # first, where a malformed line fails
+    for kind, lineno, raw in _chunks(text):
+        if kind == "order":  # read once the state count is known
+            orders.append((lineno, raw))
+            continue
+        if kind == "trans":
+            _add_transitions(trans, raw[0], lineno, index)
+            continue
         line = raw.partition("#")[0]
         key, sep, rest = line.partition(":")
         if not sep:
@@ -575,7 +657,7 @@ def parse_automaton(text: str) -> OrderedAutomaton:
             if len(parts) == 3 and parts[1] == "<=":
                 p, q = _decimal(parts[0]), _decimal(parts[2])
                 if p is not None and q is not None:
-                    order_pairs.append((p, q, lineno))
+                    orders.append((lineno, (p, q)))
                     continue
             fail(f"order wants 'p <= q', got {rest.strip()!r}", lineno)
         elif key == "trans":
@@ -607,13 +689,13 @@ def parse_automaton(text: str) -> OrderedAutomaton:
             if initial is not None:
                 fail("duplicate initial line", lineno)
             rest = rest.strip()
-            initial = _decimal(rest)
+            initial, initial_line = _decimal(rest), lineno
             if initial is None:
                 fail(f"initial wants a state index, got {rest!r}", lineno)
         elif key == "finals":
             if finals is not None:
                 fail("duplicate finals line", lineno)
-            finals = frozenset(map(_decimal, rest.split()))
+            finals, finals_line = frozenset(map(_decimal, rest.split())), lineno
             if None in finals:
                 fail(f"finals wants state indices, got {rest.strip()!r}", lineno)
         else:
@@ -643,20 +725,15 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         (src, sym), (_, lineno) = next(iter(trans.items()))
         raise ParseError(f"transition from unknown state or symbol ({src}, {sym})", line=lineno)
 
-    up = [1 << p for p in range(state_count)]
-    for p, q, lineno in order_pairs:
-        if not (p < state_count and q < state_count):
-            raise ParseError(f"order pair ({p}, {q}) out of range", line=lineno)
-        up[p] |= 1 << q
-
+    up = _order_rows(orders, state_count, index)
     if not 0 <= initial < state_count:
-        raise ParseError(f"initial state {initial} out of range")
+        raise ParseError(f"initial state {initial} out of range", line=initial_line)
     for q in finals:
         if not 0 <= q < state_count:
-            raise ParseError(f"final state {q} out of range")
+            raise ParseError(f"final state {q} out of range", line=finals_line)
 
     oa = OrderedAutomaton(
-        OrderedSemiautomaton(Semiautomaton(alphabet, tuple(rows)), StateOrder(tuple(up))), initial, finals
+        OrderedSemiautomaton(Semiautomaton(alphabet, tuple(rows)), StateOrder(up)), initial, finals
     )
     violations = list(islice(_violations(oa), VIOLATION_LIMIT + 1))
     if violations:
@@ -675,11 +752,11 @@ def format_automaton(oa: OrderedAutomaton) -> str:
         f"initial: {oa.initial}",
         "finals:" + "".join(f" {q}" for q in sorted(oa.finals)),
     ]
+    names = [*map(str, range(sa.state_count))]
     for p, row in enumerate(oa.order.up):  # the pairs of one row at a time, as pairs() yields them
         above = row & ~(1 << p)
         if above:
-            lines.extend(map(f"order: {p} <= ".__add__, map(str, _positions(above))))
-    for q in range(sa.state_count):
-        for k, a in enumerate(sa.alphabet):
-            lines.append(f"trans: {q} {a} {sa.delta[q][k]}")
+            lines.extend(map(f"order: {p} <= ".__add__, map(names.__getitem__, _positions(above))))
+    symbols = [f" {a} " for a in sa.alphabet]
+    lines += [f"trans: {q}{a}{names[r]}" for q, row in zip(names, sa.delta) for a, r in zip(symbols, row)]
     return "\n".join(lines) + "\n"

@@ -36,7 +36,9 @@ lines = st.one_of(
     st.sampled_from(["alphabet: a b", "alphabet: a", "alphabet: a a", "states: 1", "states: 2",
                      "states: 0", "states: x", "states: ²", "initial: 0", "initial: 1",
                      "finals:", "finals: 0", "finals: 1 -1", "order: 0 <= 1", "order: 1 <= 0",
-                     "order: 0 < 1", "# comment", "", "trans: 0 a", "key: value", "no colon"]),
+                     "order: 0 < 1", "# comment", "", "trans: 0 a", "key: value", "no colon",
+                     # faults that a run of canonical lines reads in bulk
+                     "order: 0 <= 9", "trans: 9 a 0", "trans: 0 a 0\ntrans: 0 a 0"]),
     st.builds("trans: {} {} {}".format, st.integers(0, 2), st.sampled_from("abc"), st.integers(-1, 2)),
     st.text(max_size=15),
 )
@@ -44,7 +46,8 @@ lines = st.one_of(
 
 @st.composite
 def automaton_texts(draw) -> bytes:
-    """A valid automaton with some lines dropped, added or replaced, or plain bytes."""
+    """A valid automaton with some lines dropped, added or replaced, and the
+    lines ended by \\n, \\r\\n or \\r; or plain bytes."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=40))
     oa = random_automaton(random.Random(draw(st.integers(0, 10**6))), 4, AB, ordered=draw(st.booleans()))
@@ -52,7 +55,8 @@ def automaton_texts(draw) -> bytes:
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(text)))
         text[i:i + draw(st.integers(0, 1))] = [draw(lines)]
-    return "\n".join(text).encode() + draw(st.sampled_from([b"", b"\n", b"\xff", b"\xc3("]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(text).encode() + draw(st.sampled_from([b"", end.encode(), b"\xff", b"\xc3("]))
 
 
 def commands(source):

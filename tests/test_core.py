@@ -1,7 +1,9 @@
 """Base types: alphabets, transition tables, state orders, text format."""
 
 import random
+import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -394,6 +396,10 @@ def test_parse_errors_carry_line_numbers():
         parse_automaton("alphabet: a\nstates: 1\ninitial: 0\nfinals:\ntrans: 0 a 4")
     with pytest.raises(ParseError, match=r"expected 'key: value'"):
         parse_automaton("alphabet: a\nstates 1\n")
+    with pytest.raises(ParseError, match=r"^initial state 3 out of range \(line 3\)$"):
+        parse_automaton("alphabet: a\nstates: 1\ninitial: 3\nfinals:\ntrans: 0 a 0")
+    with pytest.raises(ParseError, match=r"^final state 2 out of range \(line 5\)$"):
+        parse_automaton("alphabet: a\nstates: 1\ninitial: 0\n\nfinals: 0 2\ntrans: 0 a 0")
 
 
 def test_parse_rejects_invalid_automata():
@@ -475,3 +481,112 @@ def test_parse_error_shows_a_bounded_number_of_violations():
     # up to the limit, every violation is shown and nothing is appended
     message = str(pytest.raises(OrdaError, parse_automaton, three_blocks(2)).value)
     assert message.count(";") == 2 ** 3 - 1 and "cut" not in message
+
+
+ABC = Alphabet(("a", "b", "c"))
+
+# spellings of a line that mean the same; all but the leading zeros end a run
+RESPELLINGS = (
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: line + "  # a note",
+    lambda line: re.sub(r"\b(?=\d)", "00", line),
+    lambda line: line.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+)
+
+
+def sample_texts(rng):
+    """Chain-ordered and random automata with their text lines; a chain on
+    long_n states has an order run longer than the bound on one match."""
+    long_n = next(n for n in range(2, 200) if n * (n - 1) // 2 > 2 * core._RUN_LINES)
+    for i in range(36):
+        n = (1, 2, 5, 11, 23, long_n)[i % 6]
+        if i % 2:
+            oa = chain_automaton(rng, n, ABC)
+        else:
+            oa = random_automaton(rng, n, ABC, ordered=i % 4 == 0)
+        yield oa, format_automaton(oa).splitlines()
+
+
+def orders_first(lines):
+    """The order lines moved before the states line."""
+    return sorted(lines, key=lambda line: not line.startswith("order:"))
+
+
+def test_parse_reads_respelled_and_reordered_runs_alike():
+    rng = random.Random(24)
+    for oa, lines in sample_texts(rng):
+        assert parse_automaton("\n".join(lines) + "\n") == oa
+        # respelled lines and a lone \r break the runs; \r\n ends a run line as \n does
+        respelled = lines[:]
+        ends = ["\n"] * len(lines)
+        for j in rng.sample(range(len(lines)), min(len(lines), 12)):
+            respelled[j] = rng.choice(RESPELLINGS)(lines[j])
+        for j in rng.sample(range(len(lines)), min(len(lines), 6)):
+            ends[j] = rng.choice(["\r\n", "\r"])
+        assert parse_automaton("".join(map(str.__add__, respelled, ends))) == oa
+        assert parse_automaton("\n".join(orders_first(lines))) == oa
+        # a commented-out copy of a line is no line, inside a run or not
+        commented = lines[:]
+        for j in sorted(rng.sample(range(len(lines)), min(len(lines), 3)), reverse=True):
+            commented.insert(j, rng.choice(["# ", "#"]) + lines[j])
+        assert parse_automaton("\n".join(commented) + "\n") == oa
+
+
+def test_parse_locates_a_fault_inside_a_run():
+    huge = "1" * 5000
+    limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(huge)
+    rng = random.Random(25)
+    seen = set()
+    for oa, lines in sample_texts(rng):
+        n = oa.state_count
+        if rng.random() < 0.5:
+            lines = orders_first(lines)
+        orders = [j for j, line in enumerate(lines) if line.startswith("order:")]
+        moves = [j for j, line in enumerate(lines) if line.startswith("trans:")]
+        for _ in range(4):
+            kinds = ("order", "respelled", "trans", "malformed", "huge")
+            kind = rng.choice(kinds if orders else ("trans", "malformed"))
+            faulty = lines[:]
+            if kind in ("order", "respelled"):  # an index one past the last state
+                j, p = rng.choice(orders), rng.randrange(n)
+                faulty[j], message = f"order: {p} <= {n}", f"order pair ({p}, {n}) out of range"
+                if kind == "respelled":
+                    faulty[j] = faulty[j].replace(" ", "\t", 1)
+            elif kind == "trans":  # an earlier transition again
+                j = rng.choice(moves[1:])
+                faulty[j] = lines[rng.choice([k for k in moves if k < j])]
+                message = "duplicate transition for ({}, {})".format(*faulty[j].split()[1:3])
+            elif kind == "malformed":  # one index too many
+                j = rng.choice(orders + moves)
+                key = lines[j].split(":")[0]
+                faulty[j] = f"{key}: 1 <= 2 3"
+                message = {"order": "order wants 'p <= q'", "trans": "trans wants 'state symbol state'"}[key]
+            else:
+                j = rng.choice(orders)
+                faulty[j] = f"order: {huge} <= 0"
+                message = "order wants 'p <= q', got '1111" if limited else "order pair (1111"
+            seen.add(kind)
+            with pytest.raises(ParseError) as info:
+                parse_automaton("\n".join(faulty) + "\n")
+            assert str(info.value).startswith(message)
+            assert str(info.value).endswith(f"(line {j + 1})")
+    assert seen == {"order", "respelled", "trans", "malformed", "huge"}
+
+
+def test_parse_reads_no_further_than_the_first_missing_transition():
+    # the state count bounds no allocation before the transitions are checked
+    with pytest.raises(ParseError, match=r"^missing transition for \(1, a\)$"):
+        parse_automaton("alphabet: a\nstates: 1000000000000\ninitial: 0\nfinals:\ntrans: 0 a 0\n")
+
+
+def test_parse_memory_stays_flat_on_a_dense_order():
+    # 79 800 order lines; read a run at a time, none of them is kept as a tuple
+    text = format_automaton(chain_automaton(random.Random(1), 400, ABC))
+    assert len(text.splitlines()) == 81_004
+    tracemalloc.start()
+    try:
+        parse_automaton(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
