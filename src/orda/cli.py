@@ -246,27 +246,33 @@ def cmd_oracle(args) -> int:
     return 1 if mismatches else 0
 
 
-@functools.cache  # parse_args leaves the parser as it was, so one serves every call
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parse_args leaves the parsers as they were, so one set serves every call
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(prog="orda", description="ordered automata toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_parser(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def add_input(p):
         p.add_argument("input", nargs="?", help="automaton file, or - for stdin")
         p.add_argument("--regex", help="regex input instead of a file")
         p.add_argument("--alphabet", help="alphabet for --regex, e.g. 'ab' (default: inferred)")
 
-    p = sub.add_parser("minimize", help="compute the minimal ordered automaton")
+    p = add_parser("minimize", help="compute the minimal ordered automaton")
     add_input(p)
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("classify", help="decide the language classes")
+    p = add_parser("classify", help="decide the language classes")
     add_input(p)
     p.add_argument("--n", help="comma list for n-insertion checks, e.g. 1,2,3")
     p.add_argument("--format", choices=("text", "kv"), default="text")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("check", help="decide an omega-inequality query")
+    p = add_parser("check", help="decide an omega-inequality query")
     add_input(p)
     p.add_argument("query", help="e.g. 'x^w x == x^w @all'")
     p.add_argument("--category", choices=("all", "ne", "lp", "surj", "lm"),
@@ -274,23 +280,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-monoid", type=int, default=1_000_000)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("convert", help="rewrite the input without minimizing")
+    p = add_parser("convert", help="rewrite the input without minimizing")
     add_input(p)
     p.add_argument("--to", choices=("automaton", "regex", "dot"), required=True)
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("oracle", help="differential test sweep from a seed")
+    p = add_parser("oracle", help="differential test sweep from a seed")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-states", type=int, default=4)
     p.set_defaults(func=cmd_oracle)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line.  When argv starts with a subcommand's name, the
+    rest goes straight to that subcommand's parser; anything else goes
+    through the top-level parser, which reports it."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except OrdaError as exc:

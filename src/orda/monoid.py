@@ -9,10 +9,13 @@ automaton-level classifiers.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 
 from .core import OrderedSemiautomaton, Semiautomaton, sccs
 from .errors import ResourceError
+
+_first = itemgetter(0)
 
 
 class TransitionMonoid:
@@ -27,9 +30,11 @@ class TransitionMonoid:
     letters: the right Cayley graph.  omega[t] is (the idempotent power of
     transformation t, the least exponent n >= 1 giving it), found on first
     lookup (see _Powers); the exponent realizes ^w on witness words.
+    left_multiples and right_multiples read whole rows of products off the
+    Cayley graphs, which they build on first use.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega")
+    __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega", "_graphs")
 
     identity = 0
 
@@ -41,9 +46,37 @@ class TransitionMonoid:
         self.order = order
         self.index = index
         self.omega = _Powers()
+        self._graphs = None
 
     def __len__(self):
         return len(self.elements)
+
+    def _cayley(self):
+        """(parents, left, search) of _prefix_tree, _left_graph and _left_search, built once."""
+        if self._graphs is None:
+            parents = _prefix_tree(self.right)
+            left = _left_graph(self.right, parents)
+            self._graphs = parents, left, _left_search(left)
+        return self._graphs
+
+    def left_multiples(self, i: int) -> list[int]:
+        """The element i.j for every element j, in index order: w_j is w_p
+        then the k-th letter for its parent (p, k), so i.j is right[i.p][k]
+        (the prefix rule of Froidure & Pin)."""
+        right, row = self.right, [i]
+        for p, k in self._cayley()[0]:
+            row.append(right[row[p]][k])
+        return row
+
+    def right_multiples(self, i: int) -> list[int]:
+        """The element j.i for every element j, in index order: each j other
+        than 1 is the g-th letter then an element p found before it, so j.i
+        is left[p.i][g]."""
+        _, left, search = self._cayley()
+        column = [i] * len(self.elements)
+        for j, p, g in search:
+            column[j] = left[column[p]][g]
+        return column
 
     def __repr__(self):
         return f"<transition monoid, {len(self.elements)} elements>"
@@ -82,6 +115,28 @@ def then(s: bytes | tuple, t: bytes | tuple) -> bytes | tuple:
     if type(s) is bytes:
         return s.translate(t.ljust(256, b"\0"))
     return _then(s)(t)
+
+
+def operands(row: list) -> list:
+    """_operand of each transformation of a non-empty row, in one map."""
+    if type(row[0]) is bytes:
+        return list(map(bytes.ljust, row, repeat(256), repeat(b"\0")))
+    return row
+
+
+def products(row: list, others, actions=None) -> list:
+    """then(t, u) for each t of a non-empty row and u of others, given by
+    _operand: one bytes.translate each on packed transformations; on tuples
+    one call each of actions, the _then of the row's entries, built here
+    when not given."""
+    if type(row[0]) is bytes:
+        return list(map(bytes.translate, row, others))
+    return [act(u) for act, u in zip(actions or map(_then, row), others)]
+
+
+def idempotents(powers: _Powers, row: list) -> list:
+    """The idempotent power of each transformation of row, read off powers."""
+    return list(map(_first, map(powers.__getitem__, row)))
 
 
 def _letters(sa: Semiautomaton) -> list:
@@ -140,6 +195,42 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order, index)
 
 
+def _prefix_tree(right) -> list[tuple[int, int]]:
+    """(p, k) for each element j >= 1, in index order: the first product
+    right[p][k] in row-major order that reaches j, so p < j and the least word
+    of j is that of p then the k-th letter."""
+    parents = []
+    for p, row in enumerate(right):
+        for k, j in enumerate(row):
+            if j == len(parents) + 1:
+                parents.append((p, k))
+    return parents
+
+
+def _left_graph(right, parents) -> list[tuple[int, ...]]:
+    """left[j][g]: the element acting as the g-th letter, then w_j.  By the
+    prefix rule, if w_j is w_p then the k-th letter, left[j][g] is
+    right[left[p][g]][k]."""
+    columns = list(zip(*right))  # k -> (right[x][k] for every x)
+    left = [right[0]]
+    for p, k in parents:
+        left.append(_then(left[p])(columns[k]))
+    return left
+
+
+def _left_search(left) -> list[tuple[int, int, int]]:
+    """(j, p, g) for each element j other than 1, in the order a breadth-first
+    search of the left Cayley graph from 1 finds it as left[p][g]."""
+    found, search, queue = {0}, [], [0]
+    for p in queue:  # the queue grows as the loop runs
+        for g, j in enumerate(left[p]):
+            if j not in found:
+                found.add(j)
+                search.append((j, p, g))
+                queue.append(j)
+    return search
+
+
 class _Powers(dict):
     """transformation t -> (idempotent power of t, its exponent), found on the
     first lookup of t: the power is multiplied by t until it satisfies
@@ -150,9 +241,13 @@ class _Powers(dict):
     __slots__ = ()
 
     def __missing__(self, t):
-        power, n = t, 1
-        while _then(power)(_operand(power)) != power:
-            power, n = then(power, t), n + 1
+        power, n, times_t = t, 1, _operand(t)
+        if type(t) is bytes:  # then and _operand inline: this runs once per element of a check
+            while power.translate(power.ljust(256, b"\0")) != power:
+                power, n = power.translate(times_t), n + 1
+        else:
+            while _then(power)(power) != power:
+                power, n = _then(power)(times_t), n + 1
         self[t] = power, n
         return power, n
 
@@ -255,12 +350,7 @@ def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     if not ok:
         return False, pair
     right = tm.right
-    columns = list(zip(*right))  # k -> (right[x][k] for every x)
-    left = [right[0]]
-    for i, row in enumerate(right):
-        for k, j in enumerate(row):
-            if j == len(left):  # the first (i, k) in row-major order reaching j
-                left.append(_then(left[i])(columns[k]))
+    left = _left_graph(right, _prefix_tree(right))
     return _trivial_classes(sccs([r + l for r, l in zip(right, left)]))
 
 

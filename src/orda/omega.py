@@ -11,14 +11,15 @@ replayed literally on the semiautomaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import permutations, product as cartesian, repeat
 from math import perm
+from operator import and_
 
 from .classify import Verdict
 from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word
 from .errors import OrdaError, ParseError, ResourceError
-from .monoid import LetterActions, TransitionMonoid, build, then
+from .monoid import LetterActions, TransitionMonoid, _operand, _then, build, idempotents, operands, products, then
 
 CATEGORIES = ("all", "ne", "lp", "surj", "lm")
 # check refuses a category whose substitution space has more tuples than this
@@ -290,10 +291,16 @@ def length_set(tm: TransitionMonoid) -> list[dict[int, tuple[int, str]]]:
 
 
 def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, ...], category: str, alphabet: Alphabet):
-    """Stream the admissible substitutions of a category, deterministically.
+    """Stream the admissible substitutions of a category, deterministically, a row at a time.
 
-    Each is a pair (elements, spell): the element tuple, and one function per
-    variable mapping its element to its witness word (see spell_substitution).
+    A row is a triple (outer, last, spell): outer holds the elements of every
+    variable but the last, and last the last variable's elements, so the row
+    stands for the element tuples outer + (e,) for e in last; spell maps each
+    of them to its witness words (see spell_substitution).  Rows come in the
+    cartesian order of their tuples.  One variable's elements come in rows of
+    1, 2, 4, ... of them, so that a caller stopping at the first failing
+    tuple has read fewer than twice as many; with no variable the one empty
+    tuple is the row ((), None, spell).
     all: every element tuple, spelled by least words.  ne: tuples over the
     transition semigroup, spelled by least non-empty words.  lp: tuples of
     letter actions, each spelled by the first letter acting as it.  surj: some
@@ -309,17 +316,17 @@ def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, 
     least = tm.witnesses.__getitem__
     if category == "all":
         _guard(n**k)
-        yield from zip(cartesian(range(n), repeat=k), repeat((least,) * k))
+        yield from _rows([range(n)] * k, partial(_spell_each, (least,) * k))
     elif category == "ne":
         realizable = nonempty_realizable(tm)  # element -> least non-empty word
         _guard(len(realizable) ** k)
-        yield from zip(cartesian(sorted(realizable), repeat=k), repeat((realizable.__getitem__,) * k))
+        yield from _rows([sorted(realizable)] * k, partial(_spell_each, (realizable.__getitem__,) * k))
     elif category == "lp":
         letter: dict[int, str] = {}  # generator -> first letter acting as it
         for a in alphabet.symbols:
             letter.setdefault(tm.generators[a], a)
         _guard(len(letter) ** k)
-        yield from zip(cartesian(letter, repeat=k), repeat((letter.__getitem__,) * k))
+        yield from _rows([list(letter)] * k, partial(_spell_each, (letter.__getitem__,) * k))
     elif category == "surj":
         width = len(alphabet)
         if k < width:
@@ -330,7 +337,7 @@ def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, 
             domains, spell = [range(n)] * k, [least] * k
             for (domain, speller), slot in zip(pins, chosen):
                 domains[slot], spell[slot] = domain, speller
-            yield from zip(cartesian(*domains), repeat(tuple(spell)))
+            yield from _rows(domains, partial(_spell_each, tuple(spell)))
     elif category == "lm":
         _guard(n**k)
         layers = length_set(tm)
@@ -338,20 +345,56 @@ def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, 
         for L, layer in enumerate(layers):
             for e in layer:
                 lengths[e] |= 1 << L
-        spells = [(partial(layer_word, layers, k=L),) * k for L in range(len(layers))]
-        for combo in cartesian(range(n), repeat=k):
-            common = (1 << len(layers)) - 2  # the lengths 1 .. len(layers) - 1
-            for e in combo:
-                common &= lengths[e]
-            if common:  # spelled at the least common length
-                yield combo, spells[(common & -common).bit_length() - 1]
+        common = (1 << len(layers)) - 2  # the lengths 1 .. len(layers) - 1
+        spell = partial(_spell_lm, layers, lengths)
+        if k < 2:  # no outer variable: the one domain of a variable, or no variable
+            yield from _rows([[e for e in range(n) if lengths[e] & common]] * k, spell)
+            return
+        lasts: dict[int, list[int]] = {}  # lengths common to the outer elements -> admissible last elements
+        for outer in cartesian(range(n), repeat=k - 1):
+            shared = reduce(and_, map(lengths.__getitem__, outer), common)
+            last = lasts.get(shared)
+            if last is None:
+                last = lasts[shared] = [e for e in range(n) if lengths[e] & shared]
+            if last:
+                yield outer, last, spell
     else:
         raise OrdaError(f"unknown category {category!r}")
 
 
+def _rows(domains: list, spell):
+    """The rows (see valid_substitutions) of the tuples in cartesian(*domains)."""
+    if not domains:
+        return [((), None, spell)]
+    if len(domains) == 1:
+        return zip(repeat(()), _blocks(domains[0]), repeat(spell))
+    return zip(cartesian(*domains[:-1]), repeat(domains[-1]), repeat(spell))
+
+
+def _blocks(domain):
+    """domain cut into slices of 1, 2, 4, ... entries, the last one shorter."""
+    start, size = 0, 1
+    while start < len(domain):
+        yield domain[start : start + size]
+        start, size = start + size, 2 * size
+
+
+def _spell_each(spellers: tuple, elements: tuple[int, ...]) -> tuple[str, ...]:
+    """Each variable's word: its speller applied to its element."""
+    return tuple(f(e) for f, e in zip(spellers, elements))
+
+
+def _spell_lm(layers, lengths: list[int], elements: tuple[int, ...]) -> tuple[str, ...]:
+    """The least words of the elements at their least common length >= 1."""
+    common = reduce(and_, map(lengths.__getitem__, elements), (1 << len(layers)) - 2)
+    k = (common & -common).bit_length() - 1
+    return tuple(layer_word(layers, e, k) for e in elements)
+
+
 def spell_substitution(names: tuple[str, ...], elements: tuple[int, ...], spell) -> Substitution:
-    """The Substitution of one (elements, spell) pair of valid_substitutions."""
-    return Substitution(names, elements, tuple(f(e) for f, e in zip(spell, elements)))
+    """The Substitution of one element tuple of a row of valid_substitutions,
+    spelled by the row's spell."""
+    return Substitution(names, elements, spell(elements))
 
 
 def _guard(count: int):
@@ -408,9 +451,9 @@ def letter_actions(osa: OrderedSemiautomaton, query: OmegaQuery) -> LetterAction
 def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_000) -> Verdict:
     """Decide the query; counterexample = (substitution, state), replayable.
 
-    Both sides run as one program (see _program) on the transformations of
-    each element tuple, and the Substitution with its words is built for the
-    failing tuple only.  Quantification over states uses the state order for
+    Both sides run as one program (see _program), once per row of element
+    tuples (see _check), and the Substitution with its words is built for
+    the failing tuple only.  Quantification over states uses the state order for
     <= and state equality for ==.  A category admitting no substitution at
     all yields a vacuous pass, flagged as such.  A query over letters only
     (see letter_actions) runs on the letters' transformations and never
@@ -432,23 +475,79 @@ def _run(steps, slots: list, identity, compose, omega) -> list:
 
 
 def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid | LetterActions, query: OmegaQuery) -> Verdict:
-    """check on tm: the built transition monoid of osa, or its LetterActions."""
+    """check on tm: the built transition monoid of osa, or its LetterActions.
+
+    The program runs once per row of valid_substitutions.  A slot that reads
+    the last variable holds a list over the row, any other slot one value:
+    a value times a list is one map of the value's _then over the list's
+    operands, a list times a value one map over the list's actions, an omega
+    power of a list one map over tm.omega.  Above 256 states, where each of
+    those products gathers |Q| entries, a value times a list, or a list
+    times a value, on a row over every element is read off a row of the
+    Cayley graphs instead (TransitionMonoid.left_multiples and
+    right_multiples).  The two sides compare as lists, and only where they
+    differ are states tested, so the first failing tuple and its lowest
+    failing state are those of a tuple-by-tuple search.
+    """
     names = tuple(sorted(term_variables(query.left) | term_variables(query.right)))
+    k = len(names)
     steps, left, right = _program(query, names)
-    packed, identity, omega = tm.elements.__getitem__, tm.elements[0], tm.omega.__getitem__
+    varies = [i == k - 1 for i in range(k + 1)]  # the slots holding lists over a row
+    for a, b in steps:
+        varies.append(varies[a] or b is not None and varies[b])
+    plan = [(a, b, varies[a], b is not None and varies[b]) for a, b in steps]
+    spread = varies[left] != varies[right]  # one side is a value, to compare with a list
+    elements, identity, omega = tm.elements, tm.elements[0], tm.omega
+    packed = elements.__getitem__
+    by_graph = type(identity) is tuple and isinstance(tm, TransitionMonoid)
+    # above 256 states, the getters of the last variable's entries, when a step multiplies them
+    want_acts = type(identity) is tuple and any(a == k - 1 and b is not None for a, b in steps)
+    domain = pads = acts = None
+    wide = False
     want_leq = query.relation == "<="
     order = osa.order
     any_substitution = False
-    for elements, spell in valid_substitutions(tm, names, query.category, osa.alphabet):
+    for outer, last, spell in valid_substitutions(tm, names, query.category, osa.alphabet):
         any_substitution = True
-        slots = _run(steps, [*map(packed, elements)], identity, then, omega)
+        slots = [*map(packed, outer)]
+        if last is not None:
+            if last is not domain:  # once per domain
+                domain, row = last, [*map(packed, last)]
+                wide = by_graph and [*last] == [*range(len(tm))]  # the row runs over every element, in order
+                pads = operands(row)
+                if want_acts:
+                    acts = [*map(_then, row)]
+            slots.append(row)
+        slots.append(identity)
+        for a, b, row_a, row_b in plan:
+            x = slots[a]
+            if b is None:
+                value = idempotents(omega, x) if row_a else omega[x][0]
+            elif not row_a and not row_b:
+                value = then(x, slots[b])
+            elif wide and not row_a:  # x.j for every element j, then at the entries' elements
+                r = tm.left_multiples(tm.index[x])
+                value = [*map(packed, r if b == k - 1 else map(r.__getitem__, map(tm.index.__getitem__, slots[b])))]
+            elif wide and not row_b:  # j.y for every element j, likewise
+                c = tm.right_multiples(tm.index[slots[b]])
+                value = [*map(packed, c if a == k - 1 else map(c.__getitem__, map(tm.index.__getitem__, x)))]
+            elif not row_a:
+                value = [*map(_then(x), pads if b == k - 1 else operands(slots[b]))]
+            else:
+                y = (pads if b == k - 1 else operands(slots[b])) if row_b else repeat(_operand(slots[b]))
+                value = products(x, y, acts if a == k - 1 else None)
+            slots.append(value)
         tl, tr = slots[left], slots[right]
-        if tl == tr:
+        if spread:
+            tl, tr = (tl, [tr] * len(tl)) if varies[left] else ([tl] * len(tr), tr)
+        if tl == tr:  # every tuple of the row holds, or no variable: both sides are 1
             continue
-        for p in range(osa.state_count):
-            if not (order.leq(tl[p], tr[p]) if want_leq else tl[p] == tr[p]):
-                s = spell_substitution(names, elements, spell)
-                return Verdict(False, (s, p))
+        for j, (u, v) in enumerate(zip(tl, tr)):
+            if u == v:
+                continue
+            for p in range(osa.state_count):
+                if not (order.leq(u[p], v[p]) if want_leq else u[p] == v[p]):
+                    return Verdict(False, (spell_substitution(names, (*outer, last[j]), spell), p))
     if not any_substitution:
         return Verdict(True, vacuous=True)
     return Verdict(True)

@@ -144,6 +144,29 @@ def test_input_errors(tmp_path, capsys):
     assert info.value.code == 2
 
 
+def test_subcommand_arguments_go_to_its_parser(capsys):
+    # argv naming a subcommand is parsed by that subcommand's parser alone, so
+    # an unrecognized argument is reported with its usage line; an empty argv,
+    # -h or an unknown word still reach the top-level parser
+    with pytest.raises(SystemExit) as info:
+        cli.main(["check", "--regex", "a", "--bogus", "x == x @all"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: orda check [-h]")
+    assert err.endswith("\norda check: error: unrecognized arguments: --bogus\n")
+    for argv, code, message in (
+        ([], 2, "orda: error: the following arguments are required: command"),
+        (["bogus"], 2, "orda: error: argument command: invalid choice: 'bogus'"),
+        (["-h"], 0, ""),
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert (captured.out or captured.err).startswith("usage: orda [-h] {minimize,classify,check,convert,oracle}")
+
+
 def _nested(k, core):
     """core inside k - 1 pairs of parentheses: k levels deep."""
     return "(" * (k - 1) + core + ")" * (k - 1)

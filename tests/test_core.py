@@ -259,6 +259,27 @@ def test_parse_tolerates_comments_and_defaults_to_discrete():
     assert accepts(oa, "aa") and not accepts(oa, "a")
 
 
+def test_parse_searches_no_discrete_order(monkeypatch):
+    # an 80-state file without order lines has the discrete order, which
+    # breaks no axiom: validation returns before building any union memo
+    rng = random.Random(80)
+    abc = Alphabet(("a", "b", "c"))
+    text = "alphabet: a b c\nstates: 80\ninitial: 0\nfinals: 0 79\n" + "".join(
+        f"trans: {q} {a} {rng.randrange(80)}\n" for q in range(80) for a in abc.symbols
+    )
+    calls = []
+    unions = core.unions
+    monkeypatch.setattr(core, "unions", lambda table: calls.append(table) or unions(table))
+    oa = parse_automaton(text)
+    assert oa.order == StateOrder.discrete(80) and validate(oa) == []
+    assert calls == []
+    # one order pair brings the searches back
+    up = list(oa.order.up)
+    up[0] |= 1 << 79
+    validate(OrderedAutomaton(OrderedSemiautomaton(oa.sa, StateOrder(tuple(up))), 0, oa.finals))
+    assert calls
+
+
 def random_relation(rng, n):
     """A bool matrix that may break every order axiom; its diagonal is mostly set."""
     density = rng.random()

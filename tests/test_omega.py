@@ -50,6 +50,20 @@ def all_names(q: OmegaQuery) -> tuple:
     return tuple(sorted(term_variables(q.left) | term_variables(q.right)))
 
 
+def row_tuples(outer: tuple, last) -> list[tuple]:
+    """The element tuples of a row (outer, last, spell) of valid_substitutions."""
+    return [outer] if last is None else [(*outer, e) for e in last]
+
+
+def substitutions(tm, names, category, alphabet) -> list[Substitution]:
+    """Every substitution of valid_substitutions, row by row and tuple by tuple."""
+    return [
+        spell_substitution(names, elements, spell)
+        for outer, last, spell in valid_substitutions(tm, names, category, alphabet)
+        for elements in row_tuples(outer, last)
+    ]
+
+
 def test_parse_query_shapes():
     q = parse_query("x^w x == x^w @all")
     assert q.relation == "==" and q.category == "all"
@@ -123,8 +137,7 @@ def test_counterexample_words_act_as_the_terms():
         for q in queries:
             left, _, right, _ = _read_query(format_query(q))
             names = all_names(q)
-            for elements, spell in valid_substitutions(tm, names, "all", AB):
-                s = spell_substitution(names, elements, spell)
+            for s in substitutions(tm, names, "all", AB):
                 values = {x: tuple(step(sa, p, w) for p in states) for x, w in zip(names, s.witnesses)}
                 for word, term in zip(counterexample_words(tm, q, s), (left, right)):
                     assert tuple(step(sa, p, word) for p in states) == _action(term, values, tuple(states))
@@ -134,16 +147,36 @@ def test_substitution_category_sizes():
     tm = build_monoid(contains_a().osa)
     assert len(tm) == 2
     names = ("x", "y")
-    assert sum(1 for _ in valid_substitutions(tm, names, "all", AB)) == 4
-    assert sum(1 for _ in valid_substitutions(tm, names, "ne", AB)) == 4
-    assert sum(1 for _ in valid_substitutions(tm, names, "lp", AB)) == 4
-    surj = [spell_substitution(names, *pair) for pair in valid_substitutions(tm, names, "surj", AB)]
+    assert len(substitutions(tm, names, "all", AB)) == 4
+    assert len(substitutions(tm, names, "ne", AB)) == 4
+    assert len(substitutions(tm, names, "lp", AB)) == 4
+    surj = substitutions(tm, names, "surj", AB)
     assert len(surj) == 2
     assert {s.witnesses for s in surj} == {("a", "b"), ("b", "a")}
     # b acts as the identity, so every element tuple has a common word length
-    assert sum(1 for _ in valid_substitutions(tm, names, "lm", AB)) == 4
+    assert len(substitutions(tm, names, "lm", AB)) == 4
     # fewer variables than letters: no surjection can exist
     assert list(valid_substitutions(tm, ("x",), "surj", AB)) == []
+
+
+def test_valid_substitutions_come_in_rows():
+    # one row per choice of the outer variables, over the last variable's
+    # domain; one variable in rows of 1, 2, 4, ...; no variable, one empty tuple
+    tm = build_monoid(contains_a().osa)
+    rows = [(outer, last) for outer, last, _ in valid_substitutions(tm, ("x", "y"), "all", AB)]
+    assert rows == [((0,), range(2)), ((1,), range(2))]
+    assert rows[0][1] is rows[1][1]  # one domain object, so a caller can keep what it derives from it
+    assert [(outer, last) for outer, last, _ in valid_substitutions(tm, (), "all", AB)] == [((), None)]
+    assert row_tuples((), None) == [()] and row_tuples((1,), [0, 1]) == [(1, 0), (1, 1)]
+    osa = _catalan_on_four_points()
+    rows = [(outer, last) for outer, last, _ in valid_substitutions(build_monoid(osa), ("x",), "all", osa.alphabet)]
+    assert rows == [((), range(0, 1)), ((), range(1, 3)), ((), range(3, 7)), ((), range(7, 14))]
+    # lm leaves out the outer choices whose row would be empty: on even_a the
+    # swap needs an odd length and the identity an even one
+    swap_tm = build_monoid(even_a().osa)
+    swap, one = swap_tm.generators["a"], swap_tm.identity
+    rows = [(outer, last) for outer, last, _ in valid_substitutions(swap_tm, ("x", "y"), "lm", Alphabet(("a",)))]
+    assert rows == [((one,), [one]), ((swap,), [swap])]
 
 
 def test_lp_runs_over_distinct_letter_actions():
@@ -156,10 +189,10 @@ def test_lp_runs_over_distinct_letter_actions():
         swap = tm.generators["a"]
         assert tm.generators["b"] == swap
         names = ("x", "y")
-        pairs = list(valid_substitutions(tm, names, "lp", alphabet))
-        assert [elements for elements, _ in pairs] == [(swap, swap)]
+        subs = substitutions(tm, names, "lp", alphabet)
+        assert [s.elements for s in subs] == [(swap, swap)]
         first = letters[0]
-        assert spell_substitution(names, *pairs[0]).witnesses == (first, first)
+        assert subs[0].witnesses == (first, first)
         for text, words in (("x y == x @lp", (first, first)), ("x y == x @surj", letters)):
             s, p = check(osa, parse_query(text)).witness
             assert (s.witnesses, p) == (words, 0)
@@ -180,7 +213,7 @@ def test_lm_substitutions_share_a_length():
     tm = build_monoid(even_a().osa)
     one = Alphabet(("a",))
     names = ("x", "y")
-    subs = [spell_substitution(names, *pair) for pair in valid_substitutions(tm, names, "lm", one)]
+    subs = substitutions(tm, names, "lm", one)
     for s in subs:
         lengths = {len(w) for w in s.witnesses}
         assert len(lengths) == 1 and lengths.pop() >= 1
@@ -265,10 +298,7 @@ def test_lm_substitutions_match_word_enumeration():
             continue
         monoids += 1
         for names in (("x",), ("x", "y")):
-            got = []
-            for elements, spell in valid_substitutions(tm, names, "lm", alphabet):
-                s = spell_substitution(names, elements, spell)
-                got.append((s.elements, s.witnesses))
+            got = [(s.elements, s.witnesses) for s in substitutions(tm, names, "lm", alphabet)]
             assert got == lm_substitutions_brute(sa, len(names))
 
 
@@ -290,9 +320,13 @@ def test_check_matches_brute_force_witnesses():
         "x == y",
         "1 == (x 1)^w",
         "x y z <= z y x",
+        # first failures mid-row, after entries that differ but are below
+        "x y == x",
+        "x <= y",
+        "y <= x y",
     )
     queries = [(t, len(all_names(parse_query(f"{t} @all")))) for t in templates]
-    failures = 0
+    failures = mid_row = 0
     for i in range(100):
         alphabet = (AB, abc, ba)[i % 3]
         osa = random_automaton(rng, {AB: 3, abc: 2, ba: 4}[alphabet], alphabet, ordered=True).osa
@@ -308,7 +342,8 @@ def test_check_matches_brute_force_witnesses():
                     failures += 1
                     s, p = got.witness
                     assert (s.names, s.elements, s.witnesses, p) == want.witness, text
-    assert failures > 1000
+                    mid_row += cat == "all" and arity > 1 and s.elements[-1] > 0
+    assert failures > 1000 and mid_row > 200
 
 
 def test_lm_check_on_a_180_element_monoid_is_fast():
@@ -345,19 +380,32 @@ def test_check_finds_replayable_counterexamples():
     assert not ab_star().order.leq(step(ab_star().sa, p, lw), step(ab_star().sa, p, rw))
 
 
-def _counting_products(monkeypatch):
-    # every product of a check, omega powers included, is one call of
-    # monoid.then; the returned list holds the running count
-    calls = [0]
-    then = monoid.then
+def _counting_steps(monkeypatch):
+    # a check runs its program once per row, and each product or omega power
+    # it takes there is one call of omega's then (a value times a value),
+    # _then (a value times a row: one map of its _then), products (a row times
+    # a value or a row) or idempotents (the omega powers of a row); the
+    # returned dict holds the running counts of those calls and of the rows
+    counts = {"steps": 0, "rows": 0}
 
-    def counting(s, t):
-        calls[0] += 1
-        return then(s, t)
+    def counting(f):
+        def step(*args):
+            counts["steps"] += 1
+            return f(*args)
 
-    monkeypatch.setattr(monoid, "then", counting)
-    monkeypatch.setattr(omega, "then", counting)
-    return calls
+        return step
+
+    for name in ("then", "_then", "products", "idempotents"):
+        monkeypatch.setattr(omega, name, counting(getattr(omega, name)))
+    rows = omega.valid_substitutions
+
+    def counting_rows(*args):
+        for row in rows(*args):
+            counts["rows"] += 1
+            yield row
+
+    monkeypatch.setattr(omega, "valid_substitutions", counting_rows)
+    return counts
 
 
 def _catalan_on_four_points():
@@ -367,27 +415,26 @@ def _catalan_on_four_points():
 
 
 def test_check_computes_a_shared_subterm_once(monkeypatch):
-    # the 14-element Catalan monoid on 4 points is J-trivial, so all 196 tuples
-    # run: one product x y and one product (x y)^w x each, plus the 7 products
-    # that raise the distinct x y to their idempotent powers (an idempotent
-    # x y takes none); (x y)^w is taken once
+    # the 14-element Catalan monoid on 4 points is J-trivial, so all 14 rows
+    # run, x fixed and y over the row; each takes the products x y and
+    # (x y)^w x and the omega powers of x y once: (x y)^w is taken once per
+    # row, not once per side
     osa = _catalan_on_four_points()
-    calls = _counting_products(monkeypatch)
+    counts = _counting_steps(monkeypatch)
     assert check(osa, parse_query("(x y)^w x == (x y)^w @all")).holds
-    assert calls[0] == 399
+    assert counts == {"steps": 3 * 14, "rows": 14}
 
 
 def test_letter_check_computes_a_shared_subterm_once(monkeypatch):
     # the letter twin of the test above, on the same semiautomaton: the three
-    # letters are distinct idempotents, so lp runs all 9 tuples, with one
-    # product x y and one product (x y)^w x each, plus one product each to
-    # raise b a and c b to their idempotent squares (c a acts as a c, and the
-    # other values of x y are idempotent); (x y)^w is taken once
+    # letters are distinct idempotents, so lp runs all 3 rows of 3 letters,
+    # each with the products x y and (x y)^w x and the omega powers of x y
+    # once; (x y)^w is taken once per row
     osa = _catalan_on_four_points()
-    calls = _counting_products(monkeypatch)
+    counts = _counting_steps(monkeypatch)
     monkeypatch.setattr(omega, "build", None)  # a letter check builds no monoid
     assert check(osa, parse_query("(x y)^w x == (x y)^w @lp")).holds
-    assert calls[0] == 20
+    assert counts == {"steps": 3 * 3, "rows": 3}
 
 
 def _letter_catalog_cases(rng, count):
@@ -466,6 +513,16 @@ def test_letter_checks_on_tuples_above_256_states(n):
         if not got.holds:
             s = got.witness[0]
             assert counterexample_words(letters, q, s) == counterexample_words(tm, q, s), text
+    # a resets every state and b acts as 1: the letters' elements, 1 then 0,
+    # are all of the monoid's, but not in index order
+    sa = Semiautomaton(AB, tuple((0, q) for q in range(n)))
+    osa = OrderedSemiautomaton(sa, StateOrder.discrete(n))
+    tm = build_monoid(osa)
+    assert [tm.generators[a] for a in "ab"] == [1, 0]
+    for text in ("x y == x @lp", "y x <= y @lp"):
+        got, want = check_brute(osa, text), omega._check(osa, tm, parse_query(text))
+        s, p = want.witness
+        assert (s.names, s.elements, s.witnesses, p) == got.witness, text
 
 
 @pytest.mark.parametrize("n", [255, 257])
@@ -477,7 +534,7 @@ def test_checks_with_long_witnesses_on_a_cyclic_shift(n):
     tm = build_monoid(osa)
     assert len(tm) == n and type(tm.elements[1]) is (bytes if n <= 256 else tuple)
     assert check(osa, parse_query("x y == y x @all")).holds
-    for text in ("x^w x^w == x^w x @all", "1 <= x @all"):
+    for text in ("x^w x^w == x^w x @all", "1 <= x @all", "x y == x @all", "x y == y y @all", "y x y <= x y @all"):
         q = parse_query(text)
         got, want = check(osa, q), check_brute(osa, text)
         assert not got.holds and not want.holds, text
@@ -486,6 +543,81 @@ def test_checks_with_long_witnesses_on_a_cyclic_shift(n):
         lw, rw = counterexample_words(tm, q, s)
         # the order is discrete, so <= fails exactly where == does
         assert step(sa, p, lw) != step(sa, p, rw), text
+
+
+def _cyclic_shift(n):
+    sa = Semiautomaton(Alphabet(("a",)), tuple(((q + 1) % n,) for q in range(n)))
+    return OrderedSemiautomaton(sa, StateOrder.discrete(n))
+
+
+def test_failing_one_variable_query_reads_a_bounded_prefix(monkeypatch):
+    # x^w x == x^w first fails at x = a, the second element: the rows of 1
+    # and 2 elements hold it, and no later row is produced
+    osa = _cyclic_shift(255)
+    read = []
+    rows = omega.valid_substitutions
+
+    def recording(*args):
+        for row in rows(*args):
+            read.append(len(row[1]))
+            yield row
+
+    monkeypatch.setattr(omega, "valid_substitutions", recording)
+    s, p = check(osa, parse_query("x^w x == x^w @all")).witness
+    assert (s.elements, s.witnesses, p) == ((1,), ("a",), 0)
+    assert read == [1, 2]
+
+
+def test_tuple_products_build_a_getter_per_element_not_per_product(monkeypatch):
+    # above 256 states a product is a gather of |Q| entries, and one getter
+    # of it is built per left factor at most, not per product of the 257 * 257
+    # tuples: on rows over every element the products of x with the list are
+    # read off the Cayley graphs and build none, and x x builds one per row
+    osa = _cyclic_shift(257)
+    tm = build_monoid(osa)
+    getters = [0]
+    then_of = monoid._then
+
+    def counting(t):
+        getters[0] += 1
+        return then_of(t)
+
+    monkeypatch.setattr(monoid, "_then", counting)
+    monkeypatch.setattr(omega, "_then", counting)
+    for text in ("x y == y x @all", "x y x == x x y @all"):
+        getters[0] = 0
+        assert omega._check(osa, tm, parse_query(text)).holds
+        assert getters[0] <= 2 * len(tm) + 2, text
+
+
+def test_checks_above_256_states_match_the_packed_checks():
+    # padding an ordered semiautomaton with 257 states that every letter fixes
+    # keeps its monoid, numbering and witnesses, but makes every element a
+    # tuple: verdicts and witnesses must be those of the packed check
+    rng = random.Random(101)
+    templates = (
+        "x^w x == x^w", "(x y)^w x == (x y)^w", "y (x y)^w == (x y)^w", "x^w <= x^w x", "1 <= x",
+        "x y <= y x", "x^w y^w == y^w x^w", "x y x <= x", "x y == x", "x <= y", "y <= x y", "x^w y x == x y x^w",
+    )
+    failures = 0
+    for i in range(30):
+        alphabet = (AB, Alphabet(("b", "a")))[i % 2]
+        osa = random_automaton(rng, 3, alphabet, ordered=True).osa
+        n = osa.state_count
+        padded = OrderedSemiautomaton(
+            Semiautomaton(alphabet, osa.sa.delta + tuple((q,) * len(alphabet) for q in range(n, n + 257))),
+            StateOrder(osa.order.up + tuple(1 << q for q in range(n, n + 257))),
+        )
+        size = len(build_monoid(osa))
+        for t in templates:
+            if size ** len(all_names(parse_query(f"{t} @all"))) > 400:
+                continue
+            for cat in CATEGORIES:
+                q = parse_query(f"{t} @{cat}")
+                got, want = check(padded, q), check(osa, q)
+                assert (got.holds, got.vacuous, got.witness) == (want.holds, want.vacuous, want.witness), format_query(q)
+                failures += not got.holds
+    assert failures > 200
 
 
 def test_check_tells_equality_from_order():
