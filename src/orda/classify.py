@@ -27,7 +27,7 @@ from .errors import OrdaError, ResourceError
 from .minimize import minimize_with_map
 # build_monoid is unused here: only the bench needs the binding, to check that
 # its tracer wraps monoid.build everywhere, until the package has spans (ROADMAP item 1)
-from .monoid import build as build_monoid, closure, nontrivial_cycle  # noqa: F401
+from .monoid import MONOID_CAP, build as build_monoid, closure, nontrivial_cycle  # noqa: F401
 
 # the exhaustive confluence search on cyclic input is exponential in the alphabet
 CONFLUENCE_ALPHABET_CAP = 10
@@ -58,7 +58,7 @@ def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str:
     return path_word(rows, sa.alphabet.symbols, states.index(dst))
 
 
-def is_counter_free(sa: Semiautomaton, cap: int = 1_000_000) -> Verdict:
+def is_counter_free(sa: Semiautomaton, cap: int = MONOID_CAP) -> Verdict:
     """No nontrivial cycle powers: q.u^n = q forces q.u = q.
 
     Decided through aperiodicity of the transition monoid, whose closure

@@ -44,8 +44,8 @@ from .languages import (
     to_regex,
 )
 from .minimize import isomorphic, minimize_ordered, preorder, preorder_naive
-from .monoid import build, is_aperiodic, is_j_trivial, is_r_trivial, satisfies_one_leq_x
-from .omega import check, check_identity_catalog, counterexample_words, letter_actions, parse_query
+from .monoid import MONOID_CAP, build, is_aperiodic, is_j_trivial, is_r_trivial, satisfies_one_leq_x
+from .omega import CATEGORIES, check, check_identity_catalog, counterexample_words, letter_actions, parse_query
 
 
 def _infer_alphabet(regex_text: str, override: str | None) -> Alphabet:
@@ -275,9 +275,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = add_parser("check", help="decide an omega-inequality query")
     add_input(p)
     p.add_argument("query", help="e.g. 'x^w x == x^w @all'")
-    p.add_argument("--category", choices=("all", "ne", "lp", "surj", "lm"),
+    p.add_argument("--category", choices=CATEGORIES,
                    help="default category when the query has no @ suffix")
-    p.add_argument("--cap-monoid", type=int, default=1_000_000)
+    p.add_argument("--cap-monoid", type=int, default=MONOID_CAP)
     p.set_defaults(func=cmd_check)
 
     p = add_parser("convert", help="rewrite the input without minimizing")

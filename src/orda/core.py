@@ -451,20 +451,35 @@ def explore(start, successors, cap=None, what=None):
     return nodes, rows
 
 
+def tree(graph, columns) -> list[tuple[int, int, int]]:
+    """The breadth-first tree of graph from node 0: (j, p, k) for each other
+    node j it reaches, in the order it reaches them, where j = graph[p][k]
+    and the columns k of each row are tried in the given order."""
+    seen = [False] * len(graph)
+    seen[0] = True
+    edges = [(0, None, None)]  # node 0 heads the queue, and leaves it at the end
+    for p, _, _ in edges:  # the edges grow as the loop runs: they are the queue
+        row = graph[p]
+        for k in columns:
+            j = row[k]
+            if not seen[j]:
+                seen[j] = True
+                edges.append((j, p, k))
+    del edges[0]
+    return edges
+
+
 def path_word(rows, letters, j: int) -> str:
     """Shortest, then lexicographically least, word leading from node 0 to node j
     of explore's rows, where successor k reads letters[k].
 
-    Node j > 0 was discovered at its first occurrence in row order, so that
-    occurrence names its parent and the letter from it.
+    explore numbers breadth-first, so the tree of its rows lists node j > 0
+    as its (j - 1)-th edge, which names its parent and the letter from it.
     """
-    parent = {}
-    for i, row in enumerate(rows):
-        for k, r in enumerate(row):
-            parent.setdefault(r, (i, k))
+    edges = tree(rows, range(len(letters)))
     word = []
     while j:
-        j, k = parent[j]
+        _, j, k = edges[j - 1]
         word.append(letters[k])
     return "".join(reversed(word))
 

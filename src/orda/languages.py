@@ -26,6 +26,8 @@ from .errors import AlphabetError, ParseError, ResourceError
 from .minimize import minimize_ordered
 
 RESERVED = frozenset("|&*!()#_")
+# derivative_automaton and each subset construction refuse more states than this
+STATE_CAP = 10_000
 
 
 class Regex:
@@ -423,7 +425,7 @@ def format_regex(r: Regex) -> str:
 # --- automaton constructions ------------------------------------------------
 
 
-def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = 10000) -> OrderedAutomaton:
+def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = STATE_CAP) -> OrderedAutomaton:
     """DFA over the ACI-normal-form derivatives reachable from r; discrete order.
 
     r is taken as given: the smart constructors and parse_regex build only
@@ -445,7 +447,7 @@ def canonical_ordered_automaton(r: Regex, alphabet: Alphabet) -> OrderedAutomato
     return minimize_ordered(derivative_automaton(r, alphabet))
 
 
-def reverse_subsets(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
+def reverse_subsets(oa: OrderedAutomaton, cap: int = STATE_CAP) -> OrderedAutomaton:
     """Accessible subset automaton of the reversal of oa, ordered by inclusion.
 
     The reversal runs oa's arrows backwards, from its finals to its initial
@@ -480,7 +482,7 @@ def reverse_subsets(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
     return OrderedAutomaton(OrderedSemiautomaton(sa, StateOrder(tuple(up))), 0, finals)
 
 
-def brzozowski_minimize(oa: OrderedAutomaton, cap: int = 10000) -> OrderedAutomaton:
+def brzozowski_minimize(oa: OrderedAutomaton, cap: int = STATE_CAP) -> OrderedAutomaton:
     """Minimal ordered automaton by double reversal.
 
     Both subset constructions build only accessible subsets, which is what

@@ -12,10 +12,14 @@ from __future__ import annotations
 from itertools import repeat
 from operator import itemgetter
 
-from .core import OrderedSemiautomaton, Semiautomaton, sccs
+from .core import OrderedSemiautomaton, Semiautomaton, sccs, tree
 from .errors import ResourceError
 
 _first = itemgetter(0)
+
+# build, omega.check and classify.is_counter_free refuse a transition monoid
+# of more elements than this, unless given another cap
+MONOID_CAP = 1_000_000
 
 
 class TransitionMonoid:
@@ -31,7 +35,7 @@ class TransitionMonoid:
     transformation t, the least exponent n >= 1 giving it), found on first
     lookup (see _Powers); the exponent realizes ^w on witness words.
     left_multiples and right_multiples read whole rows of products off the
-    Cayley graphs, which they build on first use.
+    Cayley graphs, which are built on first use (see _cayley).
     """
 
     __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega", "_graphs")
@@ -52,11 +56,12 @@ class TransitionMonoid:
         return len(self.elements)
 
     def _cayley(self):
-        """(parents, left, search) of _prefix_tree, _left_graph and _left_search, built once."""
+        """(the tree of right, _left_graph, the tree of left), built once; see core.tree."""
         if self._graphs is None:
-            parents = _prefix_tree(self.right)
-            left = _left_graph(self.right, parents)
-            self._graphs = parents, left, _left_search(left)
+            columns = range(len(self.generators))
+            right_tree = tree(self.right, columns)  # 1, 2, ...: closure numbers breadth-first
+            left = _left_graph(self.right, right_tree)
+            self._graphs = right_tree, left, tree(left, columns)
         return self._graphs
 
     def left_multiples(self, i: int) -> list[int]:
@@ -64,7 +69,7 @@ class TransitionMonoid:
         then the k-th letter for its parent (p, k), so i.j is right[i.p][k]
         (the prefix rule of Froidure & Pin)."""
         right, row = self.right, [i]
-        for p, k in self._cayley()[0]:
+        for _, p, k in self._cayley()[0]:
             row.append(right[row[p]][k])
         return row
 
@@ -72,9 +77,9 @@ class TransitionMonoid:
         """The element j.i for every element j, in index order: each j other
         than 1 is the g-th letter then an element p found before it, so j.i
         is left[p.i][g]."""
-        _, left, search = self._cayley()
+        _, left, left_tree = self._cayley()
         column = [i] * len(self.elements)
-        for j, p, g in search:
+        for j, p, g in left_tree:
             column[j] = left[column[p]][g]
         return column
 
@@ -186,7 +191,7 @@ def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right:
         pos += 1
 
 
-def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
+def build(osa: OrderedSemiautomaton, cap: int = MONOID_CAP) -> TransitionMonoid:
     """Transition monoid: the closure of the letter actions, run to the end."""
     elements, witnesses, right, index = [], [], [], {}
     for _ in closure(osa.sa, cap, elements, witnesses, right, index):
@@ -195,40 +200,15 @@ def build(osa: OrderedSemiautomaton, cap: int = 1_000_000) -> TransitionMonoid:
     return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order, index)
 
 
-def _prefix_tree(right) -> list[tuple[int, int]]:
-    """(p, k) for each element j >= 1, in index order: the first product
-    right[p][k] in row-major order that reaches j, so p < j and the least word
-    of j is that of p then the k-th letter."""
-    parents = []
-    for p, row in enumerate(right):
-        for k, j in enumerate(row):
-            if j == len(parents) + 1:
-                parents.append((p, k))
-    return parents
-
-
-def _left_graph(right, parents) -> list[tuple[int, ...]]:
+def _left_graph(right, right_tree) -> list[tuple[int, ...]]:
     """left[j][g]: the element acting as the g-th letter, then w_j.  By the
-    prefix rule, if w_j is w_p then the k-th letter, left[j][g] is
-    right[left[p][g]][k]."""
+    prefix rule, if the tree of right reaches j as right[p][k], so that w_j
+    is w_p then the k-th letter, left[j][g] is right[left[p][g]][k]."""
     columns = list(zip(*right))  # k -> (right[x][k] for every x)
     left = [right[0]]
-    for p, k in parents:
+    for _, p, k in right_tree:
         left.append(_then(left[p])(columns[k]))
     return left
-
-
-def _left_search(left) -> list[tuple[int, int, int]]:
-    """(j, p, g) for each element j other than 1, in the order a breadth-first
-    search of the left Cayley graph from 1 finds it as left[p][g]."""
-    found, search, queue = {0}, [], [0]
-    for p in queue:  # the queue grows as the loop runs
-        for g, j in enumerate(left[p]):
-            if j not in found:
-                found.add(j)
-                search.append((j, p, g))
-                queue.append(j)
-    return search
 
 
 class _Powers(dict):
@@ -349,9 +329,8 @@ def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     ok, pair = is_r_trivial(tm)
     if not ok:
         return False, pair
-    right = tm.right
-    left = _left_graph(right, _prefix_tree(right))
-    return _trivial_classes(sccs([r + l for r, l in zip(right, left)]))
+    left = tm._cayley()[1]
+    return _trivial_classes(sccs([r + l for r, l in zip(tm.right, left)]))
 
 
 def leq(tm: TransitionMonoid, m1: int, m2: int) -> bool:

@@ -17,9 +17,9 @@ from math import perm
 from operator import and_
 
 from .classify import Verdict
-from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word
+from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, tree
 from .errors import OrdaError, ParseError, ResourceError
-from .monoid import LetterActions, TransitionMonoid, _operand, _then, build, idempotents, operands, products, then
+from .monoid import MONOID_CAP, LetterActions, TransitionMonoid, _operand, _then, build, idempotents, operands, products, then
 
 CATEGORIES = ("all", "ne", "lp", "surj", "lm")
 # check refuses a category whose substitution space has more tuples than this
@@ -241,24 +241,17 @@ def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
     This is the transition semigroup; it contains the identity only when some
     non-empty word acts as the identity.
     """
-    out: dict[int, str] = {}
-    queue: list[int] = []
-    columns = sorted((a, k) for k, a in enumerate(tm.generators))
-    for a, k in columns:
-        g = tm.right[tm.identity][k]
-        if g not in out:
-            out[g] = a
-            queue.append(g)
-    pos = 0
-    while pos < len(queue):
-        e = queue[pos]
-        pos += 1
-        for a, k in columns:
-            y = tm.right[e][k]
-            if y not in out:
-                out[y] = out[e] + a
-                queue.append(y)
-    return out
+    letters = [*tm.generators]
+    words = {tm.identity: ""}  # each element's least word, the identity's first
+    for j, p, k in tree(tm.right, sorted(range(len(letters)), key=letters.__getitem__)):
+        words[j] = words[p] + letters[k]
+    for x, word in words.items():  # the first element a letter sends to 1, if any
+        row = tm.right[x]
+        if tm.identity in row:
+            words[tm.identity] = word + min(a for a, y in zip(letters, row) if y == tm.identity)
+            return words
+    del words[tm.identity]
+    return words
 
 
 def length_set(tm: TransitionMonoid) -> list[dict[int, tuple[int, str]]]:
@@ -448,7 +441,7 @@ def letter_actions(osa: OrderedSemiautomaton, query: OmegaQuery) -> LetterAction
     return None
 
 
-def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_000) -> Verdict:
+def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = MONOID_CAP) -> Verdict:
     """Decide the query; counterexample = (substitution, state), replayable.
 
     Both sides run as one program (see _program), once per row of element
@@ -461,17 +454,6 @@ def check(osa: OrderedSemiautomaton, query: OmegaQuery, monoid_cap: int = 1_000_
     """
     letters = letter_actions(osa, query)
     return _check(osa, build(osa, monoid_cap) if letters is None else letters, query)
-
-
-def _run(steps, slots: list, identity, compose, omega) -> list:
-    """The program's slots (see _program): slots holds the variables' values,
-    and the identity's value and then each step's value are appended to it;
-    compose multiplies two values, and omega maps a value to (its idempotent
-    power, the exponent)."""
-    slots.append(identity)
-    for a, b in steps:
-        slots.append(omega(slots[a])[0] if b is None else compose(slots[a], slots[b]))
-    return slots
 
 
 def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid | LetterActions, query: OmegaQuery) -> Verdict:
@@ -563,17 +545,17 @@ def counterexample_words(tm: TransitionMonoid | LetterActions, query: OmegaQuery
     the base's omega exponent.  So each word acts as its value.
     """
     steps, left, right = _program(query, s.names)
-
-    def compose(x, y):
-        return then(x[0], y[0]), x[1] + y[1]
-
-    def omega(x):
-        power, n = tm.omega[x[0]]
-        return (power, x[1] * n), n
-
-    values = [(tm.elements[e], w) for e, w in zip(s.elements, s.witnesses)]
-    slots = _run(steps, values, (tm.elements[0], ""), compose, omega)
-    return slots[left][1], slots[right][1]
+    values = [*map(tm.elements.__getitem__, s.elements), tm.elements[0]]
+    words = [*s.witnesses, ""]
+    for a, b in steps:
+        if b is None:
+            power, n = tm.omega[values[a]]
+            values.append(power)
+            words.append(words[a] * n)
+        else:
+            values.append(then(values[a], values[b]))
+            words.append(words[a] + words[b])
+    return words[left], words[right]
 
 
 @dataclass(frozen=True)

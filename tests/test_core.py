@@ -30,7 +30,7 @@ from orda.core import (
     unions,
     validate,
 )
-from orda.core import VIOLATION_LIMIT
+from orda.core import VIOLATION_LIMIT, tree
 from orda.errors import AlphabetError, OrdaError, ParseError, ResourceError
 
 from fixtures import (
@@ -219,6 +219,29 @@ def test_explore_numbers_rows_and_rebuilds_words():
     with pytest.raises(ResourceError, match="^walk exceeded 2 states$"):
         explore(0, sa.delta.__getitem__, 2, "walk")
 
+
+
+def test_tree_follows_first_occurrences_in_row_order():
+    # on explore's rows, numbered breadth-first, the tree lists nodes 1, 2, ...
+    # in order, each reached from its first occurrence in row-major order;
+    # with the columns reversed it visits the states in the order of an
+    # explore whose successors come reversed
+    rng = random.Random(29)
+    for _ in range(300):
+        sa = random_automaton(rng, 9, Alphabet(tuple("abc"[: rng.randint(1, 3)]))).sa
+        width = len(sa.alphabet)
+        nodes, rows = explore(0, sa.delta.__getitem__)
+        edges = tree(rows, range(width))
+        assert [j for j, _, _ in edges] == list(range(1, len(nodes)))
+        first = {}
+        for p, row in enumerate(rows):
+            for k, j in enumerate(row):
+                first.setdefault(j, (p, k))
+        assert all(first[j] == (p, k) and rows[p][k] == j for j, p, k in edges)
+        backwards, _ = explore(0, lambda q: reversed(sa.delta[q]))
+        edges = tree(rows, range(width - 1, -1, -1))
+        assert [nodes[j] for j, _, _ in edges] == backwards[1:]
+        assert all(rows[p][k] == j for j, p, k in edges)
 
 def test_format_parse_round_trip():
     for oa in (contains_a(), even_a(), finite_two_words()):

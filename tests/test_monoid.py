@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from orda.classify import is_counter_free
-from orda.core import Alphabet, Semiautomaton
+from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, tree
 from orda.errors import AlphabetError, ResourceError
 from orda.generate import random_minimal_automaton
 from orda.minimize import minimize_ordered
@@ -213,6 +213,46 @@ def test_composing_every_pair_keeps_no_table():
         tracemalloc.stop()
     assert peak < 1 << 20
 
+
+
+def test_right_tree_lists_the_elements_in_index_order():
+    # closure numbers breadth-first, letters in alphabet order, so the tree of
+    # the right Cayley graph reaches 1, 2, ... in turn, each from the element
+    # whose least word, then its letter, is its own least word
+    rng = random.Random(91)
+    for _ in range(120):
+        alphabet = (AB, Alphabet(("b", "a")), Alphabet(tuple("abc")))[rng.randrange(3)]
+        tm = build(random_minimal_automaton(rng, 5, alphabet).osa)
+        edges = tree(tm.right, range(len(alphabet)))
+        assert [j for j, _, _ in edges] == list(range(1, len(tm)))
+        assert all(tm.witnesses[j] == tm.witnesses[p] + alphabet.symbols[k] for j, p, k in edges)
+
+
+def _padded(osa: OrderedSemiautomaton, extra: int) -> OrderedSemiautomaton:
+    """osa with extra more states that every letter fixes: the same monoid,
+    numbering and witnesses, on transformations of more states."""
+    n, width = osa.state_count, len(osa.alphabet)
+    delta = osa.sa.delta + tuple((q,) * width for q in range(n, n + extra))
+    return OrderedSemiautomaton(Semiautomaton(osa.alphabet, delta), StateOrder(osa.order.up + tuple(1 << q for q in range(n, n + extra))))
+
+
+def test_left_and_right_multiples_are_products():
+    # left_multiples(i)[j] is i.j and right_multiples(i)[j] is j.i, on packed
+    # elements and, with 257 fixed states added, on tuples; the Cerny monoid
+    # on 3 points is not commutative, so a swap of the two shows
+    rng = random.Random(47)
+    cases = [discrete(cerny(3)), _padded(discrete(cerny(3)), 257)]
+    cases += [random_minimal_automaton(rng, 4, AB).osa for _ in range(40)]
+    noncommutative = 0
+    for osa in cases:
+        tm = build(osa)
+        assert type(tm.elements[0]) is (bytes if osa.state_count <= 256 else tuple)
+        everything = range(len(tm))
+        for i in everything:
+            assert tm.left_multiples(i) == [tm.compose(i, j) for j in everything]
+            assert tm.right_multiples(i) == [tm.compose(j, i) for j in everything]
+            noncommutative += tm.left_multiples(i) != tm.right_multiples(i)
+    assert noncommutative >= 20
 
 def test_element_of_word_rejects_foreign_symbols():
     tm = build(contains_a().osa)

@@ -43,6 +43,7 @@ from oracles import (
     lm_substitutions_brute,
     r_trivial_brute,
     transformations,
+    words_up_to,
 )
 
 
@@ -208,6 +209,25 @@ def test_nonempty_realizable():
     tm2 = build_monoid(contains_a().osa)
     assert nonempty_realizable(tm2)[tm2.identity] == "b"
 
+
+
+def test_nonempty_realizable_matches_the_least_nonempty_words():
+    # each element a non-empty word acts as gets its least such word, letters
+    # sorted, found by trying the words in length-lex order; the identity is
+    # among them only when some non-empty word acts as it
+    rng = random.Random(71)
+    with_identity = 0
+    for i in range(150):
+        alphabet = (AB, Alphabet(("b", "a")), Alphabet(("c", "a", "b")))[i % 3]
+        tm = build_monoid(random_minimal_automaton(rng, 3, alphabet).osa)
+        if len(tm) > 6:
+            continue
+        least: dict[int, str] = {}
+        for w in words_up_to(Alphabet(tuple(sorted(alphabet.symbols))), len(tm))[1:]:
+            least.setdefault(element_of_word(tm, w), w)
+        assert nonempty_realizable(tm) == least
+        with_identity += tm.identity in least
+    assert with_identity >= 10
 
 def test_lm_substitutions_share_a_length():
     tm = build_monoid(even_a().osa)
@@ -544,6 +564,57 @@ def test_checks_with_long_witnesses_on_a_cyclic_shift(n):
         # the order is discrete, so <= fails exactly where == does
         assert step(sa, p, lw) != step(sa, p, rw), text
 
+
+
+def _replays(sa: Semiautomaton, tm, q: OmegaQuery, s: Substitution) -> bool:
+    """Whether both words of counterexample_words act on sa as the query's
+    sides do when each variable acts as its witness."""
+    states = range(sa.state_count)
+    left, _, right, _ = _read_query(format_query(q))
+    values = {x: tuple(step(sa, p, w) for p in states) for x, w in zip(s.names, s.witnesses)}
+    words = counterexample_words(tm, q, s)
+    return all(tuple(step(sa, p, w) for p in states) == _action(t, values, tuple(states)) for w, t in zip(words, (left, right)))
+
+
+REPLAYED = ("x^w x == x^w", "(x y)^w x == (x y)^w", "y (x y)^w == (x y)^w", "x y x^w <= y^w", "x^w y^w x^w == x")
+
+
+def test_letter_counterexample_words_replay():
+    # lp runs on the letters' transformations alone: the words spelled there
+    # act as the terms, for every substitution, over alphabets in any order
+    rng = random.Random(17)
+    powers = 0
+    for i in range(40):
+        alphabet = (AB, Alphabet(("b", "a")), Alphabet(("c", "a", "b")))[i % 3]
+        sa = random_semiautomaton(rng, 4, alphabet)
+        letters = LetterActions(sa)
+        for text in REPLAYED:
+            q = parse_query(f"{text} @lp")
+            for s in substitutions(letters, all_names(q), "lp", alphabet):
+                assert _replays(sa, letters, q, s), (text, s)
+                powers += any(letters.omega[letters.elements[e]][1] > 1 for e in s.elements)
+    assert powers >= 100
+
+
+def test_counterexample_words_replay_above_256_states():
+    # 257 states that every letter fixes make every element a tuple; the
+    # words still act as the terms, for every substitution of @all
+    rng = random.Random(19)
+    powers = 0
+    for _ in range(6):
+        sa = random_semiautomaton(rng, 3, AB)
+        n = sa.state_count
+        padded = Semiautomaton(AB, sa.delta + tuple((q, q) for q in range(n, n + 257)))
+        tm = build_monoid(OrderedSemiautomaton(padded, StateOrder.discrete(n + 257)))
+        assert type(tm.elements[0]) is tuple
+        for text in REPLAYED:
+            q = parse_query(f"{text} @all")
+            if len(tm) ** len(all_names(q)) > 100:
+                continue
+            for s in substitutions(tm, all_names(q), "all", AB):
+                assert _replays(padded, tm, q, s), (text, s)
+                powers += any(tm.omega[tm.elements[e]][1] > 1 for e in s.elements)
+    assert powers >= 20
 
 def _cyclic_shift(n):
     sa = Semiautomaton(Alphabet(("a",)), tuple(((q + 1) % n,) for q in range(n)))

@@ -7,9 +7,10 @@ size's fastest run, and bounds the fitted exponent by its target plus 0.5.
 """
 
 import math
+import random
 import time
 
-from orda.core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder
+from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, format_automaton, parse_automaton
 from orda.monoid import build
 from orda.omega import _check, parse_query
 
@@ -46,3 +47,50 @@ def test_check_is_linear_in_tuples():
     (small, _, _), (large, _, _) = sizes
     exponent = math.log(best[1] / best[0]) / math.log(large / small)
     assert exponent <= 1.5, (exponent, best)
+
+
+def _exponent(cases) -> float:
+    """The growth exponent between two (size, run, calls) cases: each run is
+    timed calls times in a row, three times, interleaved, and each case keeps
+    its fastest time per call."""
+    best = [math.inf, math.inf]
+    for _ in range(3):
+        for i, (_, run, calls) in enumerate(cases):
+            best[i] = min(best[i], _seconds_per_call(run, calls))
+    (small, _, _), (large, _, _) = cases
+    return math.log(best[1] / best[0]) / math.log(large / small)
+
+
+def test_closure_is_linear_in_products():
+    # the closure takes one product per element and letter: 429 * 6 = 2574
+    # on the Catalan monoid of 7 points, 4862 * 8 = 38 896 on 9; the smaller
+    # size is called often enough to run 50 ms
+    cases = []
+    for n, calls in ((7, 80), (9, 3)):
+        osa = _catalan(n)
+        cases.append((len(build(osa)) * (n - 1), lambda osa=osa: build(osa), calls))
+    exponent = _exponent(cases)
+    assert exponent <= 1.5, exponent
+
+
+def _chain_text(rng: random.Random, n: int) -> str:
+    """A 3-letter automaton on the chain 0 < 1 < ... < n-1, as text: n(n-1)/2
+    order lines and 3n transition lines.  Letter a is the saturating
+    successor, the others are random non-decreasing maps."""
+    maps = [[min(q + 1, n - 1) for q in range(n)]] + [sorted(rng.randrange(n) for _ in range(n)) for _ in "bc"]
+    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(n)))
+    chain = StateOrder(tuple(-1 << q & (1 << n) - 1 for q in range(n)))
+    return format_automaton(OrderedAutomaton(OrderedSemiautomaton(sa, chain), 0, frozenset({n - 1})))
+
+
+def test_parse_is_linear_in_lines():
+    # 150 states give 11 175 order lines, 300 give 44 850: about four times
+    # the lines; the smaller text is parsed often enough to run 50 ms
+    rng = random.Random(1)
+    cases = []
+    for n, calls in ((150, 8), (300, 2)):
+        text = _chain_text(rng, n)
+        assert parse_automaton(text).state_count == n
+        cases.append((text.count("\n"), lambda text=text: parse_automaton(text), calls))
+    exponent = _exponent(cases)
+    assert exponent <= 1.5, exponent
