@@ -14,9 +14,8 @@ residual languages.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .core import (
+    UNION_MEMO_BYTES,
     OrderedAutomaton,
     OrderedSemiautomaton,
     Semiautomaton,
@@ -39,44 +38,44 @@ def preorder(oa: OrderedAutomaton) -> StateOrder:
     """Greatest relation inside R1 closed under letter actions.
 
     The declared state order of the input is ignored; only transitions and
-    finals matter.  The worklist holds rows, not pairs, in the manner of the
-    remove-sets of Henzinger, Henzinger & Kopke (FOCS 1995): pending[p] is
-    the mask of columns row p has lost but not yet propagated, and a row is
-    queued when that mask becomes non-empty.  Processing row p takes the
-    per-letter preimage of its lost columns, and every a-predecessor r of p
-    loses the columns of the a-preimage it still holds.
+    finals matter.  Row p of the fixpoint is R1[p] & pre_a(rel[p.a]) over
+    every letter a, where pre_a(M) holds the states that a sends into M.
+    From R1 on, each dirty row is recomputed from its successors' rows, and
+    a row that shrinks makes its predecessors under every letter dirty: the
+    refinement of Moore read a row at a time.  A row's preimages under all
+    letters are one union of the packed preimages, memoized by row value,
+    since rows share values (R1 has two) until they thin out; the memo stops
+    taking entries at about UNION_MEMO_BYTES, as in core.unions.
     """
     sa = oa.sa
     n = sa.state_count
-    width = len(sa.alphabet)
     everything = (1 << n) - 1
-    # preds[q][k]: the states that letter k sends to q; the packed preimages
-    # hold the same sets as one mask per q, so the preimage of a set of
-    # columns under every letter is their union
-    preds = [[[] for _ in range(width)] for _ in range(n)]
-    for p, row in enumerate(sa.delta):
-        for k, q in enumerate(row):
-            preds[q][k].append(p)
-    union = unions(packed_preimages(sa))
-
+    packed = packed_preimages(sa)
+    union = unions(packed)
+    shifts = range(0, len(sa.alphabet) * n, n)
     rel = _initial_relation(oa)
-    pending = [everything ^ row for row in rel]
-    queue = deque(p for p in range(n) if pending[p])
-    while queue:
-        p = queue.popleft()
-        lost = union(pending[p])
-        pending[p] = 0
-        for k, rs in enumerate(preds[p]):
-            mask = lost >> k * n & everything
-            if not mask:
-                continue
-            for r in rs:
-                hit = rel[r] & mask
-                if hit:
-                    rel[r] ^= hit
-                    if not pending[r]:
-                        queue.append(r)
-                    pending[r] |= hit
+    gathered, room = {}, UNION_MEMO_BYTES
+    dirty = everything
+    while dirty:
+        todo, dirty = dirty, 0
+        for p in bits(todo):
+            row = rel[p]
+            for shift, q in zip(shifts, sa.delta[p]):
+                pre = gathered.get(rel[q])
+                if pre is None:
+                    pre = union(rel[q])
+                    if room > 0:
+                        gathered[rel[q]] = pre
+                        room -= 100 + (rel[q].bit_length() + pre.bit_length()) * 2 // 15
+                row &= pre >> shift
+            if row != rel[p]:
+                rel[p] = row
+                # p's predecessors under every letter: packed[p]'s letter blocks, folded
+                above = packed[p]
+                while above:
+                    dirty |= above
+                    above >>= n
+        dirty &= everything
     return StateOrder(tuple(rel))
 
 

@@ -38,7 +38,7 @@ class TransitionMonoid:
     Cayley graphs, which are built on first use (see _cayley).
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega", "_graphs")
+    __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega", "_graphs", "_left_tree")
 
     identity = 0
 
@@ -50,18 +50,16 @@ class TransitionMonoid:
         self.order = order
         self.index = index
         self.omega = _Powers()
-        self._graphs = None
+        self._graphs = self._left_tree = None
 
     def __len__(self):
         return len(self.elements)
 
     def _cayley(self):
-        """(the tree of right, _left_graph, the tree of left), built once; see core.tree."""
+        """(the tree of right, _left_graph), built once; see core.tree."""
         if self._graphs is None:
-            columns = range(len(self.generators))
-            right_tree = tree(self.right, columns)  # 1, 2, ...: closure numbers breadth-first
-            left = _left_graph(self.right, right_tree)
-            self._graphs = right_tree, left, tree(left, columns)
+            right_tree = tree(self.right, range(len(self.generators)))  # 1, 2, ...: closure numbers breadth-first
+            self._graphs = right_tree, _left_graph(self.right, right_tree)
         return self._graphs
 
     def left_multiples(self, i: int) -> list[int]:
@@ -77,9 +75,11 @@ class TransitionMonoid:
         """The element j.i for every element j, in index order: each j other
         than 1 is the g-th letter then an element p found before it, so j.i
         is left[p.i][g]."""
-        _, left, left_tree = self._cayley()
+        left = self._cayley()[1]
+        if self._left_tree is None:
+            self._left_tree = tree(left, range(len(self.generators)))
         column = [i] * len(self.elements)
-        for j, p, g in left_tree:
+        for j, p, g in self._left_tree:
             column[j] = left[column[p]][g]
         return column
 

@@ -5,8 +5,8 @@ distinct left quotients of the language and the order is inclusion of
 the accepted futures.  cerny() has no order or accepting structure; it
 is the classical slowly-synchronizing family.  The helpers at the end
 look up a word in a transition monoid and draw seeded random words,
-finite languages and prefix-testable regexes, and build automata, orders
-and letter substitutions from dicts and predicates.
+finite languages, prefix-testable regexes and chain-ordered automata, and
+build automata, orders and letter substitutions from dicts and predicates.
 """
 
 from __future__ import annotations
@@ -133,6 +133,17 @@ def finite_two_words() -> OrderedAutomaton:
     sa = Semiautomaton(AB, rows)
     order = order_from_pairs(5, [(4, q) for q in range(4)])
     return OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, frozenset({3}))
+
+
+def chain_automaton(rng: random.Random, n: int, alphabet: Alphabet) -> OrderedAutomaton:
+    """n states on the chain 0 < 1 < ... < n-1, with n >= 2: the first
+    letter is the saturating successor, the others are random non-decreasing
+    maps, and the finals are a random non-empty proper up-set."""
+    maps = [[min(q + 1, n - 1) for q in range(n)]]
+    maps += [sorted(rng.randrange(n) for _ in range(n)) for _ in alphabet.symbols[1:]]
+    sa = Semiautomaton(alphabet, tuple(tuple(m[q] for m in maps) for q in range(n)))
+    chain = StateOrder(tuple(-1 << q & (1 << n) - 1 for q in range(n)))
+    return OrderedAutomaton(OrderedSemiautomaton(sa, chain), 0, frozenset(range(rng.randrange(1, n), n)))
 
 
 def element_of_word(tm: TransitionMonoid, w: str) -> int:

@@ -25,7 +25,7 @@ from orda.minimize import (
     reachable_part,
 )
 
-from fixtures import ab_star, contains_a, even_a, finite_two_words, order_from_leq, order_from_pairs
+from fixtures import ab_star, chain_automaton, contains_a, even_a, finite_two_words, order_from_leq, order_from_pairs
 from oracles import bounded_preorder, language, residual_included, words_up_to
 
 A = Alphabet(("a",))
@@ -77,8 +77,22 @@ def test_worklist_and_fixpoint_agree():
         assert preorder(oa) == preorder_naive(oa)
 
 
+def test_worklist_and_fixpoint_agree_on_chain_orders():
+    # the minimize benchmark's chain family: the declared chain is compatible
+    # and the finals an up-set, so the preorder holds at least the chain's
+    # n(n+1)/2 pairs; rows share values, and gathers read their masks by bytes
+    rng = random.Random(37)
+    for i in range(60):
+        n = rng.randint(10, 60)
+        oa = chain_automaton(rng, n, (AB, ABC)[i % 2])
+        r = preorder(oa)
+        assert r == preorder_naive(oa)
+        assert sum(row.bit_count() for row in r.up) >= n * (n + 1) // 2
+
+
 def test_preorder_memory_stays_near_the_relation():
-    # one pending mask per row instead of one queued tuple per removed pair
+    # one bit row per state, and one memoized gather per distinct row value
+    # instead of one queued tuple per removed pair
     part = reachable_part(random_automaton(random.Random(3), 1500, ABC))
     assert part.state_count == 457
     tracemalloc.start()

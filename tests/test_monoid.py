@@ -371,6 +371,19 @@ def test_j_trivial_by_the_prefix_rule_matches_ideal_closures():
     assert left_graph_decides >= 20
 
 
+
+def test_is_j_trivial_builds_only_the_right_tree(monkeypatch):
+    # the left graph follows from the tree of the right one; the tree of the
+    # left graph is read only by right_multiples, so it waits for that call
+    calls = []
+    monkeypatch.setattr("orda.monoid.tree", lambda *args: calls.append(args) or tree(*args))
+    tm = build(discrete(_catalan(6)))
+    assert is_j_trivial(tm) == (True, None)
+    assert len(calls) == 1
+    column = tm.right_multiples(3)
+    assert len(calls) == 2
+    assert column == [tm.compose(j, 3) for j in range(len(tm))]
+
 def test_triviality_implications():
     rng = random.Random(67)
     for _ in range(120):

@@ -11,8 +11,11 @@ import random
 import time
 
 from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, format_automaton, parse_automaton
+from orda.minimize import preorder, reachable_part
 from orda.monoid import build
 from orda.omega import _check, parse_query
+
+from fixtures import chain_automaton
 
 
 def _seconds_per_call(run, calls: int) -> float:
@@ -73,24 +76,39 @@ def test_closure_is_linear_in_products():
     assert exponent <= 1.5, exponent
 
 
-def _chain_text(rng: random.Random, n: int) -> str:
-    """A 3-letter automaton on the chain 0 < 1 < ... < n-1, as text: n(n-1)/2
-    order lines and 3n transition lines.  Letter a is the saturating
-    successor, the others are random non-decreasing maps."""
-    maps = [[min(q + 1, n - 1) for q in range(n)]] + [sorted(rng.randrange(n) for _ in range(n)) for _ in "bc"]
-    sa = Semiautomaton(Alphabet(("a", "b", "c")), tuple(tuple(m[q] for m in maps) for q in range(n)))
-    chain = StateOrder(tuple(-1 << q & (1 << n) - 1 for q in range(n)))
-    return format_automaton(OrderedAutomaton(OrderedSemiautomaton(sa, chain), 0, frozenset({n - 1})))
-
-
 def test_parse_is_linear_in_lines():
     # 150 states give 11 175 order lines, 300 give 44 850: about four times
     # the lines; the smaller text is parsed often enough to run 50 ms
     rng = random.Random(1)
     cases = []
     for n, calls in ((150, 8), (300, 2)):
-        text = _chain_text(rng, n)
+        # n(n-1)/2 order lines and 3n transition lines
+        text = format_automaton(chain_automaton(rng, n, Alphabet(("a", "b", "c"))))
         assert parse_automaton(text).state_count == n
         cases.append((text.count("\n"), lambda text=text: parse_automaton(text), calls))
     exponent = _exponent(cases)
     assert exponent <= 1.5, exponent
+
+
+def _random_dfa(rng: random.Random, n: int) -> OrderedAutomaton:
+    """A 3-letter automaton of exactly n states with the discrete order, drawn
+    as the benchmark's random_dfa draws: uniform transitions, each state
+    final with chance 1/2, a uniform initial state."""
+    delta = tuple(tuple(rng.randrange(n) for _ in "abc") for _ in range(n))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+    sa = Semiautomaton(Alphabet(("a", "b", "c")), delta)
+    return OrderedAutomaton(OrderedSemiautomaton(sa, StateOrder.discrete(n)), rng.randrange(n), finals)
+
+
+def test_preorder_is_quadratic_in_states():
+    # the reachable parts of 1500 and 6000 states keep 1409 and 5660 states,
+    # and their preorders are nearly discrete: nearly every row loses nearly
+    # all its columns, so work per lost column is cubic here; the smaller
+    # part is ordered twice per timing to run 50 ms
+    cases = []
+    for n, calls in ((1500, 2), (6000, 1)):
+        part = reachable_part(_random_dfa(random.Random(1), n))
+        cases.append((part.state_count, lambda part=part: preorder(part), calls))
+    assert [size for size, _, _ in cases] == [1409, 5660]
+    exponent = _exponent(cases)
+    assert exponent <= 2.5, exponent
