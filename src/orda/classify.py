@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
+from operator import or_
 
 from .core import (
     OrderedAutomaton,
@@ -21,6 +22,7 @@ from .core import (
     layer_word,
     path_word,
     reachable_states,
+    row_fixpoint,
     sccs,
 )
 from .errors import OrdaError, ResourceError
@@ -54,8 +56,8 @@ class Verdict:
 
 def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str:
     """Lexicographically least shortest transition word src -> dst; dst must be reachable."""
-    states, rows = explore(src, sa.delta.__getitem__)
-    return path_word(rows, sa.alphabet.symbols, states.index(dst))
+    rows = explore(src, sa.delta.__getitem__, stop=dst.__eq__)[1]
+    return path_word(rows, sa.alphabet.symbols, len(rows))
 
 
 def is_counter_free(sa: Semiautomaton, cap: int = MONOID_CAP) -> Verdict:
@@ -116,7 +118,7 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
     this is the local condition of _locally_confluent.  Otherwise, for each
     state q the BFS tracks (state, letter content) pairs; two branches
     (p1, C1), (p2, C2) must be joinable inside the product automaton
-    restricted to C1 | C2, which the merge table of C1 | C2 answers.  That
+    restricted to C1 | C2, which the merge rows of C1 | C2 answer.  That
     search is exponential in the alphabet, hence the cap on cyclic input.
     """
     if all(len(comp) == 1 for comp in sccs([set(row) for row in sa.delta])):
@@ -125,7 +127,7 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
     if width > alphabet_cap:
         raise ResourceError(f"confluence check capped at {alphabet_cap} letters, got {width}")
     delta = sa.delta
-    table = cache(partial(_merge_table, sa))  # letter set -> its merge table
+    merge_rows = cache(partial(_merge_rows, sa))  # letter set -> its merge rows
     for q in range(sa.state_count):
         # a node is (state, letters spent so far as a bitmask of alphabet positions)
         nodes, rows = explore((q, 0), lambda node: [(r, node[1] | 1 << k) for k, r in enumerate(delta[node[0]])])
@@ -134,7 +136,7 @@ def is_confluent(sa: Semiautomaton, alphabet_cap: int = CONFLUENCE_ALPHABET_CAP)
                 p2, c2 = nodes[j]
                 if p1 == p2:
                     continue
-                if (p1, p2) not in table(c1 | c2):
+                if not merge_rows(c1 | c2)[p1] >> p2 & 1:
                     words = path_word(rows, sa.alphabet.symbols, i), path_word(rows, sa.alphabet.symbols, j)
                     return Verdict(False, (q, *words))
     return Verdict(True)
@@ -255,65 +257,46 @@ def is_cycle_union_dividing(sa: Semiautomaton, d: int) -> Verdict:
     return Verdict(True, tuple(lengths))
 
 
-def _merge_table(sa: Semiautomaton, letters: int) -> dict[tuple[int, int], int]:
-    """Length of the shortest word over a letter set that sends p and q to one
-    state, for every pair, in both orders, that such a word merges; the letter
-    set is a bitmask of alphabet positions.
-
-    One backward breadth-first search from the diagonal (p, p), at distance 0,
-    over the per-letter preimages of the pair automaton.
-    """
-    n = sa.state_count
+def _merge_rows(sa: Semiautomaton, letters: int) -> list[int]:
+    """Row p: the states that some word over a letter set, a bitmask of alphabet
+    positions, sends with p to one state; the least fixpoint of M[p] = {p} |
+    pre_a(M[p.a]) over its letters a, by core.row_fixpoint with or_."""
     ks = [k for k in range(len(sa.alphabet)) if letters >> k & 1]
-    preimages = [[[] for _ in range(n)] for _ in ks]
-    for x, row in enumerate(sa.delta):
-        for pre, k in zip(preimages, ks):
-            pre[row[k]].append(x)
-    dist = {(p, p): 0 for p in range(n)}
-    frontier = list(dist)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for p, q in frontier:
-            for pre in preimages:
-                for x in pre[p]:
-                    for y in pre[q]:
-                        if (x, y) not in dist:
-                            dist[x, y] = d
-                            nxt.append((x, y))
-        frontier = nxt
-    return dist
+    return row_fixpoint(sa, [1 << p for p in range(sa.state_count)], ks, or_)
 
 
-def _first_unmergeable(states, table) -> tuple[int, int] | None:
-    """The first pair p < q of the ascending states missing from the merge table, or None."""
-    return next(((p, q) for i, p in enumerate(states) for q in states[i + 1:] if (p, q) not in table), None)
+def _first_unmergeable(states, rows) -> tuple[int, int] | None:
+    """The first pair p < q of the ascending states with q missing from row p, or None."""
+    later = sum(1 << q for q in states)
+    for p in states:
+        later ^= 1 << p
+        if missing := later & ~rows[p]:
+            return p, (missing & -missing).bit_length() - 1
+    return None
 
 
 def is_synchronizing(sa: Semiautomaton) -> Verdict:
     """Some word maps all states to one; certificate = a reset word.
 
-    The reset word is assembled greedily by repeatedly merging the two
-    smallest surviving states with their shortest, then lexicographically
-    least, merging word, which is short enough at desk scale.
+    Every pair of states must lie in the full-alphabet merge rows.  The reset
+    word is assembled greedily (Eppstein, SIAM J. Comput. 1990) by repeatedly
+    merging the two smallest surviving states with their shortest, then
+    lexicographically least, merging word, found by a breadth-first search
+    over unordered pairs that stops at the first pair of equal states.
     """
-    n = sa.state_count
-    width = len(sa.alphabet)
-    dist = _merge_table(sa, (1 << width) - 1)
-    pair = _first_unmergeable(range(n), dist)
+    delta, symbols = sa.delta, sa.alphabet.symbols
+    pair = _first_unmergeable(range(sa.state_count), _merge_rows(sa, (1 << len(symbols)) - 1))
     if pair is not None:
         return Verdict(False, pair)
-    survivors = set(range(n))
+    survivors = set(range(sa.state_count))
     word = []
     while len(survivors) > 1:
-        p, q = sorted(survivors)[:2]
-        while p != q:
-            # the smallest letter that brings the pair one step closer to merging
-            k = next(k for k in range(width) if dist[sa.delta[p][k], sa.delta[q][k]] < dist[p, q])
-            word.append(sa.alphabet.symbols[k])
-            survivors = {sa.delta[s][k] for s in survivors}
-            p, q = sa.delta[p][k], sa.delta[q][k]
+        start = tuple(sorted(survivors)[:2])
+        rows = explore(start, lambda pq: [(x, y) if x < y else (y, x) for x, y in zip(delta[pq[0]], delta[pq[1]])],
+                       stop=lambda pq: pq[0] == pq[1])[1]
+        for k in map(sa.alphabet.index, path_word(rows, symbols, len(rows))):
+            word.append(symbols[k])
+            survivors = {delta[s][k] for s in survivors}
     return Verdict(True, "".join(word))
 
 
@@ -335,12 +318,12 @@ def is_weakly_confluent(sa: Semiautomaton) -> Verdict:
 
     On success the witness is the component decomposition; on failure it is
     (component, offending state pair).  A component is closed under the
-    letters, so one full-alphabet merge table of sa judges every component.
+    letters, so the full-alphabet merge rows of sa judge every component.
     """
-    table = _merge_table(sa, (1 << len(sa.alphabet)) - 1)
+    rows = _merge_rows(sa, (1 << len(sa.alphabet)) - 1)
     comps = _weak_components(sa)
     for members in comps:
-        pair = _first_unmergeable(members, table)
+        pair = _first_unmergeable(members, rows)
         if pair is not None:
             return Verdict(False, (tuple(members), pair))
     return Verdict(True, tuple(map(tuple, comps)))

@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
-    except OrdaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OrdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

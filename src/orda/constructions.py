@@ -314,21 +314,29 @@ def union_via_product_embedding(osas: list[OrderedSemiautomaton]) -> tuple[Order
     return big, SemiautomatonHom(big, uni, tuple(mapping))
 
 
+# _upward_closed_sets yields at most this many up-sets (the discrete order on n states has 2^n)
+UPSET_CAP = 10_000
+
+
 def _upward_closed_sets(order: StateOrder):
     """All upward-closed subsets, one per antichain of minimal elements, streamed.
 
     Depth first: a set comes before the sets that add minimal elements of
-    higher index to its antichain.
+    higher index to its antichain.  Past UPSET_CAP sets, ResourceError.
     """
     up, down = order.up, order.reversed().up
     # (next candidate, states related either way to a chosen element, the up-set so far)
     stack = [(0, 0, 0)]
-    while stack:
+    for _ in range(UPSET_CAP):
+        if not stack:
+            return
         start, comparable, closure = stack.pop()
         yield frozenset(bits(closure))
         for p in reversed(range(start, order.size)):
             if not comparable >> p & 1:
                 stack.append((p + 1, comparable | up[p] | down[p], closure | up[p]))
+    if stack:
+        raise ResourceError(f"up-set enumeration exceeded UPSET_CAP = {UPSET_CAP} sets")
 
 
 def recognized_languages(
@@ -344,8 +352,9 @@ def recognized_languages(
     """
     kept: list[OrderedAutomaton] = []
     seen = set()
+    upsets = list(_upward_closed_sets(osa.order))  # fails before any minimization
     for i in range(osa.state_count):
-        for finals in _upward_closed_sets(osa.order):
+        for finals in upsets:
             minimal = minimize_with_map(OrderedAutomaton(osa, i, finals))[1]
             key = minimal.sa.delta, minimal.finals, minimal.order.up
             if key in seen:
@@ -402,7 +411,7 @@ def reconstruction_product_embedding(
     components: list[OrderedAutomaton] = []
     maps: list[tuple[int, ...]] = []
     seen = set()
-    for finals in _upward_closed_sets(osa.order):
+    for finals in list(_upward_closed_sets(osa.order)):  # fails before any minimization
         _, minimal, mapping = minimize_with_map(OrderedAutomaton(osa, q0, finals))
         phi = tuple(mapping[pos[q]] for q in range(n))
         # equal exactly when isomorphic, see recognized_languages

@@ -157,6 +157,47 @@ def unions(table):
     return union
 
 
+def row_fixpoint(sa: Semiautomaton, rows: list[int], letters, combine) -> list[int]:
+    """Iterate rows[p] = combine(rows[p], pre_k(rows[p.k])) over the letter
+    positions k until no row changes, in place; pre_k(M) holds the states that
+    letter k sends into M.  With operator.and_ this is the greatest fixpoint
+    below the start rows, with operator.or_ the least one above them.
+
+    The highest dirty row is recomputed first (breadth-first numbering tends
+    to put successors later), and a row that changes makes its predecessors
+    dirty.  A row's preimages under every letter are one union of the packed
+    preimages, memoized by row value, since many rows share a value (R1 has
+    two, and full rows are equal); the memo stops taking entries at about
+    UNION_MEMO_BYTES, as in unions."""
+    n = sa.state_count
+    everything = (1 << n) - 1
+    packed = packed_preimages(sa)
+    union = unions(packed)
+    shifts = [(k, k * n) for k in letters]
+    gathered, room = {}, UNION_MEMO_BYTES
+    dirty = everything
+    while dirty:
+        p = dirty.bit_length() - 1
+        dirty ^= 1 << p
+        row, successors = rows[p], sa.delta[p]
+        for k, shift in shifts:
+            target = rows[successors[k]]
+            pre = gathered.get(target)
+            if pre is None:
+                pre = union(target)
+                if room > 0:
+                    gathered[target] = pre
+                    room -= 100 + (target.bit_length() + pre.bit_length()) * 2 // 15
+            row = combine(row, pre >> shift)
+        row &= everything  # or_ also took the blocks of later letters
+        if row != rows[p]:
+            rows[p] = row
+            for _, shift in shifts:  # p's predecessors under the letters
+                dirty |= packed[p] >> shift
+            dirty &= everything
+    return rows
+
+
 @dataclass(frozen=True)
 class StateOrder:
     """Relation on states as bitmask rows; bit q of up[p] means p <= q.
@@ -426,18 +467,21 @@ def dual(osa: OrderedSemiautomaton) -> OrderedSemiautomaton:
     return OrderedSemiautomaton(osa.sa, osa.order.reversed())
 
 
-def explore(start, successors, cap=None, what=None):
+def explore(start, successors, cap=None, what=None, stop=None):
     """Breadth-first numbering of the nodes reachable from start.
 
     successors(node) yields the node's successors in a fixed order.  Returns
     (nodes, rows): nodes[i] is the i-th node discovered, start first, and
     rows[i][k] the number of the k-th successor of nodes[i].  Discovering more
-    than cap nodes raises ResourceError naming what was being built.
+    than cap nodes raises ResourceError naming what was being built.  The walk
+    ends before the first node for which stop(node) holds: nodes[len(rows)].
     """
     index = {start: 0}
     nodes = [start]
     rows = []
     for node in nodes:  # nodes grows while it is walked: the list is the queue
+        if stop is not None and stop(node):
+            break
         row = []
         for succ in successors(node):
             i = index.get(succ)
@@ -473,14 +517,18 @@ def path_word(rows, letters, j: int) -> str:
     """Shortest, then lexicographically least, word leading from node 0 to node j
     of explore's rows, where successor k reads letters[k].
 
-    explore numbers breadth-first, so the tree of its rows lists node j > 0
-    as its (j - 1)-th edge, which names its parent and the letter from it.
+    explore numbers nodes in the order it discovers them, so the parent of
+    node i > 0 is the first row to list it.
     """
-    edges = tree(rows, range(len(letters)))
+    links = [None]  # links[i]: the parent of node i and the letter from it
+    for p, row in enumerate(rows):
+        for k, i in enumerate(row):
+            if i == len(links):
+                links.append((p, letters[k]))
     word = []
     while j:
-        _, j, k = edges[j - 1]
-        word.append(letters[k])
+        j, a = links[j]
+        word.append(a)
     return "".join(reversed(word))
 
 
@@ -719,14 +767,9 @@ def parse_automaton(text: str) -> OrderedAutomaton:
         else:
             fail(f"unknown key {key!r}", lineno)
 
-    if alphabet is None:
-        raise ParseError("missing alphabet line")
-    if state_count is None:
-        raise ParseError("missing states line")
-    if initial is None:
-        raise ParseError("missing initial line")
-    if finals is None:
-        raise ParseError("missing finals line")
+    for key, value in (("alphabet", alphabet), ("states", state_count), ("initial", initial), ("finals", finals)):
+        if value is None:
+            raise ParseError(f"missing {key} line")
 
     rows = []
     for q in range(state_count):

@@ -465,17 +465,15 @@ def reverse_subsets(oa: OrderedAutomaton, cap: int = STATE_CAP) -> OrderedAutoma
 
     start = sum(1 << q for q in oa.finals)
     subsets, rows = explore(start, predecessors, cap, "subset construction")
-    # up[i] is the set of subsets containing every member of subset i
-    containing = [0] * n
+    # up[i] is the set of subsets containing every member of subset i: all
+    # subsets but those that lack one of its members
+    everything = (1 << len(subsets)) - 1
+    lacking = [everything] * n
     for i, s in enumerate(subsets):
         for q in bits(s):
-            containing[q] |= 1 << i
-    up = []
-    for s in subsets:
-        mask = (1 << len(subsets)) - 1
-        for q in bits(s):
-            mask &= containing[q]
-        up.append(mask)
+            lacking[q] ^= 1 << i
+    lack_any = unions(lacking)
+    up = [everything ^ lack_any(s) for s in subsets]
     finals = frozenset(i for i, s in enumerate(subsets) if s >> oa.initial & 1)
     names = tuple("{" + ",".join(map(str, bits(s))) + "}" for s in subsets)
     sa = Semiautomaton(oa.alphabet, tuple(rows), names)
@@ -497,10 +495,10 @@ def language_inclusion(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> tuple[bo
     if oa1.alphabet.symbols != oa2.alphabet.symbols:
         raise AlphabetError("alphabet mismatch")
     d1, d2 = oa1.sa.delta, oa2.sa.delta
-    pairs, rows = explore((oa1.initial, oa2.initial), lambda pair: zip(d1[pair[0]], d2[pair[1]]))
-    for j, (p1, p2) in enumerate(pairs):
-        if p1 in oa1.finals and p2 not in oa2.finals:
-            return False, path_word(rows, oa1.alphabet.symbols, j)
+    pairs, rows = explore((oa1.initial, oa2.initial), lambda pair: zip(d1[pair[0]], d2[pair[1]]),
+                          stop=lambda pair: pair[0] in oa1.finals and pair[1] not in oa2.finals)
+    if len(rows) < len(pairs):  # it stopped at a separating pair
+        return False, path_word(rows, oa1.alphabet.symbols, len(rows))
     return True, None
 
 

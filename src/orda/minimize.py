@@ -14,16 +14,16 @@ residual languages.
 
 from __future__ import annotations
 
+from operator import and_
+
 from .core import (
-    UNION_MEMO_BYTES,
     OrderedAutomaton,
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
     bits,
     explore,
-    packed_preimages,
-    unions,
+    row_fixpoint,
 )
 
 
@@ -39,44 +39,10 @@ def preorder(oa: OrderedAutomaton) -> StateOrder:
 
     The declared state order of the input is ignored; only transitions and
     finals matter.  Row p of the fixpoint is R1[p] & pre_a(rel[p.a]) over
-    every letter a, where pre_a(M) holds the states that a sends into M.
-    From R1 on, each dirty row is recomputed from its successors' rows, and
-    a row that shrinks makes its predecessors under every letter dirty: the
-    refinement of Moore read a row at a time.  A row's preimages under all
-    letters are one union of the packed preimages, memoized by row value,
-    since rows share values (R1 has two) until they thin out; the memo stops
-    taking entries at about UNION_MEMO_BYTES, as in core.unions.
+    every letter a, where pre_a(M) holds the states that a sends into M:
+    core.row_fixpoint with and_, from the rows of R1.
     """
-    sa = oa.sa
-    n = sa.state_count
-    everything = (1 << n) - 1
-    packed = packed_preimages(sa)
-    union = unions(packed)
-    shifts = range(0, len(sa.alphabet) * n, n)
-    rel = _initial_relation(oa)
-    gathered, room = {}, UNION_MEMO_BYTES
-    dirty = everything
-    while dirty:
-        todo, dirty = dirty, 0
-        for p in bits(todo):
-            row = rel[p]
-            for shift, q in zip(shifts, sa.delta[p]):
-                pre = gathered.get(rel[q])
-                if pre is None:
-                    pre = union(rel[q])
-                    if room > 0:
-                        gathered[rel[q]] = pre
-                        room -= 100 + (rel[q].bit_length() + pre.bit_length()) * 2 // 15
-                row &= pre >> shift
-            if row != rel[p]:
-                rel[p] = row
-                # p's predecessors under every letter: packed[p]'s letter blocks, folded
-                above = packed[p]
-                while above:
-                    dirty |= above
-                    above >>= n
-        dirty &= everything
-    return StateOrder(tuple(rel))
+    return StateOrder(tuple(row_fixpoint(oa.sa, _initial_relation(oa), range(len(oa.alphabet)), and_)))
 
 
 def preorder_naive(oa: OrderedAutomaton) -> StateOrder:
@@ -155,10 +121,8 @@ def isomorphism(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> dict[int, int] 
     for p, q in mapping.items():
         if (p in oa1.finals) != (q in oa2.finals):
             return None
-    for p1, q1 in mapping.items():
-        for p2, q2 in mapping.items():
-            if oa1.order.leq(p1, p2) != oa2.order.leq(q1, q2):
-                return None
+    if oa1.order.restrict(list(mapping)) != oa2.order.restrict(list(mapping.values())):
+        return None
     return mapping
 
 

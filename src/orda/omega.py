@@ -239,18 +239,24 @@ def nonempty_realizable(tm: TransitionMonoid) -> dict[int, str]:
     """Elements realizable by non-empty words, with least such witnesses.
 
     This is the transition semigroup; it contains the identity only when some
-    non-empty word acts as the identity.
+    non-empty word acts as the identity: a letter a acting as a permutation,
+    after a word acting as its inverse, a power of a.
     """
     letters = [*tm.generators]
     words = {tm.identity: ""}  # each element's least word, the identity's first
     for j, p, k in tree(tm.right, sorted(range(len(letters)), key=letters.__getitem__)):
         words[j] = words[p] + letters[k]
-    for x, word in words.items():  # the first element a letter sends to 1, if any
-        row = tm.right[x]
-        if tm.identity in row:
-            words[tm.identity] = word + min(a for a, y in zip(letters, row) if y == tm.identity)
-            return words
+    ends = []  # for each permuting letter, the least word acting as 1 that ends in it
+    for k, a in enumerate(letters):
+        t = tm.elements[tm.right[tm.identity][k]]
+        if len(set(t)) == len(t):
+            x = tm.identity
+            while tm.right[x][k] != tm.identity:
+                x = tm.right[x][k]
+            ends.append(words[x] + a)
     del words[tm.identity]
+    if ends:
+        words[tm.identity] = min(ends, key=lambda w: (len(w), w))
     return words
 
 

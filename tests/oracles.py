@@ -414,6 +414,119 @@ def synchronizing_brute(sa: Semiautomaton) -> tuple[bool, object]:
     return True, word
 
 
+def merge_table(sa: Semiautomaton, letters: int) -> dict[tuple[int, int], int]:
+    """Length of the shortest word over a letter set that sends p and q to one
+    state, for every pair, in both orders, that such a word merges; the letter
+    set is a bitmask of alphabet positions.
+
+    One backward breadth-first search from the diagonal (p, p), at distance 0,
+    over the per-letter preimages of the pair automaton.
+    """
+    n = sa.state_count
+    ks = [k for k in range(len(sa.alphabet)) if letters >> k & 1]
+    preimages = [[[] for _ in range(n)] for _ in ks]
+    for x, row in enumerate(sa.delta):
+        for pre, k in zip(preimages, ks):
+            pre[row[k]].append(x)
+    dist = {(p, p): 0 for p in range(n)}
+    frontier = list(dist)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for p, q in frontier:
+            for pre in preimages:
+                for x in pre[p]:
+                    for y in pre[q]:
+                        if (x, y) not in dist:
+                            dist[x, y] = d
+                            nxt.append((x, y))
+        frontier = nxt
+    return dist
+
+
+def _first_missing_pair(states, table) -> tuple[int, int] | None:
+    """The first pair p < q of the ascending states missing from the merge table, or None."""
+    return next(((p, q) for i, p in enumerate(states) for q in states[i + 1:] if (p, q) not in table), None)
+
+
+def synchronizing_reference(sa: Semiautomaton) -> Verdict:
+    """is_synchronizing read off the full-alphabet merge table: the first
+    unmergeable pair, or the greedy reset word that merges the two smallest
+    survivors at a time, taking at each step the smallest letter that brings
+    the pair one step closer to merging."""
+    n = sa.state_count
+    width = len(sa.alphabet)
+    dist = merge_table(sa, (1 << width) - 1)
+    pair = _first_missing_pair(range(n), dist)
+    if pair is not None:
+        return Verdict(False, pair)
+    survivors = set(range(n))
+    word = []
+    while len(survivors) > 1:
+        p, q = sorted(survivors)[:2]
+        while p != q:
+            k = next(k for k in range(width) if dist[sa.delta[p][k], sa.delta[q][k]] < dist[p, q])
+            word.append(sa.alphabet.symbols[k])
+            survivors = {sa.delta[s][k] for s in survivors}
+            p, q = sa.delta[p][k], sa.delta[q][k]
+    return Verdict(True, "".join(word))
+
+
+def weakly_confluent_reference(sa: Semiautomaton) -> Verdict:
+    """is_weakly_confluent read off the full-alphabet merge table: the weakly
+    connected components, found by a flood over the arrows taken both ways,
+    each sorted and in order of their smallest state, and the first
+    component with a pair no word merges."""
+    n = sa.state_count
+    neighbours = [set(row) for row in sa.delta]
+    for q, row in enumerate(sa.delta):
+        for r in row:
+            neighbours[r].add(q)
+    comps, seen = [], set()
+    for q in range(n):
+        if q not in seen:
+            comp, stack = {q}, [q]
+            while stack:
+                for r in neighbours[stack.pop()] - comp:
+                    comp.add(r)
+                    stack.append(r)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+    table = merge_table(sa, (1 << len(sa.alphabet)) - 1)
+    for members in comps:
+        pair = _first_missing_pair(members, table)
+        if pair is not None:
+            return Verdict(False, (members, pair))
+    return Verdict(True, tuple(comps))
+
+
+def cyclic_confluent_reference(sa: Semiautomaton) -> Verdict:
+    """is_confluent's search on cyclic input, with a merge table per letter
+    set: for each state q, any two (state, letters spent) branches from q, in
+    breadth-first order with their least words, must merge under a word over
+    the letters of both."""
+    delta, symbols = sa.delta, sa.alphabet.symbols
+    tables = {}
+    for q in range(sa.state_count):
+        words = {(q, 0): ""}
+        queue = [(q, 0)]
+        for p, spent in queue:
+            for k, r in enumerate(delta[p]):
+                node = (r, spent | 1 << k)
+                if node not in words:
+                    words[node] = words[p, spent] + symbols[k]
+                    queue.append(node)
+        for i, (p1, c1) in enumerate(queue):
+            for p2, c2 in queue[i + 1:]:
+                if p1 != p2:
+                    if c1 | c2 not in tables:
+                        tables[c1 | c2] = merge_table(sa, c1 | c2)
+                    if (p1, p2) not in tables[c1 | c2]:
+                        return Verdict(False, (q, words[p1, c1], words[p2, c2]))
+    return Verdict(True)
+
+
 def weakly_confluent_brute(sa: Semiautomaton) -> bool:
     """Literal definition: branches q.u, q.v always joinable, u and v short."""
     n = sa.state_count

@@ -21,7 +21,7 @@ from orda.classify import (
     is_weakly_confluent,
     main_follower,
 )
-from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, step
+from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, sccs, step
 from orda.errors import OrdaError, ResourceError
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.languages import canonical_ordered_automaton, parse_regex
@@ -31,6 +31,7 @@ from orda.monoid import build as build_monoid
 from fixtures import AB, ab_star, cerny, contains_a, even_a, finite_two_words
 from oracles import (
     aperiodic_brute,
+    cyclic_confluent_reference,
     extensive_brute,
     j_trivial_brute,
     joinable,
@@ -39,8 +40,10 @@ from oracles import (
     n_extensive_brute,
     r_trivial_brute,
     synchronizing_brute,
+    synchronizing_reference,
     transformations,
     weakly_confluent_brute,
+    weakly_confluent_reference,
     words_up_to,
 )
 
@@ -418,14 +421,14 @@ def test_weakly_confluent_builds_one_full_alphabet_merge_table(monkeypatch):
     import orda.classify
 
     full = []
-    real = orda.classify._merge_table
+    real = orda.classify._merge_rows
 
     def counting(sa, letters):
         if letters == (1 << len(sa.alphabet)) - 1:
             full.append(sa)
         return real(sa, letters)
 
-    monkeypatch.setattr(orda.classify, "_merge_table", counting)
+    monkeypatch.setattr(orda.classify, "_merge_rows", counting)
     # components {0}, {1, 2} (b fixes 1, a resets to 2) and {3, 4} (both letters swap)
     sa = Semiautomaton(AB, ((0, 0), (2, 1), (2, 2), (4, 4), (3, 3)))
     v = is_weakly_confluent(sa)
@@ -560,20 +563,53 @@ def test_classify_language_builds_one_full_alphabet_merge_table(monkeypatch):
     import orda.classify
 
     full = []
-    real = orda.classify._merge_table
+    real = orda.classify._merge_rows
 
     def counting(sa, letters):
         if letters == (1 << len(sa.alphabet)) - 1:
             full.append(sa)
         return real(sa, letters)
 
-    monkeypatch.setattr(orda.classify, "_merge_table", counting)
+    monkeypatch.setattr(orda.classify, "_merge_rows", counting)
     oa = canonical_ordered_automaton(parse_regex("(a|b|c)*ab", "abc"), "abc")
     report = classify_language(oa)
     assert not report.r_trivial_language.holds
     assert len(full) == 1
     assert report.synchronizing.holds and report.weakly_confluent.holds
     assert report.synchronizing.witness == is_synchronizing(report.minimal.sa).witness
+
+
+def test_merge_rows_match_the_merge_table_reference():
+    # the merge rows, and the reset word searched pair by pair, give the
+    # verdicts and witnesses of the n^2 merge table with its distances: on
+    # upper-triangular semiautomata, acyclic, and on uniform ones with a cycle
+    # through two states or more, where is_confluent runs its search
+    rng = random.Random(113)
+    alphabets = (Alphabet(("a",)), Alphabet(("b", "a")), Alphabet(("a", "c", "b")))
+    acyclic = cyclic = unsynchronized = unweak = unconfluent = 0
+    while acyclic < 1000 or cyclic < 1000:
+        alphabet = alphabets[(acyclic + cyclic) % 3]
+        n = rng.randint(1, 10)
+        if acyclic < 1000:
+            sa = Semiautomaton(alphabet, tuple(tuple(rng.randint(q, n - 1) for _ in alphabet) for q in range(n)))
+            acyclic += 1
+        else:
+            sa = Semiautomaton(alphabet, tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n)))
+            if all(len(comp) == 1 for comp in sccs([set(row) for row in sa.delta])):
+                continue
+            cyclic += 1
+            v, reference = is_confluent(sa), cyclic_confluent_reference(sa)
+            assert (v.holds, v.witness) == (reference.holds, reference.witness)
+            unconfluent += not v.holds
+        v, reference = is_synchronizing(sa), synchronizing_reference(sa)
+        assert (v.holds, v.witness) == (reference.holds, reference.witness)
+        unsynchronized += not v.holds
+        v, reference = is_weakly_confluent(sa), weakly_confluent_reference(sa)
+        assert (v.holds, v.witness) == (reference.holds, reference.witness)
+        unweak += not v.holds
+    # 773 of the 2000 do not synchronize, 475 are not weakly confluent, and
+    # 933 of the 1000 cyclic ones are not confluent
+    assert 500 < unsynchronized < 1500 and 250 < unweak < 1000 and 30 < 1000 - unconfluent < 200
 
 
 def test_n_extensive_actions():

@@ -406,6 +406,27 @@ def test_recognized_languages_of_contains_a():
     assert truncated and len(autos) == 1
 
 
+def test_up_set_enumeration_is_capped(monkeypatch):
+    # 22 states each fixed by the one letter, ordered discretely: 2^22 up-sets
+    # and two languages, so the cap on kept automata never trips; the up-set
+    # cap stops the enumeration before any minimization
+    sa = Semiautomaton(Alphabet(("a",)), tuple((q,) for q in range(22)))
+    osa = OrderedSemiautomaton(sa, StateOrder.discrete(22))
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="UPSET_CAP"):
+        recognized_languages(osa, cap=5)
+    assert time.perf_counter() - start < 1.0
+    # the same for the embedding, on the 22-state one-letter path that state 0 generates
+    path = Semiautomaton(Alphabet(("a",)), tuple((min(q + 1, 21),) for q in range(22)))
+    with pytest.raises(ResourceError, match="UPSET_CAP"):
+        reconstruction_product_embedding(OrderedSemiautomaton(path, StateOrder.discrete(22)), 0)
+    # an order with exactly UPSET_CAP up-sets is enumerated in full
+    monkeypatch.setattr("orda.constructions.UPSET_CAP", 8)
+    assert len(list(_upward_closed_sets(StateOrder.discrete(3)))) == 8
+    with pytest.raises(ResourceError, match="UPSET_CAP = 8"):
+        list(_upward_closed_sets(StateOrder.discrete(4)))
+
+
 def test_product_final_recipes():
     pairs = [
         (contains_a(), ab_star()),

@@ -221,6 +221,20 @@ def test_explore_numbers_rows_and_rebuilds_words():
 
 
 
+def test_explore_stops_before_the_first_node_stop_holds_for():
+    # a walk that stops before node j has walked nodes 0 .. j - 1 only, and
+    # its rows spell the same word to node j as the whole walk's
+    rng = random.Random(37)
+    for _ in range(300):
+        sa = random_automaton(rng, 9, Alphabet(tuple("abc"[: rng.randint(1, 3)]))).sa
+        nodes, rows = explore(0, sa.delta.__getitem__)
+        for j, q in enumerate(nodes):
+            cut, cut_rows = explore(0, sa.delta.__getitem__, stop=q.__eq__)
+            assert len(cut_rows) == j and cut[: j + 1] == nodes[: j + 1] and cut_rows == rows[:j]
+            assert path_word(cut_rows, sa.alphabet.symbols, j) == path_word(rows, sa.alphabet.symbols, j)
+        assert explore(0, sa.delta.__getitem__, stop=lambda q: False) == (nodes, rows)
+
+
 def test_tree_follows_first_occurrences_in_row_order():
     # on explore's rows, numbered breadth-first, the tree lists nodes 1, 2, ...
     # in order, each reached from its first occurrence in row-major order;

@@ -9,7 +9,9 @@ size's fastest run, and bounds the fitted exponent by its target plus 0.5.
 import math
 import random
 import time
+import tracemalloc
 
+from orda.classify import is_synchronizing
 from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, format_automaton, parse_automaton
 from orda.minimize import preorder, reachable_part
 from orda.monoid import build
@@ -112,3 +114,39 @@ def test_preorder_is_quadratic_in_states():
     assert [size for size, _, _ in cases] == [1409, 5660]
     exponent = _exponent(cases)
     assert exponent <= 2.5, exponent
+
+
+def _exactly(n: int, alphabet: Alphabet) -> Semiautomaton:
+    """The minimal automaton of {a^n} over the alphabet, a its first letter:
+    state q < n + 1 has read a^q, and every other word leads to the sink n + 1."""
+    sink = n + 1
+    return Semiautomaton(alphabet, tuple((min(q + 1, sink),) + (sink,) * (len(alphabet) - 1) for q in range(n + 2)))
+
+
+def test_synchronizing_is_within_quadratic():
+    # over one letter every pair merges only at the sink, after up to n + 1
+    # letters: the sink's merge row fills first, then each row once down the
+    # chain, and the reset word is one search of n + 1 pairs (recomputing the
+    # dirty rows in ascending rounds took about n^2 row changes instead); the
+    # smaller size is called often enough to run 50 ms
+    cases = []
+    for n, calls in ((500, 8), (2000, 1)):
+        sa = _exactly(n, Alphabet(("a",)))
+        assert is_synchronizing(sa).witness == "a" * (n + 1)
+        cases.append((n, lambda sa=sa: is_synchronizing(sa), calls))
+    exponent = _exponent(cases)
+    assert exponent <= 2.5, exponent
+
+
+def test_synchronizing_memory_stays_near_the_rows():
+    # {a^1000} over ab: 1002 rows of 1002 bits are 0.13 MB; a table of the
+    # n^2 mergeable pairs would take over 100 MB
+    sa = _exactly(1000, Alphabet(("a", "b")))
+    tracemalloc.start()
+    try:
+        verdict = is_synchronizing(sa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.witness == "b"
+    assert peak < 8_000_000, peak
