@@ -395,12 +395,12 @@ def reconstruction_product_embedding(
 ) -> tuple[list[OrderedAutomaton], OrderedSemiautomaton, SemiautomatonHom]:
     """Embed a 1-generated semiautomaton into the product of its canonical quotients.
 
-    One component per upward-closed final set, each the minimal automaton of
-    the language recognized from q0.  Only the image of the embedding is
-    materialized (as a subsemiautomaton of the implicit product: tuples under
-    componentwise action and order), which keeps the construction usable even
-    when the full product would be astronomically large.  The returned map is
-    injective and reflects the order; tests assert both.
+    One component per principal up-set of the order, so at most n: component
+    p is the minimal automaton of {w : q0.w >= p}, and q goes to its residual
+    {w : q.w >= p}.  The empty word lies in q's residual at p = q, so q's image
+    lies below r's only if q <= r: the map reflects the order and is
+    injective; tests assert both.  Only the image is materialized, as tuples
+    under componentwise action and order.
     """
     sa = osa.sa
     n = sa.state_count
@@ -411,8 +411,8 @@ def reconstruction_product_embedding(
     components: list[OrderedAutomaton] = []
     maps: list[tuple[int, ...]] = []
     seen = set()
-    for finals in list(_upward_closed_sets(osa.order)):  # fails before any minimization
-        _, minimal, mapping = minimize_with_map(OrderedAutomaton(osa, q0, finals))
+    for row in osa.order.up:
+        _, minimal, mapping = minimize_with_map(OrderedAutomaton(osa, q0, frozenset(bits(row))))
         phi = tuple(mapping[pos[q]] for q in range(n))
         # equal exactly when isomorphic, see recognized_languages
         key = minimal.sa.delta, minimal.finals, minimal.order.up

@@ -609,8 +609,9 @@ VIOLATION_LIMIT = 20
 # A run of up to _RUN_LINES canonical order or trans lines (ASCII indices of
 # at most 9 digits, single spaces, each line ended by "\n" or "\r\n") is
 # read in bulk; the lines between runs are read one at a time.  The bound
-# keeps the tokens of one run small.
-_RUN_LINES = 1024
+# keeps the tokens of one run small, and the regex engine's backtracking
+# state, about 276 bytes a line while a run matches.
+_RUN_LINES = 256
 _RUNS = re.compile(
     rf"(?m)^(?:(?P<order>(?:order: [0-9]{{1,9}} <= [0-9]{{1,9}}\r?\n){{1,{_RUN_LINES}}})"
     rf"|(?P<trans>(?:trans: [0-9]{{1,9}} [^\s#] [0-9]{{1,9}}\r?\n){{1,{_RUN_LINES}}}))"

@@ -5,10 +5,16 @@ because derivatives handle them uniformly and the cofinite/prefix-testable
 test inputs need complements.  Union is kept in ACI normal form (flattened,
 sorted, deduplicated) and the empty-language/empty-word simplifications are
 applied by the smart constructors below, the only normalizer; this similarity
-argument keeps the set of iterated derivatives finite.
+argument keeps the set of iterated derivatives finite.  Derivatives add four
+rules about the regex for every word, which bring their automata close to
+minimal (see derivatives).
 """
 
 from __future__ import annotations
+
+import weakref
+from functools import partial
+from operator import attrgetter
 
 from .core import (
     Alphabet,
@@ -33,28 +39,33 @@ STATE_CAP = 10_000
 class Regex:
     """Structural AST node; subclasses carry their children.
 
-    Each node caches a structural key, its tag followed by its children such
-    as ("cat", left, right), hashed once from the children's cached hashes and
-    used for equality and the deterministic order of union parts; and whether
-    its language holds the empty word (`nullable`, read off its children's
-    when it is built).  str(node) is its printed form.
+    Nodes are hash-consed: the constructor, which copy and pickle go through
+    too, hands out the one live node per class and fields from a weak-value
+    table.  So equal regexes are one object and compare and hash by
+    identity, and a node lives only as long as its last user.  Each node
+    caches `_order`, its tag followed by its children's `_order`, which
+    orders union parts deterministically; and whether its language holds the
+    empty word (`nullable`, read off its children's when it is built).
+    str(node) is its printed form.
     """
 
-    __slots__ = ("_key", "_hash", "nullable")
+    __slots__ = ("_order", "nullable", "__weakref__")
 
-    def _seal(self, key, nullable: bool):
-        self._key = key
-        self._hash = hash(key)
-        self.nullable = nullable
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            node._build(*fields)
+            _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Regex) and self._hash == other._hash and self._key == other._key)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __lt__(self, other):
-        return self._key < other._key
+        return self._order < other._order
 
     def __str__(self):
         return format_regex(self)
@@ -63,72 +74,82 @@ class Regex:
         return f"<regex {format_regex(self)!r}>"
 
 
+_NODES: dict = {}  # (class, *fields) -> a weak reference to the live node
+
+
+def _forget(key, ref, nodes=_NODES):
+    """Drop a dead node's entry; the table is bound here, so that this still
+    works while the interpreter shuts down."""
+    if nodes.get(key) is ref:
+        del nodes[key]
+
+
 class Empty(Regex):
     __slots__ = ()
 
-    def __init__(self):
-        self._seal(("empty",), False)
+    def _build(self):
+        self._order, self.nullable = ("empty",), False
 
 
 class Eps(Regex):
     __slots__ = ()
 
-    def __init__(self):
-        self._seal(("eps",), True)
+    def _build(self):
+        self._order, self.nullable = ("eps",), True
 
 
 class Sym(Regex):
     __slots__ = ("symbol",)
 
-    def __init__(self, symbol: str):
+    def _build(self, symbol: str):
         self.symbol = symbol
-        self._seal(("sym", symbol), False)
+        self._order, self.nullable = ("sym", symbol), False
 
 
 class Cat(Regex):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Regex, right: Regex):
-        self.left = left
-        self.right = right
-        self._seal(("cat", left, right), left.nullable and right.nullable)
+    def _build(self, left: Regex, right: Regex):
+        self.left, self.right = left, right
+        self._order, self.nullable = ("cat", left._order, right._order), left.nullable and right.nullable
 
 
 class Star(Regex):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Regex):
+    def _build(self, inner: Regex):
         self.inner = inner
-        self._seal(("star", inner), True)
+        self._order, self.nullable = ("star", inner._order), True
 
 
 class Union(Regex):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
+    def _build(self, parts: tuple):
         self.parts = parts
-        self._seal(("union", *parts), any(p.nullable for p in parts))
+        self._order, self.nullable = ("union", *(p._order for p in parts)), any(p.nullable for p in parts)
 
 
 class Inter(Regex):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Regex, right: Regex):
-        self.left = left
-        self.right = right
-        self._seal(("inter", left, right), left.nullable and right.nullable)
+    def _build(self, left: Regex, right: Regex):
+        self.left, self.right = left, right
+        self._order, self.nullable = ("inter", left._order, right._order), left.nullable and right.nullable
 
 
 class Compl(Regex):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Regex):
+    def _build(self, inner: Regex):
         self.inner = inner
-        self._seal(("compl", inner), not inner.nullable)
+        self._order, self.nullable = ("compl", inner._order), not inner.nullable
 
 
 EMPTY = Empty()
 EPS = Eps()
+TOP = Compl(EMPTY)  # !#, every word
+_ORDER = attrgetter("_order")
 
 
 def sym(a: str) -> Regex:
@@ -136,17 +157,17 @@ def sym(a: str) -> Regex:
 
 
 def cat(left: Regex, right: Regex) -> Regex:
-    if left is EMPTY or right is EMPTY or isinstance(left, Empty) or isinstance(right, Empty):
+    if left is EMPTY or right is EMPTY:
         return EMPTY
-    if isinstance(left, Eps):
+    if left is EPS:
         return right
-    if isinstance(right, Eps):
+    if right is EPS:
         return left
     return Cat(left, right)
 
 
 def star(r: Regex) -> Regex:
-    if isinstance(r, (Empty, Eps)):
+    if r is EMPTY or r is EPS:
         return EPS
     return Star(r)
 
@@ -154,11 +175,11 @@ def star(r: Regex) -> Regex:
 def union(parts) -> Regex:
     flat = []
     for p in parts:
-        if isinstance(p, Union):
+        if type(p) is Union:
             flat.extend(p.parts)
-        elif not isinstance(p, Empty):
+        elif p is not EMPTY:
             flat.append(p)
-    items = tuple(sorted(dict.fromkeys(flat)))
+    items = tuple(sorted(dict.fromkeys(flat), key=_ORDER))
     if not items:
         return EMPTY
     if len(items) == 1:
@@ -167,7 +188,7 @@ def union(parts) -> Regex:
 
 
 def inter(left: Regex, right: Regex) -> Regex:
-    if isinstance(left, Empty) or isinstance(right, Empty):
+    if left is EMPTY or right is EMPTY:
         return EMPTY
     return Inter(left, right)
 
@@ -190,7 +211,14 @@ def finite_language_regex(words) -> Regex:
 
 def derivatives(alphabet):
     """step(r): the left derivatives a^-1 L(r), one per letter a of alphabet
-    in its order, in ACI normal form.
+    in its order.
+
+    Each derivative is built by the smart constructors and four rules about
+    TOP = !#, the regex for every word (Owens, Reppy & Turon, JFP 2009): a
+    union that holds TOP is TOP; TOP is the unit of & and r&r is r; TOP
+    followed by a nullable regex is TOP; and !!r is r.  They apply only here,
+    so parsed, printed and constructed trees stay as they were, and they
+    keep the derivative automaton close to the minimal one.
 
     step memoizes its answer per node for as long as it is kept, so a caller
     keeps it for one walk only.
@@ -199,27 +227,40 @@ def derivatives(alphabet):
     nothing = (EMPTY,) * len(symbols)
     memo: dict = {}
 
+    def then(d, r):  # d followed by r
+        return TOP if d is TOP and r.nullable else cat(d, r)
+
+    def join(ds):
+        u = union(ds)
+        return TOP if type(u) is Union and TOP in u.parts else u
+
+    def meet(x, y):
+        if x is TOP or x is y:
+            return y
+        return x if y is TOP else inter(x, y)
+
     def step(r: Regex) -> tuple:
         out = memo.get(r)
         if out is not None:
             return out
-        if isinstance(r, Sym):
+        t = type(r)
+        if t is Sym:
             out = tuple(EPS if a == r.symbol else EMPTY for a in symbols)
-        elif isinstance(r, Cat):
+        elif t is Cat:
             right = r.right
-            out = tuple(cat(d, right) for d in step(r.left))
+            out = tuple(then(d, right) for d in step(r.left))
             if r.left.nullable:
-                out = tuple(union(pair) for pair in zip(out, step(right)))
-        elif isinstance(r, Union):
-            out = tuple(union(ds) for ds in zip(*map(step, r.parts)))
-        elif isinstance(r, Star):
-            out = tuple(cat(d, r) for d in step(r.inner))
-        elif isinstance(r, (Empty, Eps)):
+                out = tuple(map(join, zip(out, step(right))))
+        elif t is Union:
+            out = tuple(map(join, zip(*map(step, r.parts))))
+        elif t is Star:
+            out = tuple(then(d, r) for d in step(r.inner))
+        elif t is Empty or t is Eps:
             out = nothing
-        elif isinstance(r, Inter):
-            out = tuple(inter(x, y) for x, y in zip(step(r.left), step(r.right)))
-        elif isinstance(r, Compl):
-            out = tuple(compl(d) for d in step(r.inner))
+        elif t is Inter:
+            out = tuple(map(meet, step(r.left), step(r.right)))
+        elif t is Compl:
+            out = tuple(d.inner if type(d) is Compl else Compl(d) for d in step(r.inner))
         else:
             raise TypeError(f"not a regex: {r!r}")
         memo[r] = out
@@ -229,7 +270,7 @@ def derivatives(alphabet):
 
 
 def derivative(r: Regex, a: str) -> Regex:
-    """The left derivative a^-1 L(r), in ACI normal form."""
+    """The left derivative a^-1 L(r), built as by derivatives."""
     return derivatives((a,))(r)[0]
 
 
@@ -426,12 +467,13 @@ def format_regex(r: Regex) -> str:
 
 
 def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = STATE_CAP) -> OrderedAutomaton:
-    """DFA over the ACI-normal-form derivatives reachable from r; discrete order.
+    """DFA over the derivatives reachable from r, as derivatives builds them; discrete order.
 
     r is taken as given: the smart constructors and parse_regex build only
-    normal forms.  Syntactically distinct normal forms may denote the same
-    language, so no order is claimed here; the inclusion order appears after
-    minimization.  Each state's name is its regex, printed only when shown.
+    normal forms, and the rules about TOP apply from the first derivative on.
+    Syntactically distinct derivatives may denote the same language, so no
+    order is claimed here; the inclusion order appears after minimization.
+    Each state's name is its regex, printed only when shown.
     """
     alphabet = _as_alphabet(alphabet)
     states, rows = explore(r, derivatives(alphabet), cap, "derivative automaton")

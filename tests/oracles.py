@@ -71,6 +71,70 @@ def bounded_preorder(oa: OrderedAutomaton, max_len: int) -> list[list[bool]]:
     return rel
 
 
+def regex_languages(regexes, alphabet, max_len: int) -> list[frozenset]:
+    """The words up to max_len of each regex's language, by structural
+    recursion over its nodes, memoized per node across the regexes.
+
+    A word set is a bit mask over words_up_to(alphabet, max_len).  Its
+    length-lex order puts a word x of length n at start[n] + (x read as a
+    number in base |alphabet|), so union, intersection and complement are one
+    int operation each, and x followed by the length-m words of a set is one
+    block of that set's bits, moved to where x's length-(n + m) extensions
+    begin.  Nodes are read by class name and fields only, so nothing here
+    depends on how the regex layer normalizes, interns or differentiates them.
+    """
+    k = len(alphabet.symbols)
+    words = words_up_to(alphabet, max_len)
+    start = [0]  # start[n]: the index of the first word of length n
+    for n in range(max_len + 1):
+        start.append(start[-1] + k**n)
+    everything = (1 << len(words)) - 1
+    memo = {}
+
+    def members(mask):
+        return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+    def then(left, right):  # the words xy with x in left and y in right
+        out = 0
+        for i in members(left):
+            n = len(words[i])
+            for m in range(max_len - n + 1):
+                block = (right >> start[m]) & ((1 << k**m) - 1)
+                out |= block << (start[n + m] + (i - start[n]) * k**m)
+        return out
+
+    def lang(r):
+        out = memo.get(r)
+        if out is None:
+            kind = type(r).__name__
+            if kind == "Empty":
+                out = 0
+            elif kind == "Eps":
+                out = 1
+            elif kind == "Sym":
+                out = 1 << 1 + alphabet.symbols.index(r.symbol)
+            elif kind == "Union":
+                out = 0
+                for p in r.parts:
+                    out |= lang(p)
+            elif kind == "Inter":
+                out = lang(r.left) & lang(r.right)
+            elif kind == "Compl":
+                out = everything ^ lang(r.inner)
+            elif kind == "Cat":
+                out = then(lang(r.left), lang(r.right))
+            elif kind == "Star":  # grows by at least one length a round
+                inner, out, last = lang(r.inner) & ~1, 1, None
+                while out != last:
+                    out, last = 1 | then(inner, out), out
+            else:
+                raise TypeError(f"not a regex node: {r!r}")
+            memo[r] = out
+        return out
+
+    return [frozenset(words[i] for i in members(lang(r))) for r in regexes]
+
+
 def transformations(sa: Semiautomaton) -> dict[tuple, str]:
     """Every word action as a tuple, with its first witness in length-lex order."""
     ident = tuple(range(sa.state_count))

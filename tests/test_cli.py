@@ -459,9 +459,9 @@ digraph automaton {
   q2 [shape=circle, label="!_&a(ab|ba)*"];
   q3 [shape=circle, label="#"];
   q4 [shape=circle, label="!_&(ab|ba)*"];
-  q5 [shape=doublecircle, label="!#&(ab|ba)*"];
-  q6 [shape=circle, label="!#&b(ab|ba)*"];
-  q7 [shape=circle, label="!#&a(ab|ba)*"];
+  q5 [shape=doublecircle, label="(ab|ba)*"];
+  q6 [shape=circle, label="b(ab|ba)*"];
+  q7 [shape=circle, label="a(ab|ba)*"];
   __init -> q0;
   q0 -> q1 [label="a"];
   q0 -> q2 [label="b"];

@@ -34,6 +34,7 @@ from orda.core import (
     Semiautomaton,
     StateOrder,
     accepts,
+    reachable_states,
     step,
     validate,
 )
@@ -240,8 +241,8 @@ def test_quotient_by_preorder_reproduces_minimization():
         (
             "!(a*b)&(ab|ba)*",
             [
-                "!(a*b)&(ab|ba)*", "!(a*b)&b(ab|ba)*", "!_&a(ab|ba)*+!#&a(ab|ba)*", "#",
-                "!_&(ab|ba)*", "!#&(ab|ba)*", "!#&b(ab|ba)*",
+                "!(a*b)&(ab|ba)*", "!(a*b)&b(ab|ba)*", "!_&a(ab|ba)*+a(ab|ba)*", "#",
+                "!_&(ab|ba)*", "(ab|ba)*", "b(ab|ba)*",
             ],
         ),
         (
@@ -416,10 +417,16 @@ def test_up_set_enumeration_is_capped(monkeypatch):
     with pytest.raises(ResourceError, match="UPSET_CAP"):
         recognized_languages(osa, cap=5)
     assert time.perf_counter() - start < 1.0
-    # the same for the embedding, on the 22-state one-letter path that state 0 generates
-    path = Semiautomaton(Alphabet(("a",)), tuple((min(q + 1, 21),) for q in range(22)))
-    with pytest.raises(ResourceError, match="UPSET_CAP"):
-        reconstruction_product_embedding(OrderedSemiautomaton(path, StateOrder.discrete(22)), 0)
+    # the embedding takes the 22 principal up-sets only, so the 22-state
+    # one-letter path that state 0 generates embeds, one component per state
+    path = OrderedSemiautomaton(
+        Semiautomaton(Alphabet(("a",)), tuple((min(q + 1, 21),) for q in range(22))), StateOrder.discrete(22)
+    )
+    start = time.perf_counter()
+    components, target, hom = reconstruction_product_embedding(path, 0)
+    assert time.perf_counter() - start < 0.1
+    assert len(components) == 22
+    assert_embeds(path, target, hom)
     # an order with exactly UPSET_CAP up-sets is enumerated in full
     monkeypatch.setattr("orda.constructions.UPSET_CAP", 8)
     assert len(list(_upward_closed_sets(StateOrder.discrete(3)))) == 8
@@ -441,20 +448,40 @@ def test_product_final_recipes():
             assert accepts(either, w) == (accepts(x, w) or accepts(y, w))
 
 
+def assert_embeds(osa, target, hom):
+    """hom is a homomorphism, injective and order-reflecting: an isomorphism
+    onto its image."""
+    ok, why = check_homomorphism(hom)
+    assert ok, why
+    n = osa.state_count
+    assert len(set(hom.map)) == n
+    for p in range(n):
+        for q in range(n):
+            assert osa.order.leq(p, q) == target.order.leq(hom.map[p], hom.map[q])
+
+
 def test_reconstruction_product_embedding():
     for fx in (contains_a(), ab_star(), finite_two_words()):
         osa = fx.osa
         components, target, hom = reconstruction_product_embedding(osa, fx.initial)
-        ok, why = check_homomorphism(hom)
-        assert ok, why
-        # injective and order-reflecting: the embedding is an isomorphism onto its image
-        n = osa.state_count
-        assert len(set(hom.map)) == n
-        for p in range(n):
-            for q in range(n):
-                assert osa.order.leq(p, q) == target.order.leq(hom.map[p], hom.map[q])
+        assert_embeds(osa, target, hom)
         for c in components:
-            assert c.state_count <= n + 1
+            assert c.state_count <= osa.state_count + 1
+
+
+def test_principal_up_sets_embed_every_one_generated_automaton():
+    rng = random.Random(97)
+    embedded = 0
+    while embedded < 2000:
+        alphabet = Alphabet(tuple("abc"[: rng.randint(1, 3)]))
+        osa = random_automaton(rng, 8, alphabet, ordered=True).osa
+        n = osa.state_count
+        generators = [q for q in range(n) if len(reachable_states(osa.sa, q)) == n]
+        if generators:
+            components, target, hom = reconstruction_product_embedding(osa, rng.choice(generators))
+            assert len(components) <= n
+            assert_embeds(osa, target, hom)
+            embedded += 1
 
 
 def test_reconstruction_embedding_requires_a_generator():

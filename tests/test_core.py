@@ -648,3 +648,17 @@ def test_parse_memory_stays_flat_on_a_dense_order():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_parse_peak_is_bounded_by_the_run_length():
+    # while a run matches, the regex engine keeps backtracking state for each
+    # of its lines, so _RUN_LINES bounds the peak on a dense order
+    text = format_automaton(chain_automaton(random.Random(1), 60, ABC))
+    assert len(text.splitlines()) == 1954
+    tracemalloc.start()
+    try:
+        parse_automaton(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250_000, peak
