@@ -29,7 +29,7 @@ from .errors import OrdaError, ResourceError
 from .minimize import minimize_with_map
 # build_monoid is unused here: only the bench needs the binding, to check that
 # its tracer wraps monoid.build everywhere, until the package has spans (ROADMAP item 1)
-from .monoid import MONOID_CAP, build as build_monoid, closure, nontrivial_cycle  # noqa: F401
+from .monoid import MONOID_CAP, build as build_monoid, explore_letters, nontrivial_cycle  # noqa: F401
 
 # the exhaustive confluence search on cyclic input is exponential in the alphabet
 CONFLUENCE_ALPHABET_CAP = 10
@@ -56,8 +56,8 @@ class Verdict:
 
 def _shortest_path_word(sa: Semiautomaton, src: int, dst: int) -> str:
     """Lexicographically least shortest transition word src -> dst; dst must be reachable."""
-    rows = explore(src, sa.delta.__getitem__, stop=dst.__eq__)[1]
-    return path_word(rows, sa.alphabet.symbols, len(rows))
+    nodes, rows = explore(src, sa.delta.__getitem__, stop=dst.__eq__)
+    return path_word(rows, sa.alphabet.symbols, len(nodes) - 1)
 
 
 def is_counter_free(sa: Semiautomaton, cap: int = MONOID_CAP) -> Verdict:
@@ -65,14 +65,13 @@ def is_counter_free(sa: Semiautomaton, cap: int = MONOID_CAP) -> Verdict:
 
     Decided through aperiodicity of the transition monoid, whose closure
     stops at the first element acting with a cycle of length >= 2; that
-    element's witness word, together with a state on the cycle, violates the
+    element's least word, together with a state on the cycle, violates the
     definition directly.  Only an aperiodic monoid is enumerated in full.
     """
-    elements, witnesses = [], []
-    for m in closure(sa, cap, elements, witnesses, [], {}):
-        q = nontrivial_cycle(elements[m])
-        if q is not None:
-            return Verdict(False, (q, witnesses[m]))
+    elements, rows = explore_letters(sa, cap, lambda t: nontrivial_cycle(t) is not None)
+    if len(rows) < len(elements):
+        m = len(elements) - 1
+        return Verdict(False, (nontrivial_cycle(elements[m]), path_word(rows, sa.alphabet.symbols, m)))
     return Verdict(True)
 
 
@@ -203,7 +202,7 @@ def _merges(delta, i: int, j: int, memo: dict[tuple[int, int], bool], pair: tupl
 def is_pt_semiautomaton(sa: Semiautomaton) -> Verdict:
     """Acyclic and confluent; the automaton side of piecewise testability."""
     acyclic = is_acyclic(sa)
-    return is_confluent(sa) if acyclic else acyclic
+    return _locally_confluent(sa) if acyclic else acyclic
 
 
 def has_extensive_actions(osa: OrderedSemiautomaton) -> Verdict:
@@ -292,9 +291,9 @@ def is_synchronizing(sa: Semiautomaton) -> Verdict:
     word = []
     while len(survivors) > 1:
         start = tuple(sorted(survivors)[:2])
-        rows = explore(start, lambda pq: [(x, y) if x < y else (y, x) for x, y in zip(delta[pq[0]], delta[pq[1]])],
-                       stop=lambda pq: pq[0] == pq[1])[1]
-        for k in map(sa.alphabet.index, path_word(rows, symbols, len(rows))):
+        pairs, rows = explore(start, lambda pq: [(x, y) if x < y else (y, x) for x, y in zip(delta[pq[0]], delta[pq[1]])],
+                              stop=lambda pq: pq[0] == pq[1])
+        for k in map(sa.alphabet.index, path_word(rows, symbols, len(pairs) - 1)):
             word.append(symbols[k])
             survivors = {delta[s][k] for s in survivors}
     return Verdict(True, "".join(word))

@@ -467,29 +467,34 @@ def dual(osa: OrderedSemiautomaton) -> OrderedSemiautomaton:
     return OrderedSemiautomaton(osa.sa, osa.order.reversed())
 
 
-def explore(start, successors, cap=None, what=None, stop=None):
+def explore(start, successors, cap=None, message=None, stop=None):
     """Breadth-first numbering of the nodes reachable from start.
 
     successors(node) yields the node's successors in a fixed order.  Returns
     (nodes, rows): nodes[i] is the i-th node discovered, start first, and
     rows[i][k] the number of the k-th successor of nodes[i].  Discovering more
-    than cap nodes raises ResourceError naming what was being built.  The walk
-    ends before the first node for which stop(node) holds: nodes[len(rows)].
+    than cap nodes raises ResourceError(message).  The walk ends as soon as it
+    discovers a node for which stop(node) holds: that node is nodes[-1], and
+    the last row, cut after it, is the one that discovered it, so that
+    len(rows) < len(nodes) tells a stopped walk.
     """
     index = {start: 0}
     nodes = [start]
     rows = []
+    if stop is not None and stop(start):
+        return nodes, rows
     for node in nodes:  # nodes grows while it is walked: the list is the queue
-        if stop is not None and stop(node):
-            break
         row = []
         for succ in successors(node):
             i = index.get(succ)
             if i is None:
                 if cap is not None and len(nodes) >= cap:
-                    raise ResourceError(f"{what} exceeded {cap} states")
+                    raise ResourceError(message)
                 i = index[succ] = len(nodes)
                 nodes.append(succ)
+                if stop is not None and stop(succ):
+                    rows.append((*row, i))
+                    return nodes, rows
             row.append(i)
         rows.append(tuple(row))
     return nodes, rows

@@ -476,7 +476,7 @@ def derivative_automaton(r: Regex, alphabet: Alphabet, cap: int = STATE_CAP) -> 
     Each state's name is its regex, printed only when shown.
     """
     alphabet = _as_alphabet(alphabet)
-    states, rows = explore(r, derivatives(alphabet), cap, "derivative automaton")
+    states, rows = explore(r, derivatives(alphabet), cap, f"derivative automaton exceeded {cap} states")
     finals = frozenset(i for i, s in enumerate(states) if s.nullable)
     sa = Semiautomaton(alphabet, tuple(rows), tuple(states))
     return OrderedAutomaton(
@@ -506,7 +506,7 @@ def reverse_subsets(oa: OrderedAutomaton, cap: int = STATE_CAP) -> OrderedAutoma
         return ((pre >> (k * n)) & full for k in range(width))
 
     start = sum(1 << q for q in oa.finals)
-    subsets, rows = explore(start, predecessors, cap, "subset construction")
+    subsets, rows = explore(start, predecessors, cap, f"subset construction exceeded {cap} states")
     # up[i] is the set of subsets containing every member of subset i: all
     # subsets but those that lack one of its members
     everything = (1 << len(subsets)) - 1
@@ -540,7 +540,7 @@ def language_inclusion(oa1: OrderedAutomaton, oa2: OrderedAutomaton) -> tuple[bo
     pairs, rows = explore((oa1.initial, oa2.initial), lambda pair: zip(d1[pair[0]], d2[pair[1]]),
                           stop=lambda pair: pair[0] in oa1.finals and pair[1] not in oa2.finals)
     if len(rows) < len(pairs):  # it stopped at a separating pair
-        return False, path_word(rows, oa1.alphabet.symbols, len(rows))
+        return False, path_word(rows, oa1.alphabet.symbols, len(pairs) - 1)
     return True, None
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import itemgetter
 
-from .core import OrderedSemiautomaton, Semiautomaton, sccs, tree
-from .errors import ResourceError
+from .core import OrderedSemiautomaton, Semiautomaton, explore, sccs, tree
 
 _first = itemgetter(0)
 
@@ -27,47 +26,72 @@ class TransitionMonoid:
 
     elements[i] is a transformation t with q.w = t[q], packed by _pack: a
     bytes of length |Q| up to 256 states, a tuple above; element 0 is the
-    identity, and index maps each transformation back to its element.
-    witnesses[i] is the length-lex least word acting as element i.
-    generators maps each letter, in alphabet order, to its element, and
-    right[i][k] is the element acting as w_i followed by the k-th of those
-    letters: the right Cayley graph.  omega[t] is (the idempotent power of
-    transformation t, the least exponent n >= 1 giving it), found on first
-    lookup (see _Powers); the exponent realizes ^w on witness words.
-    left_multiples and right_multiples read whole rows of products off the
-    Cayley graphs, which are built on first use (see _cayley).
+    identity.  generators maps each letter, in alphabet order, to its
+    element, and right[i][k] is the element acting as w_i followed by the
+    k-th of those letters: the right Cayley graph, whose breadth-first tree
+    spells the words of the elements (see word).  omega[t] is (the
+    idempotent power of transformation t, the least exponent n >= 1 giving
+    it), found on first lookup (see _Powers); the exponent realizes ^w on
+    words.  index, left_multiples and right_multiples are built on first use.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "right", "order", "index", "omega", "_graphs", "_left_tree")
+    __slots__ = ("elements", "generators", "right", "order", "omega", "_index", "_right_tree", "_left", "_left_tree")
 
     identity = 0
 
-    def __init__(self, elements, witnesses, generators, right, order, index):
+    def __init__(self, elements, generators, right, order):
         self.elements = elements
-        self.witnesses = witnesses
         self.generators = generators
         self.right = right
         self.order = order
-        self.index = index
         self.omega = _Powers()
-        self._graphs = self._left_tree = None
+        self._index = self._right_tree = self._left = self._left_tree = None
 
     def __len__(self):
         return len(self.elements)
 
-    def _cayley(self):
-        """(the tree of right, _left_graph), built once; see core.tree."""
-        if self._graphs is None:
-            right_tree = tree(self.right, range(len(self.generators)))  # 1, 2, ...: closure numbers breadth-first
-            self._graphs = right_tree, _left_graph(self.right, right_tree)
-        return self._graphs
+    @property
+    def index(self) -> dict:
+        """Each transformation -> its element, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.elements, range(len(self.elements))))
+        return self._index
+
+    def _tree(self) -> list[tuple[int, int, int]]:
+        """core.tree of right, letters in alphabet order, built once: it
+        lists (j, p, k) for j = 1, 2, ... in turn, since build numbers
+        breadth-first, and w_j is w_p then the k-th letter."""
+        if self._right_tree is None:
+            self._right_tree = tree(self.right, range(len(self.generators)))
+        return self._right_tree
+
+    def word(self, i: int) -> str:
+        """The length-lex least word acting as element i, spelled back along
+        the breadth-first tree of right."""
+        edges, letters, word = self._tree(), [*self.generators], []
+        while i:
+            _, i, k = edges[i - 1]
+            word.append(letters[k])
+        return "".join(reversed(word))
+
+    def _left_cayley(self) -> list[tuple[int, ...]]:
+        """left[j][g]: the element acting as the g-th letter, then w_j, built
+        once.  By the prefix rule, if the tree of right reaches j as
+        right[p][k], so that w_j is w_p then the k-th letter, left[j][g] is
+        right[left[p][g]][k]."""
+        if self._left is None:
+            columns = list(zip(*self.right))  # k -> (right[x][k] for every x)
+            left = self._left = [self.right[0]]
+            for _, p, k in self._tree():
+                left.append(_then(left[p])(columns[k]))
+        return self._left
 
     def left_multiples(self, i: int) -> list[int]:
         """The element i.j for every element j, in index order: w_j is w_p
         then the k-th letter for its parent (p, k), so i.j is right[i.p][k]
         (the prefix rule of Froidure & Pin)."""
         right, row = self.right, [i]
-        for _, p, k in self._cayley()[0]:
+        for _, p, k in self._tree():
             row.append(right[row[p]][k])
         return row
 
@@ -75,7 +99,7 @@ class TransitionMonoid:
         """The element j.i for every element j, in index order: each j other
         than 1 is the g-th letter then an element p found before it, so j.i
         is left[p.i][g]."""
-        left = self._cayley()[1]
+        left = self._left_cayley()
         if self._left_tree is None:
             self._left_tree = tree(left, range(len(self.generators)))
         column = [i] * len(self.elements)
@@ -149,66 +173,24 @@ def _letters(sa: Semiautomaton) -> list:
     return [_pack([row[k] for row in sa.delta]) for k in range(len(sa.alphabet))]
 
 
-def closure(sa: Semiautomaton, cap: int, elements: list, witnesses: list, right: list, index: dict):
-    """Breadth-first closure of the letter actions, resumable (Froidure & Pin).
-
-    Fills the three lists and the index (transformation -> element) in place
-    and yields each new element's index as it is found, so a caller can stop
-    at any element.  Elements are discovered in length-lex order of their
-    witness words, so every element carries its shortest (then
-    lexicographically least) witness; right[i] is complete once the search
-    has moved past element i.
-    """
+def explore_letters(sa: Semiautomaton, cap: int, stop=None) -> tuple[list, list]:
+    """core.explore of the letter actions from the identity (Froidure & Pin):
+    (elements, right), numbered breadth-first, letters in alphabet order, so
+    in length-lex order of their least words.  A product is one call of the
+    base element's _then on a letter's column: up to 256 states one
+    bytes.translate, whose result caches its hash for the index lookup and
+    the insert.  More than cap elements raise ResourceError; stop is that
+    of explore."""
     columns = [_operand(t) for t in _letters(sa)]  # q -> q.a
-    identity = _pack(range(sa.state_count))
-    elements.append(identity)
-    witnesses.append("")
-    index[identity] = 0
-    yield 0
-    letters = list(zip(columns, sa.alphabet.symbols))
-    pos = 0
-    # Numbered like core.explore, but inline: this is the hot loop of classify
-    # and check, and explore would leave the witness words and the element
-    # index to two more passes over the elements.  Each product is one call of
-    # the base element's _then, made once per base, on a letter's column: up
-    # to 256 states one bytes.translate, whose result caches its hash for both
-    # the index lookup and the insert.
-    while pos < len(elements):
-        act = _then(elements[pos])
-        row = []
-        for column, a in letters:
-            t = act(column)
-            i = index.get(t)
-            if i is None:
-                if len(elements) >= cap:
-                    raise ResourceError(f"transition monoid exceeded {cap} elements")
-                i = index[t] = len(elements)
-                elements.append(t)
-                witnesses.append(witnesses[pos] + a)
-                yield i
-            row.append(i)
-        right.append(tuple(row))
-        pos += 1
+    return explore(_pack(range(sa.state_count)), lambda t: map(_then(t), columns), cap,
+                   f"transition monoid exceeded {cap} elements", stop)
 
 
 def build(osa: OrderedSemiautomaton, cap: int = MONOID_CAP) -> TransitionMonoid:
     """Transition monoid: the closure of the letter actions, run to the end."""
-    elements, witnesses, right, index = [], [], [], {}
-    for _ in closure(osa.sa, cap, elements, witnesses, right, index):
-        pass
+    elements, right = explore_letters(osa.sa, cap)
     generators = dict(zip(osa.sa.alphabet, right[0]))
-    return TransitionMonoid(tuple(elements), tuple(witnesses), generators, tuple(right), osa.order, index)
-
-
-def _left_graph(right, right_tree) -> list[tuple[int, ...]]:
-    """left[j][g]: the element acting as the g-th letter, then w_j.  By the
-    prefix rule, if the tree of right reaches j as right[p][k], so that w_j
-    is w_p then the k-th letter, left[j][g] is right[left[p][g]][k]."""
-    columns = list(zip(*right))  # k -> (right[x][k] for every x)
-    left = [right[0]]
-    for _, p, k in right_tree:
-        left.append(_then(left[p])(columns[k]))
-    return left
+    return TransitionMonoid(tuple(elements), generators, tuple(right), osa.order)
 
 
 class _Powers(dict):
@@ -236,27 +218,30 @@ class LetterActions:
     """The letters' actions without their closure: what a check needs whose
     variables range over letters only.
 
-    elements, witnesses and generators are those of the built monoid cut to
-    the identity and the letters: element 0 is the identity, and each letter
-    whose action is new takes the next index, as closure numbers its first
+    elements and generators are those of the built monoid cut to the
+    identity and the letters: element 0 is the identity, and each letter
+    whose action is new takes the next index, as build numbers its first
     row.  omega is a _Powers, as for TransitionMonoid.
     """
 
-    __slots__ = ("elements", "witnesses", "generators", "omega")
+    __slots__ = ("elements", "generators", "omega")
 
     def __init__(self, sa: Semiautomaton):
         identity = _pack(range(sa.state_count))
         index = {identity: 0}
-        self.elements, self.witnesses, self.generators = [identity], [""], {}
+        self.elements, self.generators = [identity], {}
         for t, a in zip(_letters(sa), sa.alphabet.symbols):
             i = self.generators[a] = index.setdefault(t, len(self.elements))
             if i == len(self.elements):
                 self.elements.append(t)
-                self.witnesses.append(a)
         self.omega = _Powers()
 
     def __len__(self):
         return len(self.elements)
+
+    def word(self, i: int) -> str:
+        """The first letter acting as element i; the empty word for the identity."""
+        return next(a for a, j in self.generators.items() if j == i) if i else ""
 
 
 def omega_power(tm: TransitionMonoid, m: int) -> int:
@@ -329,7 +314,7 @@ def is_j_trivial(tm: TransitionMonoid) -> tuple[bool, tuple[int, int] | None]:
     ok, pair = is_r_trivial(tm)
     if not ok:
         return False, pair
-    left = tm._cayley()[1]
+    left = tm._left_cayley()
     return _trivial_classes(sccs([r + l for r, l in zip(tm.right, left)]))
 
 

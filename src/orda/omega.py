@@ -295,11 +295,11 @@ def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, 
     A row is a triple (outer, last, spell): outer holds the elements of every
     variable but the last, and last the last variable's elements, so the row
     stands for the element tuples outer + (e,) for e in last; spell maps each
-    of them to its witness words (see spell_substitution).  Rows come in the
-    cartesian order of their tuples.  One variable's elements come in rows of
-    1, 2, 4, ... of them, so that a caller stopping at the first failing
-    tuple has read fewer than twice as many; with no variable the one empty
-    tuple is the row ((), None, spell).
+    of them to its witness words.  Rows come in the cartesian order of their
+    tuples.  One variable's elements come in rows of 1, 2, 4, ... of them, so
+    that a caller stopping at the first failing tuple has read fewer than
+    twice as many; with no variable the one empty tuple is the row
+    ((), None, spell).
     all: every element tuple, spelled by least words.  ne: tuples over the
     transition semigroup, spelled by least non-empty words.  lp: tuples of
     letter actions, each spelled by the first letter acting as it.  surj: some
@@ -312,7 +312,7 @@ def valid_substitutions(tm: TransitionMonoid | LetterActions, names: tuple[str, 
     """
     k = len(names)
     n = len(tm)
-    least = tm.witnesses.__getitem__
+    least = tm.word
     if category == "all":
         _guard(n**k)
         yield from _rows([range(n)] * k, partial(_spell_each, (least,) * k))
@@ -388,12 +388,6 @@ def _spell_lm(layers, lengths: list[int], elements: tuple[int, ...]) -> tuple[st
     common = reduce(and_, map(lengths.__getitem__, elements), (1 << len(layers)) - 2)
     k = (common & -common).bit_length() - 1
     return tuple(layer_word(layers, e, k) for e in elements)
-
-
-def spell_substitution(names: tuple[str, ...], elements: tuple[int, ...], spell) -> Substitution:
-    """The Substitution of one element tuple of a row of valid_substitutions,
-    spelled by the row's spell."""
-    return Substitution(names, elements, spell(elements))
 
 
 def _guard(count: int):
@@ -535,7 +529,8 @@ def _check(osa: OrderedSemiautomaton, tm: TransitionMonoid | LetterActions, quer
                 continue
             for p in range(osa.state_count):
                 if not (order.leq(u[p], v[p]) if want_leq else u[p] == v[p]):
-                    return Verdict(False, (spell_substitution(names, (*outer, last[j]), spell), p))
+                    failing = (*outer, last[j])
+                    return Verdict(False, (Substitution(names, failing, spell(failing)), p))
     if not any_substitution:
         return Verdict(True, vacuous=True)
     return Verdict(True)

@@ -26,7 +26,7 @@ from orda.errors import OrdaError, ResourceError
 from orda.generate import random_automaton, random_minimal_automaton, random_semiautomaton
 from orda.languages import canonical_ordered_automaton, parse_regex
 from orda.minimize import minimize_with_map
-from orda.monoid import build as build_monoid
+from orda.monoid import build as build_monoid, is_aperiodic, nontrivial_cycle
 
 from fixtures import AB, ab_star, cerny, contains_a, even_a, finite_two_words
 from oracles import (
@@ -123,6 +123,39 @@ def test_counter_free_under_a_small_cap():
     assert is_counter_free(ab_star().sa).holds
     with pytest.raises(ResourceError):
         is_counter_free(ab_star().sa, cap=2)
+
+
+def test_counter_free_matches_the_full_monoid():
+    # the walk that stops at its first counter names the element that
+    # is_aperiodic finds first on the whole monoid, spelled by its least word;
+    # about half the alphabets are unsorted, such as ba.  The few monoids of
+    # more than 5000 elements are not built: a counter found among their
+    # first 5000 elements must still replay
+    rng = random.Random(107)
+    counters = capped = 0
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        letters = rng.sample("abc", rng.randint(1, 3))
+        sa = Semiautomaton(Alphabet(tuple(letters)), tuple(tuple(rng.randrange(n) for _ in letters) for _ in range(n)))
+        try:
+            tm = build_monoid(OrderedSemiautomaton(sa, StateOrder.discrete(n)), cap=5000)
+        except ResourceError:
+            capped += 1
+            try:
+                v = is_counter_free(sa, cap=5000)
+            except ResourceError:
+                continue
+            q, u = v.witness
+            assert not v.holds and step(sa, q, u) != q
+            assert any(step(sa, q, u * i) == q for i in range(2, n + 1))
+            continue
+        ok, m = is_aperiodic(tm)
+        v = is_counter_free(sa, cap=5000)
+        assert v.holds == ok
+        if not ok:
+            counters += 1
+            assert v.witness == (nontrivial_cycle(tm.elements[m]), tm.word(m))
+    assert counters >= 400 and 1000 - capped - counters >= 200 and capped < 100
 
 
 def test_acyclic_fixture_values():

@@ -217,20 +217,22 @@ def test_explore_numbers_rows_and_rebuilds_words():
         assert w == min(shorter, key=lambda u: (len(u), u))
     assert path_word(rows, letters, 0) == ""
     with pytest.raises(ResourceError, match="^walk exceeded 2 states$"):
-        explore(0, sa.delta.__getitem__, 2, "walk")
+        explore(0, sa.delta.__getitem__, 2, "walk exceeded 2 states")
 
 
 
-def test_explore_stops_before_the_first_node_stop_holds_for():
-    # a walk that stops before node j has walked nodes 0 .. j - 1 only, and
-    # its rows spell the same word to node j as the whole walk's
+def test_explore_stops_at_the_first_node_stop_holds_for():
+    # a walk that stops on discovering node j has discovered nodes 0 .. j
+    # only, its rows end with the row that discovered j, cut after it, and
+    # they spell the same word to node j as the whole walk's
     rng = random.Random(37)
     for _ in range(300):
         sa = random_automaton(rng, 9, Alphabet(tuple("abc"[: rng.randint(1, 3)]))).sa
         nodes, rows = explore(0, sa.delta.__getitem__)
         for j, q in enumerate(nodes):
             cut, cut_rows = explore(0, sa.delta.__getitem__, stop=q.__eq__)
-            assert len(cut_rows) == j and cut[: j + 1] == nodes[: j + 1] and cut_rows == rows[:j]
+            assert cut == nodes[: j + 1] and len(cut_rows) < len(cut)
+            assert all(row == rows[p][: len(row)] for p, row in enumerate(cut_rows))
             assert path_word(cut_rows, sa.alphabet.symbols, j) == path_word(rows, sa.alphabet.symbols, j)
         assert explore(0, sa.delta.__getitem__, stop=lambda q: False) == (nodes, rows)
 

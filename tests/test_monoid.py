@@ -33,19 +33,24 @@ from oracles import (
 AB = Alphabet(("a", "b"))
 
 
+def _words(tm) -> list[str]:
+    """The least word of every element, in index order."""
+    return [tm.word(i) for i in range(len(tm))]
+
+
 def test_build_on_fixtures():
     tm = build(even_a().osa)
     assert len(tm) == 2
     assert tuple(tm.elements[tm.identity]) == (0, 1)
     assert (1, 0) in map(tuple, tm.elements)
-    assert tm.witnesses[tm.generators["a"]] == "a"
+    assert tm.word(tm.generators["a"]) == "a"
 
     tm = build(contains_a().osa)
     # b acts as the identity, a as the constant map onto the absorbing state
     assert len(tm) == 2
     assert tm.generators["b"] == tm.identity
     assert tuple(tm.elements[tm.generators["a"]]) == (1, 1)
-    assert tm.witnesses == ("", "a")
+    assert _words(tm) == ["", "a"]
 
 
 def test_elements_match_brute_enumeration():
@@ -60,18 +65,18 @@ def test_witnesses_reproduce_their_elements():
     rng = random.Random(37)
     for osa in (even_a().osa, contains_a().osa, ab_star().osa, discrete(cerny(4))):
         tm = build(osa)
-        for i, w in enumerate(tm.witnesses):
+        for i, w in enumerate(_words(tm)):
             assert element_of_word(tm, w) == i
     for _ in range(40):
         tm = build(random_minimal_automaton(rng, 4, AB).osa)
-        for i, w in enumerate(tm.witnesses):
+        for i, w in enumerate(_words(tm)):
             assert element_of_word(tm, w) == i
 
 
 def test_witnesses_are_length_lex_minimal():
     tm = build(discrete(cerny(3)))
     seen = transformations(cerny(3))
-    for i, w in enumerate(tm.witnesses):
+    for i, w in enumerate(_words(tm)):
         assert seen[tuple(tm.elements[i])] == w
 
 
@@ -105,7 +110,7 @@ def test_build_matches_the_reference_closure():
         tm = build(discrete(sa))
         elements, witnesses, right, generators = _reference_closure(sa)
         assert [tuple(t) for t in tm.elements] == elements
-        assert list(tm.witnesses) == witnesses
+        assert _words(tm) == witnesses
         assert list(tm.right) == right
         assert tm.generators == generators
         for t in tm.elements:
@@ -127,7 +132,7 @@ def test_elements_are_bytes_up_to_256_states_and_tuples_above(n):
     elements, witnesses, right, generators = _reference_closure(sa)
     assert len(tm) == 2 * n
     assert [tuple(t) for t in tm.elements] == elements
-    assert list(tm.witnesses) == witnesses
+    assert _words(tm) == witnesses
     assert list(tm.right) == right
     assert tm.generators == generators
     rng = random.Random(n)
@@ -153,11 +158,26 @@ def test_closure_memory_per_element():
     assert peak < 260 * 20_000
 
 
+def test_closure_at_200_000_elements_keeps_no_word_per_element():
+    # the walk keeps the elements, their index and the rows of the right
+    # Cayley graph, and no word: a string per element took the peak to 50 MB
+    osa = random_minimal_automaton(random.Random(24), 24, AB).osa
+    assert osa.state_count == 17
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="^transition monoid exceeded 200000 elements$"):
+            build(osa, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 10**6, peak
+
+
 def test_one_state_monoid():
     sa = Semiautomaton(Alphabet(("a", "b")), ((0, 0),))
     tm = build(discrete(sa))
     assert tuple(map(tuple, tm.elements)) == ((0,),)
-    assert tm.witnesses == ("",)
+    assert _words(tm) == [""]
     assert tm.right == ((0, 0),)
     assert omega_power(tm, 0) == 0 and tm.omega[tm.elements[0]][1] == 1
     assert is_counter_free(sa).holds
@@ -225,7 +245,7 @@ def test_right_tree_lists_the_elements_in_index_order():
         tm = build(random_minimal_automaton(rng, 5, alphabet).osa)
         edges = tree(tm.right, range(len(alphabet)))
         assert [j for j, _, _ in edges] == list(range(1, len(tm)))
-        assert all(tm.witnesses[j] == tm.witnesses[p] + alphabet.symbols[k] for j, p, k in edges)
+        assert all(tm.word(j) == tm.word(p) + alphabet.symbols[k] for j, p, k in edges)
 
 
 def _padded(osa: OrderedSemiautomaton, extra: int) -> OrderedSemiautomaton:

@@ -28,7 +28,6 @@ from orda.omega import (
     letter_actions,
     nonempty_realizable,
     parse_query,
-    spell_substitution,
     term_variables,
     valid_substitutions,
 )
@@ -59,7 +58,7 @@ def row_tuples(outer: tuple, last) -> list[tuple]:
 def substitutions(tm, names, category, alphabet) -> list[Substitution]:
     """Every substitution of valid_substitutions, row by row and tuple by tuple."""
     return [
-        spell_substitution(names, elements, spell)
+        Substitution(names, elements, spell(elements))
         for outer, last, spell in valid_substitutions(tm, names, category, alphabet)
         for elements in row_tuples(outer, last)
     ]

@@ -14,7 +14,7 @@ import tracemalloc
 from orda.classify import is_synchronizing
 from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, format_automaton, parse_automaton
 from orda.minimize import preorder, reachable_part
-from orda.monoid import build
+from orda.monoid import TransitionMonoid, build
 from orda.omega import _check, parse_query
 
 from fixtures import chain_automaton
@@ -74,6 +74,25 @@ def test_closure_is_linear_in_products():
     for n, calls in ((7, 80), (9, 3)):
         osa = _catalan(n)
         cases.append((len(build(osa)) * (n - 1), lambda osa=osa: build(osa), calls))
+    exponent = _exponent(cases)
+    assert exponent <= 1.5, exponent
+
+
+def _spell_every_word(tm: TransitionMonoid) -> list[str]:
+    """Every element's word, on a fresh monoid over tm's Cayley graph, so that
+    the tree the words are spelled along is built anew."""
+    fresh = TransitionMonoid(tm.elements, tm.generators, tm.right, tm.order)
+    return [fresh.word(i) for i in range(len(fresh))]
+
+
+def test_spelling_every_word_is_linear_in_elements():
+    # each word is spelled back along the tree of the right Cayley graph,
+    # built once per monoid: 429 elements on the Catalan monoid of 7 points,
+    # 4862 on 9; the smaller size is called often enough to run 30 ms
+    cases = []
+    for n, calls in ((7, 40), (9, 3)):
+        tm = build(_catalan(n))
+        cases.append((len(tm), lambda tm=tm: _spell_every_word(tm), calls))
     exponent = _exponent(cases)
     assert exponent <= 1.5, exponent
 
