@@ -454,11 +454,14 @@ def quotient_right(oa: OrderedAutomaton, v: str) -> OrderedAutomaton:
     sa = oa.sa
     fv = frozenset(q for q in range(sa.state_count) if step(sa, q, v) in oa.finals)
     out = OrderedAutomaton(oa.osa, oa.initial, fv)
-    # F_v is upward closed whenever the input is valid; re-check rather than trust.
+    # F_v is upward closed whenever the input is valid; re-check rather than
+    # trust, one row per final p, and name the lowest q >= p outside F_v
+    finals = sum(1 << q for q in fv)
     for p in fv:
-        for q in range(sa.state_count):
-            if oa.order.leq(p, q) and q not in fv:
-                raise OrdaError(f"right quotient by {v!r} broke upward closure at ({p}, {q}); input automaton is invalid")
+        above = oa.order.up[p] & ~finals
+        if above:
+            q = (above & -above).bit_length() - 1
+            raise OrdaError(f"right quotient by {v!r} broke upward closure at ({p}, {q}); input automaton is invalid")
     return out
 
 
@@ -827,3 +830,37 @@ def format_automaton(oa: OrderedAutomaton) -> str:
     symbols = [f" {a} " for a in sa.alphabet]
     lines += [f"trans: {q}{a}{names[r]}" for q, row in zip(names, sa.delta) for a, r in zip(symbols, row)]
     return "\n".join(lines) + "\n"
+
+
+class _Reader:
+    """A regex or query text as its parser reads it, scanned once: chars holds
+    the text's non-space characters (str.isspace, on which str.split splits)
+    and then a space, an end sentinel that no other entry can be, and
+    columns[i] is the column of chars[i], len(text) for the sentinel.  A
+    token of more than one character is a run of adjacent columns (joined,
+    run).  level is the one depth rule of both grammars."""
+
+    __slots__ = ("chars", "columns", "noun", "limit")
+
+    def __init__(self, text: str, noun: str, limit: int):
+        self.chars = "".join(text.split()) + " "
+        self.columns = [k for k, c in enumerate(text) if not c.isspace()] + [len(text)]
+        self.noun, self.limit = noun, limit
+
+    def level(self, height: int, column: int) -> int:
+        """The depth one level above height, refused at column past the limit."""
+        if height >= self.limit:
+            raise ParseError(f"{self.noun} nested deeper than the limit of {self.limit} levels", column=column)
+        return height + 1
+
+    def joined(self, i: int) -> bool:
+        """Whether chars[i] stands right after chars[i - 1] in the text."""
+        return self.columns[i] == self.columns[i - 1] + 1
+
+    def run(self, i: int) -> int:
+        """The end of the run of alphanumerics from chars[i] on, each standing
+        right after the one before it."""
+        chars = self.chars
+        while chars[i].isalnum() and self.joined(i):
+            i += 1
+        return i

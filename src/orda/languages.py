@@ -22,6 +22,7 @@ from .core import (
     OrderedSemiautomaton,
     Semiautomaton,
     StateOrder,
+    _Reader,
     bits,
     explore,
     packed_preimages,
@@ -294,7 +295,8 @@ def _as_alphabet(alphabet) -> Alphabet:
 #
 # Grammar precedence low to high: `|`, `&`, juxtaposition, postfix `*`,
 # prefix `!`; `#` is the empty language, `_` the empty word; any other
-# printable non-reserved character is a symbol.  Whitespace is skipped.
+# printable non-reserved character is a symbol.  Whitespace is skipped:
+# the parser reads core._Reader's scan of the text.
 
 # Parser and tree walkers recurse once per level, so the depth of a parsed
 # regex stays well inside Python's default recursion limit of 1000 frames.
@@ -309,105 +311,89 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     is a ParseError.
     """
     alphabet = _as_alphabet(alphabet)
-    pos = 0
+    reader = _Reader(text, "regex", REGEX_DEPTH_LIMIT)
+    chars, columns, level = reader.chars, reader.columns, reader.level
+    i = 0  # the next character of chars
     open_levels = 0  # parentheses and `!` the parser is inside of
 
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def peek():
-        skip()
-        return text[pos] if pos < len(text) else None
-
-    def starts_atom(c):
-        return c is not None and c not in "|&*)"
-
-    def level(height):
-        """The depth one level above height, refused past the limit."""
-        if height >= REGEX_DEPTH_LIMIT:
-            raise ParseError(f"regex nested deeper than the limit of {REGEX_DEPTH_LIMIT} levels", column=pos)
-        return height + 1
-
-    # each parse_* returns (node, depth of node)
+    # each parse_* returns (node, depth of node); a depth fault is reported
+    # where the scan stands: at the next character, columns[i], when the
+    # parser has just looked at it, or just past the character it has just
+    # read, columns[i - 1] + 1
     def parse_union():
+        nonlocal i
         node, height = parse_inter()
         parts = [node]
-        while peek() == "|":
-            nonlocal pos
-            pos += 1
+        while chars[i] == "|":
+            i += 1
             node, h = parse_inter()
             parts.append(node)
             height = max(height, h)
-        return union(parts), level(height) if len(parts) > 1 else height
+        return union(parts), level(height, columns[i]) if len(parts) > 1 else height
 
     def parse_inter():
-        nonlocal pos
+        nonlocal i
         node, height = parse_concat()
-        while peek() == "&":
-            pos += 1
+        while chars[i] == "&":
+            i += 1
             right, h = parse_concat()
-            node, height = inter(node, right), level(max(height, h))
+            node, height = inter(node, right), level(max(height, h), columns[i])
         return node, height
 
     def parse_concat():
         node, height = parse_postfix()
-        while starts_atom(peek()):
+        while chars[i] not in "|&*) ":
             right, h = parse_postfix()
-            node, height = cat(node, right), level(max(height, h))
+            node, height = cat(node, right), level(max(height, h), columns[i])
         return node, height
 
     def parse_postfix():
-        nonlocal pos
+        nonlocal i
         node, height = parse_prefix()
-        while peek() == "*":
-            pos += 1
-            node, height = star(node), level(height)
+        while chars[i] == "*":
+            i += 1
+            node, height = star(node), level(height, columns[i - 1] + 1)
         return node, height
 
     def parse_prefix():
-        nonlocal pos, open_levels
-        if peek() == "!":
-            pos += 1
-            open_levels = level(open_levels)
-            node, height = parse_prefix()
-            open_levels -= 1
-            return compl(node), level(height)
-        return parse_atom()
+        nonlocal i, open_levels
+        if chars[i] != "!":
+            return parse_atom()
+        i += 1
+        open_levels = level(open_levels, columns[i - 1] + 1)
+        node, height = parse_prefix()
+        open_levels -= 1
+        return compl(node), level(height, columns[i - 1] + 1)
 
     def parse_atom():
-        nonlocal pos, open_levels
-        c = peek()
-        if c is None:
-            raise ParseError("unexpected end of expression", column=pos)
+        nonlocal i, open_levels
+        c, column = chars[i], columns[i]
+        if c == " ":
+            raise ParseError("unexpected end of expression", column=column)
+        i += 1
         if c == "(":
-            pos += 1
-            open_levels = level(open_levels)
+            open_levels = level(open_levels, column + 1)
             node, height = parse_union()
             open_levels -= 1
-            if peek() != ")":
-                raise ParseError("missing ')'", column=pos)
-            pos += 1
-            return node, level(height)
+            if chars[i] != ")":
+                raise ParseError("missing ')'", column=columns[i])
+            i += 1
+            return node, level(height, columns[i - 1] + 1)
         if c == "#":
-            pos += 1
             return EMPTY, 1
         if c == "_":
-            pos += 1
             return EPS, 1
         if c in RESERVED:
-            raise ParseError(f"unexpected {c!r}", column=pos)
+            raise ParseError(f"unexpected {c!r}", column=column)
         if not c.isprintable():
-            raise ParseError(f"unprintable character at {pos}", column=pos)
+            raise ParseError(f"unprintable character at {column}", column=column)
         if c not in alphabet:
-            raise AlphabetError(f"symbol {c!r} at column {pos} not in alphabet {''.join(alphabet)!r}")
-        pos += 1
+            raise AlphabetError(f"symbol {c!r} at column {column} not in alphabet {''.join(alphabet)!r}")
         return Sym(c), 1
 
     node, _ = parse_union()
-    if peek() is not None:
-        raise ParseError(f"unexpected {text[pos]!r}", column=pos)
+    if chars[i] != " ":
+        raise ParseError(f"unexpected {chars[i]!r}", column=columns[i])
     return node
 
 

@@ -83,7 +83,7 @@ class TransitionMonoid:
             columns = list(zip(*self.right))  # k -> (right[x][k] for every x)
             left = self._left = [self.right[0]]
             for _, p, k in self._tree():
-                left.append(_then(left[p])(columns[k]))
+                left.append(tuple(map(columns[k].__getitem__, left[p])))
         return self._left
 
     def left_multiples(self, i: int) -> list[int]:
@@ -130,13 +130,9 @@ def _operand(u: bytes | tuple) -> bytes | tuple:
 def _then(t: bytes | tuple):
     """The map u -> t then u, that is, u -> (u[t[q]] for q), on u given by
     _operand: t.translate for a packed t, one itemgetter call for a tuple t,
-    where a 1-state t gets a one-element tuple, not a bare int."""
-    if type(t) is bytes:
-        return t.translate
-    if len(t) > 1:
-        return itemgetter(*t)
-    (q,) = t
-    return lambda u: (u[q],)
+    which _pack makes only above 256 states, so the getter always returns a
+    tuple."""
+    return t.translate if type(t) is bytes else itemgetter(*t)
 
 
 def then(s: bytes | tuple, t: bytes | tuple) -> bytes | tuple:

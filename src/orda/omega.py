@@ -17,7 +17,7 @@ from math import perm
 from operator import and_
 
 from .classify import Verdict
-from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, layer_word, tree
+from .core import Alphabet, OrderedSemiautomaton, Semiautomaton, StateOrder, _Reader, layer_word, tree
 from .errors import OrdaError, ParseError, ResourceError
 from .monoid import MONOID_CAP, LetterActions, TransitionMonoid, _operand, _then, build, idempotents, operands, products, then
 
@@ -125,101 +125,74 @@ def parse_query(text: str) -> OmegaQuery:
     juxtaposition, `^w` postfix on a variable or parenthesized group.
     Juxtaposition and `^w` count one level above their deepest operand, and
     parentheses one above their contents; a term more than QUERY_DEPTH_LIMIT
-    levels deep is a ParseError.
+    levels deep is a ParseError.  Whitespace is skipped, except inside the
+    tokens of more than one character: a variable, `^w`, `<=`, `==` and `@`
+    with its category.
     """
-    pos = 0
+    reader = _Reader(text, "query", QUERY_DEPTH_LIMIT)
+    chars, columns, level, joined = reader.chars, reader.columns, reader.level, reader.joined
+    i = 0  # the next character of chars
     open_parens = 0
 
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def peek():
-        skip()
-        return text[pos] if pos < len(text) else None
-
-    def level(height):
-        """The depth one level above height, refused past the limit."""
-        if height >= QUERY_DEPTH_LIMIT:
-            raise ParseError(f"query nested deeper than the limit of {QUERY_DEPTH_LIMIT} levels", column=pos)
-        return height + 1
-
-    # each parse_* returns (term, depth of term)
+    # each parse_* returns (term, depth of term), as parse_regex does
     def parse_atom() -> tuple[OmegaTerm, int]:
-        nonlocal pos, open_parens
-        c = peek()
-        if c is None:
-            raise ParseError("unexpected end of query", column=pos)
+        nonlocal i, open_parens
+        c, column = chars[i], columns[i]
+        if c == " ":
+            raise ParseError("unexpected end of query", column=column)
         if c == "(":
-            pos += 1
-            open_parens = level(open_parens)
+            i += 1
+            open_parens = level(open_parens, column + 1)
             node, height = parse_term()
             open_parens -= 1
-            if peek() != ")":
-                raise ParseError("missing ')'", column=pos)
-            pos += 1
-            return node, level(height)
+            if chars[i] != ")":
+                raise ParseError("missing ')'", column=columns[i])
+            i += 1
+            return node, level(height, columns[i - 1] + 1)
         if c == "1":
-            pos += 1
+            i += 1
             return UNIT, 1
         if c.isalpha():
-            start = pos
-            pos += 1
-            while pos < len(text) and text[pos].isalnum():
-                pos += 1
-            return Var(text[start:pos]), 1
-        raise ParseError(f"unexpected {c!r}", column=pos)
+            start, i = i, reader.run(i + 1)
+            return Var(chars[start:i]), 1
+        raise ParseError(f"unexpected {c!r}", column=column)
 
     def parse_postfix() -> tuple[OmegaTerm, int]:
-        nonlocal pos
+        nonlocal i
         node, height = parse_atom()
-        while peek() == "^":
-            pos += 1
-            if pos >= len(text) or text[pos] != "w":
-                raise ParseError("expected 'w' after '^'", column=pos)
-            pos += 1
-            node, height = OmegaPower(node), level(height)
+        while chars[i] == "^":
+            i += 1
+            if chars[i] != "w" or not joined(i):
+                raise ParseError("expected 'w' after '^'", column=columns[i - 1] + 1)
+            i += 1
+            node, height = OmegaPower(node), level(height, columns[i - 1] + 1)
         return node, height
-
-    def starts_atom(c) -> bool:
-        return c is not None and (c == "(" or c == "1" or c.isalpha())
 
     def parse_term() -> tuple[OmegaTerm, int]:
         node, height = parse_postfix()
         parts = [node]
-        while starts_atom(peek()):
+        while chars[i] in "(1" or chars[i].isalpha():
             node, h = parse_postfix()
             parts.append(node)
             height = max(height, h)
-        return concat(parts), level(height) if len(parts) > 1 else height
+        return concat(parts), level(height, columns[i]) if len(parts) > 1 else height
 
     left, _ = parse_term()
-    c = peek()
-    if c == "<":
-        if not text.startswith("<=", pos):
-            raise ParseError("expected '<='", column=pos)
-        relation = "<="
-        pos += 2
-    elif c == "=":
-        if not text.startswith("==", pos):
-            raise ParseError("expected '=='", column=pos)
-        relation = "=="
-        pos += 2
-    else:
-        raise ParseError("expected '<=' or '=='", column=pos)
+    relation = chars[i] + "="
+    if relation not in ("<=", "=="):
+        raise ParseError("expected '<=' or '=='", column=columns[i])
+    if chars[i + 1] != "=" or not joined(i + 1):
+        raise ParseError(f"expected {relation!r}", column=columns[i])
+    i += 2
     right, _ = parse_term()
-    if peek() != "@":
-        raise ParseError("expected '@' category suffix", column=pos)
-    pos += 1
-    start = pos
-    while pos < len(text) and text[pos].isalnum():
-        pos += 1
-    category = text[start:pos]
+    if chars[i] != "@":
+        raise ParseError("expected '@' category suffix", column=columns[i])
+    start, i = i + 1, reader.run(i + 1)
+    category = chars[start:i]
     if category not in CATEGORIES:
-        raise ParseError(f"unknown category {category!r}", column=start)
-    if peek() is not None:
-        raise ParseError(f"unexpected {text[pos]!r}", column=pos)
+        raise ParseError(f"unknown category {category!r}", column=columns[start - 1] + 1)
+    if chars[i] != " ":
+        raise ParseError(f"unexpected {chars[i]!r}", column=columns[i])
     return OmegaQuery(left, right, relation, category)
 
 

@@ -22,10 +22,12 @@ from orda.omega import QUERY_DEPTH_LIMIT
 
 AB = Alphabet(("a", "b"))
 
-regexes = st.text(alphabet="ab()|&*!#_ c", max_size=12)
+# whitespace the parsers skip (\t, \x1c), the unprintable \x00 and non-ASCII
+# letters and digits (é, ²)
+regexes = st.text(alphabet="ab()|&*!#_ c\t\x1c\x00é²", max_size=12)
 
 query_pieces = ["x", "y", "1", "(", ")", "^w", "^", " ", "<=", "==", "<", "=",
-                "@all", "@ne", "@lp", "@surj", "@lm", "@", "@z"]
+                "@all", "@ne", "@lp", "@surj", "@lm", "@", "@z", "\t", "\x1c", "\x00", "é", "²"]
 queries = st.one_of(
     st.sampled_from(["x^w x == x^w", "(x y)^w x == (x y)^w", "x y == y x @lp", "1 <= x @ne",
                      "x^w <= x^w x @lm", "x y == y x @surj"]),

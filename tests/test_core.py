@@ -188,6 +188,18 @@ def test_quotients_shift_the_language():
         assert accepts(right, w) == accepts(oa, w + "b")
 
 
+def test_right_quotient_names_the_first_pair_that_breaks_upward_closure():
+    # not a valid automaton: 1 <= 2 and 1 <= 3, yet F_a = {0, 1} leaves out
+    # both states above 1, so the check names the lowest of them
+    sa = Semiautomaton(Alphabet(("a",)), ((3,), (3,), (0,), (0,)))
+    order = StateOrder((0b0001, 0b1110, 0b0100, 0b1000))
+    oa = OrderedAutomaton(OrderedSemiautomaton(sa, order), 0, frozenset({3}))
+    message = "right quotient by 'a' broke upward closure at (1, 2); input automaton is invalid"
+    with pytest.raises(OrdaError) as caught:
+        quotient_right(oa, "a")
+    assert str(caught.value) == message
+
+
 def test_dual_reverses_the_order():
     osa = contains_a().osa
     d = dual(osa)

@@ -227,6 +227,57 @@ def test_parse_errors():
         parse_regex("axb", AB)
 
 
+DEEP = "regex nested deeper than the limit of 100 levels"
+# each malformed regex, over the alphabet "ab", with its exception type and
+# exact message: whitespace before the fault, unprintable and unknown
+# symbols, and a depth fault at each construct
+MALFORMED_REGEXES = [
+    ("", ParseError, "unexpected end of expression (column 0)"),
+    ("   ", ParseError, "unexpected end of expression (column 3)"),
+    ("( a", ParseError, "missing ')' (column 3)"),
+    ("((a)", ParseError, "missing ')' (column 4)"),
+    ("a)", ParseError, "unexpected ')' (column 1)"),
+    (" \t a )", ParseError, "unexpected ')' (column 5)"),
+    ("a b\t)", ParseError, "unexpected ')' (column 4)"),
+    ("a\x1cb)", ParseError, "unexpected ')' (column 3)"),
+    ("|a", ParseError, "unexpected '|' (column 0)"),
+    ("&a", ParseError, "unexpected '&' (column 0)"),
+    ("*a", ParseError, "unexpected '*' (column 0)"),
+    ("a|*", ParseError, "unexpected '*' (column 2)"),
+    ("()", ParseError, "unexpected ')' (column 1)"),
+    ("!)", ParseError, "unexpected ')' (column 1)"),
+    ("a|", ParseError, "unexpected end of expression (column 2)"),
+    ("a&", ParseError, "unexpected end of expression (column 2)"),
+    ("!", ParseError, "unexpected end of expression (column 1)"),
+    ("ab|(a&", ParseError, "unexpected end of expression (column 6)"),
+    ("a\x00b", ParseError, "unprintable character at 1 (column 1)"),
+    ("  \x00", ParseError, "unprintable character at 2 (column 2)"),
+    ("axb", AlphabetError, "symbol 'x' at column 1 not in alphabet 'ab'"),
+    (" a  c", AlphabetError, "symbol 'c' at column 4 not in alphabet 'ab'"),
+    ("é", AlphabetError, "symbol 'é' at column 0 not in alphabet 'ab'"),
+    ("²", AlphabetError, "symbol '²' at column 0 not in alphabet 'ab'"),
+    ("a" * 100 + " | b", ParseError, f"{DEEP} (column 104)"),
+    ("a" * 100 + " & b", ParseError, f"{DEEP} (column 104)"),
+    ("a" * 101, ParseError, f"{DEEP} (column 101)"),
+    ("a" + " *" * 101, ParseError, f"{DEEP} (column 201)"),
+    ("a" + "\t*" * 100, ParseError, f"{DEEP} (column 201)"),
+    ("a" + "*" * 100, ParseError, f"{DEEP} (column 101)"),
+    ("!" * 101 + " a", ParseError, f"{DEEP} (column 101)"),
+    ("!" * 100 + "a", ParseError, f"{DEEP} (column 101)"),
+    ("!" + "a" * 100 + " ", ParseError, f"{DEEP} (column 102)"),
+    (" (" * 101 + "a", ParseError, f"{DEEP} (column 202)"),
+    ("(" + "a" * 100 + " )", ParseError, f"{DEEP} (column 103)"),
+    ("(" * 100 + "a" + ")" * 100, ParseError, f"{DEEP} (column 201)"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_REGEXES, ids=map(str, range(len(MALFORMED_REGEXES))))
+def test_parse_errors_name_the_fault_and_its_column(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_regex(text, AB)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_format_parse_round_trip():
     rng = random.Random(3)
     for _ in range(200):

@@ -103,6 +103,57 @@ def test_parse_query_errors():
     assert "column" in str(err.value)
 
 
+DEEP = "query nested deeper than the limit of 100 levels"
+# each malformed query with its exact message: whitespace before the fault,
+# the faults of the tokens of more than one character (`^w`, `<=`, `==`,
+# `@` and its category), and a depth fault at each construct
+MALFORMED_QUERIES = [
+    ("", "unexpected end of query (column 0)"),
+    ("   ", "unexpected end of query (column 3)"),
+    ("x ==", "unexpected end of query (column 4)"),
+    ("1 1 <=", "unexpected end of query (column 6)"),
+    ("x", "expected '<=' or '==' (column 1)"),
+    ("x != x @all", "expected '<=' or '==' (column 2)"),
+    ("x) == x @all", "expected '<=' or '==' (column 1)"),
+    ("x\x00 == x @all", "expected '<=' or '==' (column 1)"),
+    ("x < = x @all", "expected '<=' (column 2)"),
+    ("x < x @all", "expected '<=' (column 2)"),
+    ("x = x @all", "expected '==' (column 2)"),
+    ("x ^ w == x @all", "expected 'w' after '^' (column 3)"),
+    ("x^ == x @all", "expected 'w' after '^' (column 2)"),
+    ("x^v == x @all", "expected 'w' after '^' (column 2)"),
+    ("x^", "expected 'w' after '^' (column 2)"),
+    ("x == x", "expected '@' category suffix (column 6)"),
+    ("x == x @", "unknown category '' (column 8)"),
+    ("x == x @ all", "unknown category '' (column 8)"),
+    ("x == x @@all", "unknown category '' (column 8)"),
+    ("x == x @nope", "unknown category 'nope' (column 8)"),
+    ("x == x @ALL", "unknown category 'ALL' (column 8)"),
+    ("x == x @all y", "unexpected 'y' (column 12)"),
+    ("x <= y\t@lm z", "unexpected 'z' (column 11)"),
+    ("x == x @all\x00", "unexpected '\\x00' (column 11)"),
+    ("( x == x @all", "missing ')' (column 4)"),
+    ("2 == x @all", "unexpected '2' (column 0)"),
+    ("== x @all", "unexpected '=' (column 0)"),
+    ("x == _ @all", "unexpected '_' (column 5)"),
+    ("é == ² @all", "unexpected '²' (column 5)"),
+    ("(" * 99 + "x" + ")" * 99 + " y == x @all", f"{DEEP} (column 202)"),
+    ("x == " + "(" * 99 + "y" + ")" * 99 + " 1 @all", f"{DEEP} (column 207)"),
+    ("(" * 99 + "x" + ")" * 99 + " ^w == x @all", f"{DEEP} (column 202)"),
+    ("(" * 99 + "x" + ")" * 99 + "^w == x @all", f"{DEEP} (column 201)"),
+    ("x" + " ^w" * 100 + " <= x @all", f"{DEEP} (column 301)"),
+    ("(" * 100 + "x" + ")" * 100 + " == x @all", f"{DEEP} (column 201)"),
+    (" (" * 101 + "x", f"{DEEP} (column 202)"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_QUERIES, ids=map(str, range(len(MALFORMED_QUERIES))))
+def test_parse_query_errors_name_the_fault_and_its_column(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_query(text)
+    assert type(caught.value) is ParseError and str(caught.value) == message
+
+
 def test_format_round_trip():
     for text in (
         "x^w x == x^w @all",

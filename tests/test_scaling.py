@@ -13,6 +13,7 @@ import tracemalloc
 
 from orda.classify import is_synchronizing
 from orda.core import Alphabet, OrderedAutomaton, OrderedSemiautomaton, Semiautomaton, StateOrder, format_automaton, parse_automaton
+from orda.languages import parse_regex
 from orda.minimize import preorder, reachable_part
 from orda.monoid import TransitionMonoid, build
 from orda.omega import _check, parse_query
@@ -109,6 +110,19 @@ def test_parse_is_linear_in_lines():
         cases.append((text.count("\n"), lambda text=text: parse_automaton(text), calls))
     exponent = _exponent(cases)
     assert exponent <= 1.5, exponent
+
+
+def test_parsers_are_linear_in_length():
+    # a union of n parts and a product of n factors, spaced out, at n = 1000
+    # and 4000, sized by their characters: both parsers read one scan of the
+    # text, and a reader that scans the rest of the text again per token
+    # fits an exponent near 2 here (a bare slice per token, a memcpy, stays
+    # near 1.1); the smaller texts are parsed often enough to run 30 ms
+    for make, parse in ((lambda n: " | ".join(["ab"] * n), lambda text: parse_regex(text, "ab")),
+                        (lambda n: " ".join(f"x{k}" for k in range(n)) + " == x0 @all", parse_query)):
+        cases = [(len(make(n)), lambda text=make(n): parse(text), calls) for n, calls in ((1000, 4), (4000, 1))]
+        exponent = _exponent(cases)
+        assert exponent <= 1.5, exponent
 
 
 def _random_dfa(rng: random.Random, n: int) -> OrderedAutomaton:
